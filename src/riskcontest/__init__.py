@@ -16,6 +16,7 @@ from .errors import (
 from .glm import (
     CvPlan,
     FitResult,
+    PatternTable,
     PenaltySpec,
     bootstrap_resample,
     cv_deviance,

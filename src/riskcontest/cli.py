@@ -9,17 +9,20 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields as dataclass_fields
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ContestError
 from .io import (
+    SIM_KEYS,
     load_weights,
     parse_config_file,
     read_dataset_csv,
     read_submission,
     read_truth_json,
+    selector_spec_from_mapping,
     sim_config_from_mapping,
     verify_commitment,
     write_confounders_csv,
@@ -29,17 +32,16 @@ from .io import (
 )
 from .scoring import contest_score, rank_leaderboard, youden_index
 from .selectors import SelectorSpec, run_selector
-from .sim import SimulationConfig, draw_ground_truth, simulate_dataset
+from .sim import draw_ground_truth, simulate_dataset
 from .tournament import (
+    TOURNAMENT_KEYS,
     run_tournament,
     tournament_config_from_mapping,
     write_rows_csv,
     write_summary_csv,
 )
 
-_SIM_KEYS = {f.name for f in dataclass_fields(SimulationConfig)}
 _SPEC_KEYS = {f.name for f in dataclass_fields(SelectorSpec)} - {"method", "seed"}
-_TOURNAMENT_KEYS = {"replicates", "master_seed", "methods", "weights"}
 
 
 def _read_config(path) -> dict[str, str]:
@@ -49,9 +51,9 @@ def _read_config(path) -> dict[str, str]:
 def cmd_simulate(args) -> int:
     mapping = _read_config(args.config)
     for key in mapping:
-        if "." in key or key in _TOURNAMENT_KEYS:
+        if "." in key or key in TOURNAMENT_KEYS:
             continue  # a tournament config can seed a single contest
-        if key not in _SIM_KEYS:
+        if key not in SIM_KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
     config = sim_config_from_mapping(mapping)
     if args.seed is not None:
@@ -79,14 +81,11 @@ def cmd_simulate(args) -> int:
 
 
 def _selector_spec(method: str, seed: int, mapping: dict[str, str]) -> SelectorSpec:
-    from .tournament import _selector_from_mapping
-
     merged = dict(mapping)
     for key, value in mapping.items():
         if key in _SPEC_KEYS:
             merged.setdefault(f"{method}.{key}", value)
-    spec = _selector_from_mapping(method, merged)
-    return SelectorSpec(**{**spec.__dict__, "seed": seed})
+    return replace(selector_spec_from_mapping(method, merged), seed=seed)
 
 
 def cmd_select(args) -> int:

@@ -1,8 +1,11 @@
 """Logistic-regression core: IRLS fitting, penalties, CV folds, bootstrap.
 
-All fitting runs through a single grouped-binomial IRLS routine, so row-wise
-fits and the pattern-aggregated fits used by the subset enumerator give
-bit-compatible results.
+Every IRLS fit runs on distinct covariate patterns: rows collapse to their
+distinct values with trial and case counts, and one grouped-binomial routine
+fits the counts. The likelihood is the same as row by row, so pattern and
+row fits agree to a relative 1e-12 in coefficients, deviance, standard
+errors and CV deviance; a fit refit with the separation ridge is
+ill-conditioned and agrees to about 1e-8 (tests/test_grouped.py).
 """
 
 from __future__ import annotations
@@ -29,21 +32,38 @@ FALLBACK_RIDGE = 1e-6
 def expit(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function 1 / (1 + exp(-z))."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _log1pexp(eta: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, eta)
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _grouped_deviance(eta: np.ndarray, trials: np.ndarray, successes: np.ndarray) -> float:
     # -2 * log-likelihood of a binomial logit model, binomial constants omitted.
-    return 2.0 * float(np.sum(trials * _log1pexp(eta) - successes * eta))
+    return 2.0 * float(np.sum(trials * np.logaddexp(0.0, eta) - successes * eta))
+
+
+def _collapse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of x and, for every row, the index of its distinct row.
+
+    The distinct rows come sorted with the last column as the primary key.
+    """
+    n, p = x.shape
+    if p == 0:
+        return x[:1], np.zeros(n, dtype=np.intp)
+    order = np.lexsort(x.T)
+    ordered = x[order]
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inv = np.empty(n, dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
+    return ordered[first], inv
+
+
+def _pattern_sums(inv: np.ndarray, k: int, weights: np.ndarray) -> np.ndarray:
+    """(g, k) sums of the (g, n) weights over the rows of each of k patterns."""
+    g = weights.shape[0]
+    cells = (np.arange(g)[:, None] * k + inv).ravel()
+    return np.bincount(cells, weights=weights.ravel(), minlength=g * k).reshape(g, k)
 
 
 def log_likelihood(x: np.ndarray, y: np.ndarray, coefficients: np.ndarray) -> float:
@@ -51,7 +71,7 @@ def log_likelihood(x: np.ndarray, y: np.ndarray, coefficients: np.ndarray) -> fl
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     eta = coefficients[0] + x @ coefficients[1:]
-    return float(np.sum(y * eta - _log1pexp(eta)))
+    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
 
 
 def log_likelihood_gradient(x: np.ndarray, y: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -117,7 +137,6 @@ class CvPlan:
 
     n_folds: int
     assignments: np.ndarray
-    stratified: bool = True
 
 
 class _NumericalTrouble(Exception):
@@ -157,8 +176,8 @@ def _irls(xmat, trials, successes, lam, *, penalize_intercept=False,
     it = 0
     for it in range(1, max_iter + 1):
         p = expit(eta)
-        w = trials * p * (1.0 - p)
-        np.clip(w, 1e-10, None, out=w)
+        # Clip per trial, so a pattern of t rows weighs what its rows do.
+        w = trials * np.maximum(p * (1.0 - p), 1e-10)
         grad = xmat.T @ (successes - trials * p) - lam * pen * beta
         hess = (xmat * w[:, None]).T @ xmat
         if lam:
@@ -199,13 +218,17 @@ def _irls(xmat, trials, successes, lam, *, penalize_intercept=False,
     return beta, dev, converged, it
 
 
-def _fit_grouped(xmat, trials, successes, lam, **kw):
-    """IRLS with the separation/collinearity fallback.
+def _fit_grouped(xmat, trials, successes, penalty, **kw):
+    """IRLS on a ridge or no penalty, with the separation/collinearity fallback.
 
     Unpenalized fits that separate (or hit a singular system) are refit with
     a tiny ridge so downstream machinery stays total. Returns
     (beta, deviance, converged, iterations, separated).
     """
+    if penalty.kind == "lasso":
+        raise ValidationError("use fit_lasso_path for lasso penalties")
+    lam = penalty.lam if penalty.kind == "ridge" else 0.0
+    kw["penalize_intercept"] = penalty.penalize_intercept
     try:
         beta, dev, conv, it = _irls(xmat, trials, successes, lam,
                                     guard=(lam == 0.0), **kw)
@@ -219,7 +242,8 @@ def _fit_grouped(xmat, trials, successes, lam, **kw):
 def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY, *,
                  max_iter: int = MAX_ITER, rtol: float = DEVIANCE_RTOL,
                  separation_bound: float = SEPARATION_BOUND) -> FitResult:
-    """Maximum-likelihood or ridge logistic regression via IRLS.
+    """Maximum-likelihood or ridge logistic regression via IRLS on the
+    distinct covariate patterns of x.
 
     Parameters
     ----------
@@ -240,22 +264,19 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY
     n, p = x.shape
     if n <= p:
         raise ValidationError(f"need more rows than columns (n={n}, p={p})")
-    if penalty.kind == "lasso":
-        raise ValidationError("use fit_lasso_path for lasso penalties")
 
-    lam = penalty.lam if penalty.kind == "ridge" else 0.0
-    xmat = np.hstack([np.ones((n, 1)), x])
-    trials = np.ones(n)
+    patterns, inv = _collapse(x)
+    xmat = np.column_stack([np.ones(len(patterns)), patterns])
+    trials, cases = _pattern_sums(inv, len(patterns), np.vstack([np.ones(n), y]))
 
     beta, dev, conv, it, separated = _fit_grouped(
-        xmat, trials, y, lam,
-        penalize_intercept=penalty.penalize_intercept,
+        xmat, trials, cases, penalty,
         max_iter=max_iter, rtol=rtol, bound=separation_bound)
 
     std = None
     if penalty.kind == "none" and conv:
         prob = expit(xmat @ beta)
-        w = np.clip(prob * (1.0 - prob), 1e-10, None)
+        w = trials * np.maximum(prob * (1.0 - prob), 1e-10)
         info = (xmat * w[:, None]).T @ xmat
         if separated:
             # Same stabilization that produced the estimate.
@@ -291,7 +312,46 @@ def make_folds(y: np.ndarray, n_folds: int, rng: np.random.Generator) -> CvPlan:
                 f"class {cls} has {idx.size} members, fewer than {n_folds} folds")
         shuffled = rng.permutation(idx)
         labels[shuffled] = np.arange(shuffled.size) % n_folds + 1
-    return CvPlan(n_folds, labels, stratified=True)
+    return CvPlan(n_folds, labels)
+
+
+class PatternTable:
+    """Trial and case counts of the distinct covariate patterns of (x, y) in
+    every fold of a CvPlan, built once to score many column subsets.
+
+    cv_deviance projects the patterns onto a subset's columns and fits every
+    fold on the projected counts.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, plan: CvPlan):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 2 or y.shape != (x.shape[0],) or plan.assignments.shape != y.shape:
+            raise ValidationError("x must be (n, p) with y and the folds of length n")
+        self.patterns, inv = _collapse(x)
+        held = plan.assignments == np.arange(1, plan.n_folds + 1)[:, None]
+        # Rows 0..F-1: held-out trials per fold; rows F..2F-1: held-out cases.
+        self.held = _pattern_sums(inv, len(self.patterns), np.vstack([held, held * y]))
+        self.n = y.shape[0]
+        self.min_train = self.n - int(held.sum(axis=1).max())
+
+    def cv_deviance(self, subset, penalty: PenaltySpec = NO_PENALTY) -> float:
+        """cv_deviance(x, y, subset, plan, penalty) on this table's x, y and plan."""
+        cols = sorted(subset)
+        if self.min_train <= len(cols):
+            raise ValidationError(
+                f"need more rows than columns (n={self.min_train}, p={len(cols)})")
+        sub, inv = _collapse(self.patterns[:, cols])
+        design = np.column_stack([np.ones(len(sub)), sub])
+        held_n, held_c = np.split(_pattern_sums(inv, len(sub), self.held), 2)
+        all_n, all_c = held_n.sum(axis=0), held_c.sum(axis=0)
+        total = 0.0
+        for n_te, c_te in zip(held_n, held_c):
+            live = all_n > n_te
+            beta, *_ = _fit_grouped(design[live], (all_n - n_te)[live],
+                                    (all_c - c_te)[live], penalty)
+            total += _grouped_deviance(design @ beta, n_te, c_te)
+        return total / self.n
 
 
 def cv_deviance(x: np.ndarray, y: np.ndarray, subset, plan: CvPlan,
@@ -301,19 +361,9 @@ def cv_deviance(x: np.ndarray, y: np.ndarray, subset, plan: CvPlan,
     For every fold the model is fit on the complement and -2 log-likelihood
     is accumulated on the held-out rows; the total is divided by n. `subset`
     holds 0-based column indices; an empty subset fits the intercept alone.
+    To score many subsets on one plan, build a PatternTable once.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    cols = np.asarray(sorted(subset), dtype=int)
-    xs = x[:, cols] if cols.size else np.empty((x.shape[0], 0))
-    total = 0.0
-    for f in range(1, plan.n_folds + 1):
-        test = plan.assignments == f
-        train = ~test
-        fit = fit_logistic(xs[train], y[train], penalty)
-        eta = fit.intercept + xs[test] @ fit.slopes
-        total += _grouped_deviance(eta, np.ones(int(test.sum())), y[test])
-    return total / y.shape[0]
+    return PatternTable(x, y, plan).cv_deviance(subset, penalty)
 
 
 def bootstrap_resample(n: int, rng: np.random.Generator) -> np.ndarray:

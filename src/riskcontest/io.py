@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CommitmentError, ConfigurationError, DatasetFormatError, ValidationError
 from .scoring import ScoringWeights, WEIGHT_PRESETS
-from .selectors import Submission
+from .selectors import SelectorSpec, Submission
 from .sim import Confounder, Dataset, GroundTruth, SimulationConfig
 
 SCHEMA_VERSION = 1
@@ -186,40 +186,57 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-def _coerce(name: str, value: str, target_type) -> object:
+def _coerce(name: str, value: str, target_type: type) -> object:
     try:
-        if target_type is bool or target_type == "bool":
+        if target_type is bool:
             low = value.lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(value)
-        if target_type is int:
-            return int(value)
-        if target_type is float:
-            return float(value)
+        return target_type(value)
     except ValueError:
         raise ConfigurationError(f"bad value for {name}: {value!r}")
-    return value
+
+
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def _field_type(field) -> type:
+    """The type a config value of a dataclass field converts to: its
+    annotation, with 'T | None' read as T."""
+    return _TYPES[field.type.removesuffix(" | None")]
 
 
 _SIM_FIELDS = {f.name: f for f in dataclass_fields(SimulationConfig)}
-_OPTIONAL_INT = {"draw_budget"}  # declared as int | None
+SIM_KEYS = frozenset(_SIM_FIELDS)
+_SPEC_FIELDS = {f.name: f for f in dataclass_fields(SelectorSpec)}
 
 
 def sim_config_from_mapping(mapping: dict[str, str],
                             base: SimulationConfig | None = None) -> SimulationConfig:
     """Build a SimulationConfig from the matching keys of a parsed config."""
-    kwargs = {}
-    for name, f in _SIM_FIELDS.items():
-        if name not in mapping:
-            continue
-        target = int if name in _OPTIONAL_INT else f.type
-        target = {"int": int, "float": float, "bool": bool}.get(target, target)
-        kwargs[name] = _coerce(name, mapping[name], target)
+    kwargs = {name: _coerce(name, mapping[name], _field_type(f))
+              for name, f in _SIM_FIELDS.items() if name in mapping}
     merged = {**(base.__dict__ if base else {}), **kwargs}
     return SimulationConfig(**merged) if merged else SimulationConfig()
+
+
+def selector_spec_from_mapping(method: str, mapping: dict[str, str]) -> SelectorSpec:
+    """Build the SelectorSpec of `method` from the '<method>.<option>' keys
+    of a parsed config; keys for other methods are ignored."""
+    kwargs = {}
+    prefix = method + "."
+    for key, value in mapping.items():
+        if not key.startswith(prefix):
+            continue
+        name = key[len(prefix):]
+        field = _SPEC_FIELDS.get(name)
+        if field is None or name in ("method", "seed"):
+            raise ConfigurationError(f"unknown selector option {key!r}")
+        kwargs[name] = _coerce(key, value, _field_type(field))
+    return SelectorSpec(method, **kwargs)
 
 
 def load_weights(spec: str) -> ScoringWeights:

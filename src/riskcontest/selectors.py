@@ -15,12 +15,11 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EnumerationBudgetError, ValidationError
+# selectors.cv_deviance stays importable: perfbench's tracer wraps it here.
 from .glm import (
-    CvPlan,
+    PatternTable,
     PenaltySpec,
-    _fit_grouped,
     _grouped_deviance,
-    _log1pexp,
     bootstrap_resample,
     cv_deviance,
     default_lambda_grid,
@@ -211,7 +210,8 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
         kept = np.sort(nonzero[order[:spec.max_select]])
 
     ridge_lams = np.geomspace(1e3, 1e-2, 11)
-    ridge_cv = [cv_deviance(x, y, range(data.d), plan, PenaltySpec("ridge", lam))
+    table = PatternTable(x, y, plan)
+    ridge_cv = [table.cv_deviance(range(data.d), PenaltySpec("ridge", lam))
                 for lam in ridge_lams]
 
     lines = [f"lasso CV over {grid.size} penalties, {n_folds} folds"]
@@ -233,71 +233,14 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
     return Submission("team_b", _to_1based(kept), "\n".join(lines))
 
 
-# ---------------------------------------------------------------------------
-# Exhaustive search. With binary predictors a subset of size s only exposes
-# 2^s covariate patterns, so every fold's fit runs on aggregated pattern
-# counts instead of rows. The likelihood is identical, which keeps the fast
-# path interchangeable with glm.cv_deviance.
-# ---------------------------------------------------------------------------
-
-_DESIGNS: dict[int, np.ndarray] = {}
-
-
-def _pattern_design(s: int) -> np.ndarray:
-    if s not in _DESIGNS:
-        grid = ((np.arange(1 << s)[:, None] >> np.arange(s)) & 1).astype(float)
-        _DESIGNS[s] = np.hstack([np.ones((1 << s, 1)), grid])
-    return _DESIGNS[s]
-
-
-class _PatternTable:
-    """Per-fold case/total counts of every distinct covariate pattern."""
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, plan: CvPlan):
-        d = x.shape[1]
-        codes = x.astype(np.int64) @ (np.int64(1) << np.arange(d, dtype=np.int64))
-        uniq, inv = np.unique(codes, return_inverse=True)
-        k = uniq.size
-        self.bits = ((uniq[:, None] >> np.arange(d, dtype=np.int64)) & 1)
-        self.total_n = np.bincount(inv, minlength=k).astype(float)
-        self.total_c = np.bincount(inv, weights=y.astype(float), minlength=k)
-        self.fold_n = np.empty((plan.n_folds, k))
-        self.fold_c = np.empty((plan.n_folds, k))
-        for f in range(plan.n_folds):
-            held = plan.assignments == f + 1
-            self.fold_n[f] = np.bincount(inv[held], minlength=k)
-            self.fold_c[f] = np.bincount(inv[held], weights=y[held].astype(float),
-                                         minlength=k)
-        self.n = x.shape[0]
-        self.n_folds = plan.n_folds
-
-    def cv_deviance(self, cols: tuple[int, ...]) -> float:
-        s = len(cols)
-        powers = np.int64(1) << np.arange(s, dtype=np.int64)
-        sub = self.bits[:, list(cols)] @ powers
-        width = 1 << s
-        design = _pattern_design(s)
-        n_all = np.bincount(sub, weights=self.total_n, minlength=width)
-        c_all = np.bincount(sub, weights=self.total_c, minlength=width)
-        total = 0.0
-        for f in range(self.n_folds):
-            n_te = np.bincount(sub, weights=self.fold_n[f], minlength=width)
-            c_te = np.bincount(sub, weights=self.fold_c[f], minlength=width)
-            n_tr = n_all - n_te
-            c_tr = c_all - c_te
-            live = n_tr > 0
-            beta, *_ = _fit_grouped(design[live], n_tr[live], c_tr[live], 0.0)
-            eta = design @ beta
-            total += 2.0 * float(np.sum(n_te * _log1pexp(eta) - c_te * eta))
-        return total / self.n
-
-
 def select_team_c(data: Dataset, spec: SelectorSpec) -> Submission:
     """Exhaustive best-subset search scored by shared-fold cross-validation.
 
     Enumerates every subset of sizes size_min..size_max, scores each by
     k-fold held-out deviance on one shared fold assignment, and returns the
     argmin; ties go to the smaller, then lexicographically first subset.
+    With binary predictors a subset of size s exposes at most 2^s covariate
+    patterns, so every fold's fit runs on a few pattern counts.
     """
     n_subsets = sum(math.comb(data.d, s)
                     for s in range(spec.size_min, spec.size_max + 1))
@@ -308,7 +251,7 @@ def select_team_c(data: Dataset, spec: SelectorSpec) -> Submission:
     rng = np.random.default_rng(spec.seed)
     n_folds = spec.n_folds if spec.n_folds is not None else 4
     plan = make_folds(data.y, n_folds, rng)
-    table = _PatternTable(data.x, data.y, plan)
+    table = PatternTable(data.x, data.y, plan)
 
     best_cols = None
     best_dev = math.inf

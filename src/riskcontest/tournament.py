@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
 from .errors import ConfigurationError, ContestError
-from .io import _coerce, sim_config_from_mapping
+from .io import (
+    SIM_KEYS,
+    _coerce,
+    load_weights,
+    selector_spec_from_mapping,
+    sim_config_from_mapping,
+)
 from .scoring import ScoringWeights, contest_score, youden_index
 from .selectors import METHODS, SelectorSpec, run_selector
 from .sim import SimulationConfig, draw_ground_truth, simulate_dataset
@@ -164,34 +169,13 @@ def write_summary_csv(path, summaries: list[MethodSummary]) -> None:
 
 # -- config file -------------------------------------------------------------
 
-_SPEC_FIELDS = {f.name: f for f in dataclass_fields(SelectorSpec)}
-_SPEC_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
-
-
-def _selector_from_mapping(method: str, mapping: dict[str, str]) -> SelectorSpec:
-    kwargs = {}
-    prefix = method + "."
-    for key, value in mapping.items():
-        if not key.startswith(prefix):
-            continue
-        name = key[len(prefix):]
-        field = _SPEC_FIELDS.get(name)
-        if field is None or name in ("method", "seed"):
-            raise ConfigurationError(f"unknown selector option {key!r}")
-        target = _SPEC_TYPES.get(field.type, int if name == "n_folds" else str)
-        kwargs[name] = _coerce(key, value, target)
-    return SelectorSpec(method, **kwargs)
-
-
-_SIM_KEYS = {f.name for f in dataclass_fields(SimulationConfig)}
+TOURNAMENT_KEYS = frozenset({"replicates", "master_seed", "methods", "weights"})
 
 
 def tournament_config_from_mapping(mapping: dict[str, str]) -> TournamentConfig:
     """Flat key=value config: replicates, master_seed, weights, a comma list
     of methods, per-method options as '<method>.<option>', and any
     SimulationConfig field names."""
-    from .io import load_weights  # late import to keep io free of this module
-
     names = [m.strip() for m in mapping.get("methods", "").split(",") if m.strip()]
     if not names:
         raise ConfigurationError("config must list at least one method")
@@ -199,7 +183,7 @@ def tournament_config_from_mapping(mapping: dict[str, str]) -> TournamentConfig:
         if name not in METHODS:
             raise ConfigurationError(f"unknown method {name!r}")
 
-    known = _SIM_KEYS | {"replicates", "master_seed", "methods", "weights"}
+    known = SIM_KEYS | TOURNAMENT_KEYS
     for key in mapping:
         if "." in key:
             if key.split(".", 1)[0] not in names:
@@ -209,7 +193,7 @@ def tournament_config_from_mapping(mapping: dict[str, str]) -> TournamentConfig:
 
     replicates = _coerce("replicates", mapping.get("replicates", "1"), int)
     master_seed = _coerce("master_seed", mapping.get("master_seed", "0"), int)
-    methods = tuple(_selector_from_mapping(name, mapping) for name in names)
+    methods = tuple(selector_spec_from_mapping(name, mapping) for name in names)
     sim = sim_config_from_mapping(mapping)
     weights = load_weights(mapping.get("weights", "table1"))
     return TournamentConfig(replicates, methods, sim, weights, master_seed)

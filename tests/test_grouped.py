@@ -1,0 +1,130 @@
+"""Pattern fits against row-by-row fits.
+
+glm fits every logistic model on distinct covariate patterns. The reference
+here fits the same data one row per observation, with unit trials, through
+the same grouped-binomial IRLS routine, so the two differ only in the order
+of floating-point sums.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import riskcontest as rc
+from riskcontest.glm import FALLBACK_RIDGE, NO_PENALTY, _fit_grouped, _grouped_deviance
+
+RTOL = 1e-12
+# A fit that separates is refit with a tiny ridge. That system is so
+# ill-conditioned that the rounding of the two summation orders grows to
+# about 1e-8.
+SEPARATED_RTOL = 1e-6
+PENALTIES = [NO_PENALTY, rc.PenaltySpec("ridge", 0.01), rc.PenaltySpec("ridge", 1.0)]
+
+
+def row_fit(x, y, penalty=NO_PENALTY):
+    """(beta, deviance, std_errors, separated, iterations) of a row-wise fit."""
+    n, p = x.shape
+    xmat = np.hstack([np.ones((n, 1)), x])
+    beta, dev, conv, it, separated = _fit_grouped(xmat, np.ones(n), y, penalty)
+    std = None
+    if penalty.kind == "none" and conv:
+        prob = rc.expit(xmat @ beta)
+        info = (xmat * np.clip(prob * (1 - prob), 1e-10, None)[:, None]).T @ xmat
+        if separated:
+            info[np.arange(1, p + 1), np.arange(1, p + 1)] += FALLBACK_RIDGE
+        std = np.sqrt(np.diag(np.linalg.inv(info)))
+    return beta, dev, std, separated, it
+
+
+def row_cv_deviance(x, y, cols, plan, penalty=NO_PENALTY):
+    cols = sorted(cols)
+    total = 0.0
+    for f in range(1, plan.n_folds + 1):
+        test = plan.assignments == f
+        beta, *_ = row_fit(x[~test][:, cols], y[~test], penalty)
+        eta = beta[0] + x[test][:, cols] @ beta[1:]
+        total += _grouped_deviance(eta, np.ones(int(test.sum())), y[test])
+    return total / y.shape[0]
+
+
+def assert_close(actual, expected, rtol):
+    actual, expected = np.atleast_1d(actual), np.atleast_1d(expected)
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    assert float(np.max(np.abs(actual - expected))) <= rtol * scale
+
+
+contests = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(60, 300),
+    "p": st.integers(1, 6),
+    "prevalence": st.floats(0.05, 0.6),
+})
+
+
+def draw(seed, n, p, prevalence):
+    """Sparse binary risk factors with random effects, both classes present
+    at least four times so that four stratified folds exist."""
+    rng = np.random.default_rng(seed)
+    while True:
+        x = (rng.random((n, p)) < prevalence).astype(float)
+        y = (rng.random(n) < rc.expit(-0.5 + x @ rng.normal(0, 1.5, p))).astype(float)
+        if 4 <= y.sum() <= n - 4:
+            return x, y, rng
+
+
+class TestFitLogistic:
+    @settings(max_examples=80, deadline=None)
+    @given(contests, st.sampled_from(PENALTIES))
+    def test_matches_row_fit(self, case, penalty):
+        x, y, _ = draw(**case)
+        fit = rc.fit_logistic(x, y, penalty)
+        beta, dev, std, separated, iterations = row_fit(x, y, penalty)
+        assert (fit.separation_flag, fit.iterations) == (separated, iterations)
+        assert (fit.std_errors is None) == (std is None)
+        rtol = SEPARATED_RTOL if separated else RTOL
+        assert_close(fit.coefficients, beta, rtol)
+        assert_close(fit.deviance, dev, rtol)
+        if std is not None:
+            assert_close(fit.std_errors, std, rtol)
+
+
+class TestCvDeviance:
+    @settings(max_examples=60, deadline=None)
+    @given(contests, st.sampled_from(PENALTIES))
+    def test_matches_row_cv(self, case, penalty):
+        x, y, rng = draw(**case)
+        plan = rc.make_folds(y, 4, rng)
+        cols = range(x.shape[1])
+        separates = any(row_fit(x[plan.assignments != f], y[plan.assignments != f], penalty)[3]
+                        for f in range(1, plan.n_folds + 1))
+        assert_close(rc.cv_deviance(x, y, cols, plan, penalty),
+                     row_cv_deviance(x, y, cols, plan, penalty),
+                     SEPARATED_RTOL if separates else RTOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(contests)
+    def test_separated_column(self, case):
+        # Column 0 is exposed only among cases, so every fold separates.
+        x, y, rng = draw(**case)
+        x[:, 0] = y * (rng.random(y.size) < 0.5)
+        plan = rc.make_folds(y, 4, rng)
+        cols = range(x.shape[1])
+        assert_close(rc.cv_deviance(x, y, cols, plan),
+                     row_cv_deviance(x, y, cols, plan), SEPARATED_RTOL)
+
+
+def test_wide_contest_keeps_every_column_distinct():
+    """With 64 or more columns no integer code fits a row; the planted
+    column (0-based 67, reported 1-based) must still win."""
+    rng = np.random.default_rng(7)
+    n, d = 400, 70
+    x = (rng.random((n, d)) < 0.3).astype(np.int8)
+    y = (rng.random(n) < rc.expit(-0.5 + 2.0 * x[:, 67])).astype(np.int8)
+    spec = rc.SelectorSpec("team_c", seed=0, size_min=1, size_max=1)
+    assert rc.run_selector(rc.Dataset(x, y), spec).selected == (68,)
+
+    plan = rc.make_folds(y, 4, np.random.default_rng(spec.seed))
+    xf, yf = x.astype(float), y.astype(float)
+    table = rc.PatternTable(xf, yf, plan)
+    assert table.cv_deviance((67,)) == pytest.approx(
+        row_cv_deviance(xf, yf, (67,), plan), rel=RTOL)
