@@ -18,6 +18,7 @@ from .glm import (
     FitResult,
     PatternTable,
     PenaltySpec,
+    bootstrap_fits,
     bootstrap_resample,
     cv_deviance,
     default_lambda_grid,

@@ -1,11 +1,12 @@
 """Logistic-regression core: IRLS fitting, penalties, CV folds, bootstrap.
 
-Every IRLS fit runs on distinct covariate patterns: rows collapse to their
-distinct values with trial and case counts, and one grouped-binomial routine
-fits the counts. The likelihood is the same as row by row, so pattern and
-row fits agree to a relative 1e-12 in coefficients, deviance, standard
-errors and CV deviance; a fit refit with the separation ridge is
-ill-conditioned and agrees to about 1e-8 (tests/test_grouped.py).
+Every fit runs on distinct covariate patterns: _pattern_counts collapses the
+rows to their distinct values with trial and case counts, and the IRLS fit,
+the lasso path, the CV table and the bootstrap work on those counts. Pattern
+and row fits agree to a relative 1e-12 in coefficients, deviance, standard
+errors and CV deviance, and to about 1e-8 for an ill-conditioned fit refit
+with the separation ridge (tests/test_grouped.py). A bootstrap fit equals the
+fit of its resampled rows bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 
-# Fixed numerical constants; overridable through the fit_* keyword arguments.
+# Fixed numerical constants of the IRLS fit.
 MAX_ITER = 100
 DEVIANCE_RTOL = 1e-10
 SEPARATION_BOUND = 15.0
@@ -59,6 +60,18 @@ def _collapse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], inv
 
 
+def _pattern_counts(x, y):
+    """Validate (x, y); return the distinct rows of x, the number of rows and
+    of cases on each, and every row's index into the distinct rows."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise ValidationError("x must be (n, p) with y of length n")
+    patterns, inv = _collapse(x)
+    trials, cases = _pattern_sums(inv, len(patterns), np.vstack([np.ones(y.size), y]))
+    return patterns, trials, cases, inv
+
+
 def _pattern_sums(inv: np.ndarray, k: int, weights: np.ndarray) -> np.ndarray:
     """(g, k) sums of the (g, n) weights over the rows of each of k patterns."""
     g = weights.shape[0]
@@ -86,17 +99,15 @@ def log_likelihood_gradient(x: np.ndarray, y: np.ndarray, coefficients: np.ndarr
 class PenaltySpec:
     """Penalty attached to a logistic fit.
 
-    kind is one of "none", "ridge" or "lasso"; lam >= 0 is the penalty weight
-    (lam = 0 is equivalent to "none"). The intercept is never penalized unless
-    penalize_intercept is set.
+    kind is "none" or "ridge" (for the lasso, see fit_lasso_path); lam >= 0 is
+    the penalty weight, and lam = 0 is "none". The intercept is unpenalized.
     """
 
     kind: str = "none"
     lam: float = 0.0
-    penalize_intercept: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("none", "ridge", "lasso"):
+        if self.kind not in ("none", "ridge"):
             raise ValidationError(f"unknown penalty kind {self.kind!r}")
         if self.lam < 0:
             raise ValidationError("penalty weight must be non-negative")
@@ -143,14 +154,13 @@ class _NumericalTrouble(Exception):
     """Internal: separation or singular information detected mid-iteration."""
 
 
-def _irls(xmat, trials, successes, lam, *, penalize_intercept=False,
-          max_iter=MAX_ITER, rtol=DEVIANCE_RTOL, bound=SEPARATION_BOUND,
-          guard=True, trace=None):
+def _irls(xmat, trials, successes, lam, *, guard=True, trace=None):
     """Newton/IRLS with step halving on the ridge-penalized deviance.
 
-    xmat includes the intercept column. With guard=True (unpenalized fits)
-    raises _NumericalTrouble as soon as any |coefficient| crosses `bound` or
-    the Newton system is singular; the caller then refits with FALLBACK_RIDGE.
+    xmat includes the intercept column, which the ridge leaves unpenalized.
+    With guard=True (unpenalized fits) raises _NumericalTrouble as soon as
+    any |coefficient| crosses SEPARATION_BOUND or the Newton system is
+    singular; the caller then refits with FALLBACK_RIDGE.
     Returns (beta, deviance, converged, iterations).
     """
     m, q = xmat.shape
@@ -160,8 +170,7 @@ def _irls(xmat, trials, successes, lam, *, penalize_intercept=False,
         raise DegenerateOutcomeError("outcome vector contains a single class")
 
     pen = np.ones(q)
-    if not penalize_intercept:
-        pen[0] = 0.0
+    pen[0] = 0.0
 
     beta = np.zeros(q)
     ybar = hits / total
@@ -172,9 +181,7 @@ def _irls(xmat, trials, successes, lam, *, penalize_intercept=False,
     if trace is not None:
         trace.append(dev)
 
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         p = expit(eta)
         # Clip per trial, so a pattern of t rows weighs what its rows do.
         w = trials * np.maximum(p * (1.0 - p), 1e-10)
@@ -190,58 +197,47 @@ def _irls(xmat, trials, successes, lam, *, penalize_intercept=False,
         # Step halving: accept the first candidate that does not increase the
         # objective; if even the tiniest step fails we are at the optimum.
         t = 1.0
-        accepted = False
         for _ in range(30):
             cand = beta + t * step
             eta_c = xmat @ cand
             dev_c = _grouped_deviance(eta_c, trials, successes)
             obj_c = dev_c + lam * float(np.sum(pen * cand**2))
             if obj_c <= obj * (1.0 + 1e-14) + 1e-14:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            converged = True
-            break
+        else:
+            return beta, dev, True, it
 
-        if guard and float(np.max(np.abs(cand))) > bound:
+        if guard and float(np.max(np.abs(cand))) > SEPARATION_BOUND:
             raise _NumericalTrouble("quasi-complete separation")
 
         rel = abs(obj - obj_c) / (abs(obj) + 0.1)
         beta, eta, dev, obj = cand, eta_c, dev_c, obj_c
         if trace is not None:
             trace.append(dev)
-        if rel < rtol:
-            converged = True
-            break
-
-    return beta, dev, converged, it
+        if rel < DEVIANCE_RTOL:
+            return beta, dev, True, it
+    return beta, dev, False, MAX_ITER
 
 
-def _fit_grouped(xmat, trials, successes, penalty, **kw):
+def _fit_grouped(xmat, trials, successes, penalty):
     """IRLS on a ridge or no penalty, with the separation/collinearity fallback.
 
     Unpenalized fits that separate (or hit a singular system) are refit with
     a tiny ridge so downstream machinery stays total. Returns
     (beta, deviance, converged, iterations, separated).
     """
-    if penalty.kind == "lasso":
-        raise ValidationError("use fit_lasso_path for lasso penalties")
     lam = penalty.lam if penalty.kind == "ridge" else 0.0
-    kw["penalize_intercept"] = penalty.penalize_intercept
     try:
-        beta, dev, conv, it = _irls(xmat, trials, successes, lam,
-                                    guard=(lam == 0.0), **kw)
+        beta, dev, conv, it = _irls(xmat, trials, successes, lam, guard=(lam == 0.0))
         return beta, dev, conv, it, False
     except _NumericalTrouble:
         beta, dev, conv, it = _irls(xmat, trials, successes,
-                                    max(lam, FALLBACK_RIDGE), guard=False, **kw)
+                                    max(lam, FALLBACK_RIDGE), guard=False)
         return beta, dev, conv, it, True
 
 
-def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY, *,
-                 max_iter: int = MAX_ITER, rtol: float = DEVIANCE_RTOL,
-                 separation_bound: float = SEPARATION_BOUND) -> FitResult:
+def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY) -> FitResult:
     """Maximum-likelihood or ridge logistic regression via IRLS on the
     distinct covariate patterns of x.
 
@@ -250,28 +246,26 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY
     x : (n, p) binary design matrix, intercept added internally.
     y : length-n binary outcome; must contain both classes.
     penalty : "none" or "ridge". Ridge adds lam * ||slopes||^2 to the
-        deviance objective; the intercept stays unpenalized by default.
+        deviance objective; the intercept stays unpenalized.
 
-    Quasi-complete separation (any |coefficient| > separation_bound during
+    Quasi-complete separation (any |coefficient| > SEPARATION_BOUND during
     iteration) and singular Newton systems are handled by refitting with a
     tiny ridge; such fits carry separation_flag = True but still report
     standard errors so Wald machinery stays usable.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ValidationError("x must be (n, p) with y of length n")
-    n, p = x.shape
+    patterns, trials, cases, _ = _pattern_counts(x, y)
+    return _fit_counts(patterns, trials, cases, penalty)
+
+
+def _fit_counts(patterns, trials, cases, penalty=NO_PENALTY) -> FitResult:
+    """fit_logistic on pattern counts; patterns with no trials are dropped."""
+    live = trials > 0
+    patterns, trials, cases = patterns[live], trials[live], cases[live]
+    n, p = int(trials.sum()), patterns.shape[1]
     if n <= p:
         raise ValidationError(f"need more rows than columns (n={n}, p={p})")
-
-    patterns, inv = _collapse(x)
     xmat = np.column_stack([np.ones(len(patterns)), patterns])
-    trials, cases = _pattern_sums(inv, len(patterns), np.vstack([np.ones(n), y]))
-
-    beta, dev, conv, it, separated = _fit_grouped(
-        xmat, trials, cases, penalty,
-        max_iter=max_iter, rtol=rtol, bound=separation_bound)
+    beta, dev, conv, it, separated = _fit_grouped(xmat, trials, cases, penalty)
 
     std = None
     if penalty.kind == "none" and conv:
@@ -320,19 +314,17 @@ class PatternTable:
     every fold of a CvPlan, built once to score many column subsets.
 
     cv_deviance projects the patterns onto a subset's columns and fits every
-    fold on the projected counts.
+    fold on the projected counts; lasso_cv_deviance fits every fold's path.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, plan: CvPlan):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 2 or y.shape != (x.shape[0],) or plan.assignments.shape != y.shape:
+        self.patterns, _, _, inv = _pattern_counts(x, y)
+        if plan.assignments.shape != inv.shape:
             raise ValidationError("x must be (n, p) with y and the folds of length n")
-        self.patterns, inv = _collapse(x)
         held = plan.assignments == np.arange(1, plan.n_folds + 1)[:, None]
         # Rows 0..F-1: held-out trials per fold; rows F..2F-1: held-out cases.
         self.held = _pattern_sums(inv, len(self.patterns), np.vstack([held, held * y]))
-        self.n = y.shape[0]
+        self.n = inv.size
         self.min_train = self.n - int(held.sum(axis=1).max())
 
     def cv_deviance(self, subset, penalty: PenaltySpec = NO_PENALTY) -> float:
@@ -352,6 +344,19 @@ class PatternTable:
                                     (all_c - c_te)[live], penalty)
             total += _grouped_deviance(design @ beta, n_te, c_te)
         return total / self.n
+
+    def lasso_cv_deviance(self, grid) -> np.ndarray:
+        """(n_folds, len(grid)) held-out deviance per held-out row of the
+        lasso path on all columns, fit on every fold's complement."""
+        held_n, held_c = np.split(self.held, 2)
+        curve = np.empty((len(held_n), len(grid)))
+        for f, (n_te, c_te) in enumerate(zip(held_n, held_c)):
+            n_tr, c_tr = held_n.sum(axis=0) - n_te, held_c.sum(axis=0) - c_te
+            live = n_tr > 0
+            path = _lasso_path(self.patterns[live], n_tr[live], c_tr[live], grid)
+            curve[f] = [_grouped_deviance(fit.intercept + self.patterns @ fit.slopes,
+                                          n_te, c_te) for fit in path]
+        return curve / held_n.sum(axis=1)[:, None]
 
 
 def cv_deviance(x: np.ndarray, y: np.ndarray, subset, plan: CvPlan,
@@ -373,6 +378,18 @@ def bootstrap_resample(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
+def bootstrap_fits(x: np.ndarray, y: np.ndarray, n_resamples: int,
+                   rng: np.random.Generator) -> list[FitResult]:
+    """fit_logistic(x[idx], y[idx]) for each of n_resamples draws of
+    idx = bootstrap_resample(len(y), rng), from one collapse of the rows."""
+    patterns, _, _, inv = _pattern_counts(x, y)
+    y, k = np.asarray(y, dtype=float), len(patterns)
+    resamples = (bootstrap_resample(y.size, rng) for _ in range(n_resamples))
+    return [_fit_counts(patterns, np.bincount(inv[idx], minlength=k),
+                        np.bincount(inv[idx], weights=y[idx], minlength=k))
+            for idx in resamples]
+
+
 # ---------------------------------------------------------------------------
 # Lasso path: cyclic coordinate descent on the quadratic approximation with
 # warm starts, glmnet-style. Columns are standardized internally and the
@@ -380,13 +397,16 @@ def bootstrap_resample(n: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 KKT_TOL = 1e-7
+LASSO_MAX_OUTER = 250
 
 
-def _standardize(x):
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
+def _standardize(patterns, trials):
+    # Mean and standard deviation over the rows the trial counts stand for.
+    n = trials.sum()
+    mean = trials @ patterns / n
+    scale = np.sqrt(trials @ (patterns - mean) ** 2 / n)
     scale = np.where(scale == 0.0, 1.0, scale)
-    return (x - mean) / scale, mean, scale
+    return (patterns - mean) / scale, mean, scale
 
 
 def lasso_lambda_max(x: np.ndarray, y: np.ndarray) -> float:
@@ -395,10 +415,10 @@ def lasso_lambda_max(x: np.ndarray, y: np.ndarray) -> float:
     From the stationarity condition at the intercept-only model:
     max_j |x~_j' (y - ybar)| / n over standardized columns x~.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xs, _, _ = _standardize(x)
-    return float(np.max(np.abs(xs.T @ (y - y.mean())))) / y.shape[0]
+    patterns, trials, cases, _ = _pattern_counts(x, y)
+    xs, _, _ = _standardize(patterns, trials)
+    n = trials.sum()
+    return float(np.max(np.abs(xs.T @ (cases - trials * (cases.sum() / n))))) / n
 
 
 def default_lambda_grid(x: np.ndarray, y: np.ndarray, n_lambdas: int = 50,
@@ -408,33 +428,26 @@ def default_lambda_grid(x: np.ndarray, y: np.ndarray, n_lambdas: int = 50,
     return np.geomspace(lmax, lmax * min_ratio, n_lambdas)
 
 
-def _lasso_cd(xs, y, lam, b0, beta, kkt_tol, max_outer):
+def _lasso_cd(xs, trials, cases, lam, b0, beta, kkt_tol):
     """Solve one lasso problem at penalty lam, warm-started at (b0, beta).
 
-    Objective: (1/n) sum[-y*eta + log(1+exp(eta))] + lam * ||beta||_1 over
-    standardized columns. Outer loop re-quadratizes; convergence is checked
-    on the exact subgradient conditions, not the approximation.
+    Objective: (1/n) sum[-c*eta + t*log(1+exp(eta))] + lam * ||beta||_1 over
+    standardized patterns with t trials and c cases each, n trials in all.
+    The outer loop re-quadratizes with observation weights t*p(1-p);
+    convergence is checked on the exact subgradient conditions.
     """
-    n, p = xs.shape
-    converged = False
-    outer = 0
-    for outer in range(1, max_outer + 1):
+    n, p = trials.sum(), xs.shape[1]
+    for outer in range(1, LASSO_MAX_OUTER + 1):
         eta = b0 + xs @ beta
         prob = expit(eta)
-        g = xs.T @ (prob - y) / n
-        viol = abs(float(np.mean(prob - y)))
-        for j in range(p):
-            if beta[j] != 0.0:
-                viol = max(viol, abs(g[j] + lam * math.copysign(1.0, beta[j])))
-            else:
-                viol = max(viol, max(0.0, abs(g[j]) - lam))
-        if viol <= kkt_tol:
-            converged = True
-            break
+        resid = trials * prob - cases
+        g = xs.T @ resid / n
+        viol = np.where(beta != 0.0, np.abs(g + lam * np.sign(beta)), np.abs(g) - lam)
+        if max(abs(float(resid.sum())) / n, float(np.max(viol, initial=0.0))) <= kkt_tol:
+            return b0, beta, True, outer
 
-        w = np.clip(prob * (1.0 - prob), 1e-10, None)
-        z = eta + (y - prob) / w
-        r = z - eta
+        w = trials * np.maximum(prob * (1.0 - prob), 1e-10)
+        r = -resid / w
         wx2 = (w @ xs**2) / n
         wsum = float(w.sum())
         for _ in range(1000):
@@ -456,39 +469,41 @@ def _lasso_cd(xs, y, lam, b0, beta, kkt_tol, max_outer):
                 delta = max(delta, abs(shift))
             if delta < 1e-10:
                 break
-    return b0, beta, converged, outer
+    return b0, beta, False, LASSO_MAX_OUTER
 
 
 def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None, *,
-                   kkt_tol: float = KKT_TOL, max_outer: int = 250) -> list[FitResult]:
+                   kkt_tol: float = KKT_TOL) -> list[FitResult]:
     """Lasso solutions along a decreasing penalty grid, warm-started.
 
     Returns one FitResult per grid point with coefficients on the original
     0/1 scale. Every solution satisfies the subgradient optimality
     conditions of the standardized problem within kkt_tol.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.min() == y.max():
+    patterns, trials, cases, _ = _pattern_counts(x, y)
+    if not 0.0 < cases.sum() < trials.sum():
         raise DegenerateOutcomeError("outcome vector contains a single class")
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(x, y)
+    grid = default_lambda_grid(x, y) if lambda_grid is None else lambda_grid
+    return _lasso_path(patterns, trials, cases, grid, kkt_tol)
+
+
+def _lasso_path(patterns, trials, cases, lambda_grid, kkt_tol=KKT_TOL):
+    """fit_lasso_path on pattern counts, every one with at least one trial."""
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0 or np.any(grid < 0) or np.any(np.diff(grid) >= 0):
         raise ValidationError("lambda grid must be strictly decreasing and non-negative")
 
-    xs, mean, scale = _standardize(x)
-    ybar = float(y.mean())
+    xs, mean, scale = _standardize(patterns, trials)
+    ybar = float(cases.sum() / trials.sum())
     b0 = math.log(ybar / (1.0 - ybar))
-    beta = np.zeros(x.shape[1])
+    beta = np.zeros(patterns.shape[1])
 
     results = []
     for lam in grid:
-        b0, beta, conv, iters = _lasso_cd(xs, y, float(lam), b0, beta, kkt_tol, max_outer)
+        b0, beta, conv, iters = _lasso_cd(xs, trials, cases, float(lam), b0, beta, kkt_tol)
         slopes = beta / scale
         intercept = b0 - float(np.sum(beta * mean / scale))
         coef = np.concatenate(([intercept], slopes))
-        eta = intercept + x @ slopes
-        dev = _grouped_deviance(eta, np.ones(y.shape[0]), y)
+        dev = _grouped_deviance(intercept + patterns @ slopes, trials, cases)
         results.append(FitResult(coef, None, dev, conv, iters))
     return results

@@ -20,7 +20,7 @@ from .glm import (
     PatternTable,
     PenaltySpec,
     _grouped_deviance,
-    bootstrap_resample,
+    bootstrap_fits,
     cv_deviance,
     default_lambda_grid,
     fit_lasso_path,
@@ -97,6 +97,8 @@ class SelectorSpec:
 
 def run_selector(data: Dataset, spec: SelectorSpec) -> Submission:
     """Dispatch a SelectorSpec to its implementation."""
+    if spec.method in ("team_a", "team_c", "random_baseline") and spec.size_max > data.d:
+        raise ValidationError(f"size_max {spec.size_max} exceeds d = {data.d}")
     if spec.method == "team_a":
         return select_team_a(data, spec)
     if spec.method == "team_b":
@@ -163,21 +165,6 @@ def select_team_a(data: Dataset, spec: SelectorSpec) -> Submission:
     return Submission("team_a", _to_1based(best_cols), "\n".join(lines))
 
 
-def _cv_lasso_curve(x, y, grid, plan):
-    """Held-out deviance per observation for every grid point, per fold."""
-    n_folds = plan.n_folds
-    curve = np.zeros((n_folds, grid.size))
-    for f in range(1, n_folds + 1):
-        test = plan.assignments == f
-        train = ~test
-        path = fit_lasso_path(x[train], y[train], grid)
-        ones = np.ones(int(test.sum()))
-        for i, fit in enumerate(path):
-            eta = fit.intercept + x[test] @ fit.slopes
-            curve[f - 1, i] = _grouped_deviance(eta, ones, y[test]) / test.sum()
-    return curve
-
-
 def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
     """Penalized-regression screen with a conservative cap.
 
@@ -187,13 +174,12 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
     the audit trail as the corroborating evidence.
     """
     rng = np.random.default_rng(spec.seed)
-    x = data.x.astype(float)
-    y = data.y.astype(float)
     n_folds = spec.n_folds if spec.n_folds is not None else 10
     plan = make_folds(data.y, n_folds, rng)
 
-    grid = default_lambda_grid(x, y, spec.n_lambdas, spec.lambda_min_ratio)
-    curve = _cv_lasso_curve(x, y, grid, plan)
+    table = PatternTable(data.x, data.y, plan)
+    grid = default_lambda_grid(data.x, data.y, spec.n_lambdas, spec.lambda_min_ratio)
+    curve = table.lasso_cv_deviance(grid)
     mean = curve.mean(axis=0)
     se = curve.std(axis=0, ddof=1) / math.sqrt(n_folds)
     i_min = int(np.argmin(mean))
@@ -201,7 +187,7 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
     # is the most conservative admissible penalty.
     i_1se = int(np.flatnonzero(mean <= mean[i_min] + se[i_min])[0])
 
-    path = fit_lasso_path(x, y, grid)
+    path = fit_lasso_path(data.x, data.y, grid)
     slopes = path[i_1se].slopes
     nonzero = np.flatnonzero(slopes != 0.0)
     kept = nonzero
@@ -210,7 +196,6 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
         kept = np.sort(nonzero[order[:spec.max_select]])
 
     ridge_lams = np.geomspace(1e3, 1e-2, 11)
-    table = PatternTable(x, y, plan)
     ridge_cv = [table.cv_deviance(range(data.d), PenaltySpec("ridge", lam))
                 for lam in ridge_lams]
 
@@ -281,13 +266,9 @@ def select_team_d(data: Dataset, spec: SelectorSpec) -> Submission:
     """Bootstrap p-value screen: refit the full model on resamples, keep the
     variables whose median Wald p-value falls below the threshold (at most
     max_keep, smallest medians first)."""
-    rng = np.random.default_rng(spec.seed)
-    x = data.x.astype(float)
-    y = data.y.astype(float)
-    pvals = np.empty((spec.n_resamples, data.d))
-    for r in range(spec.n_resamples):
-        idx = bootstrap_resample(data.n, rng)
-        pvals[r] = wald_pvalues(fit_logistic(x[idx], y[idx]))
+    fits = bootstrap_fits(data.x, data.y, spec.n_resamples,
+                          np.random.default_rng(spec.seed))
+    pvals = np.array([wald_pvalues(fit) for fit in fits])
 
     medians = np.median(pvals, axis=0)
     below = np.flatnonzero(medians < spec.median_p_threshold)

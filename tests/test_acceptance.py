@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 
 import riskcontest as rc
@@ -177,6 +178,7 @@ def test_07_null_pvalues_uniform():
             result.pvalue >= 0.01)
 
 
+@pytest.mark.slow
 def test_08_exhaustive_search_count_and_runtime(default_contest):
     """The exhaustive selector visits exactly 137,769 subsets for twenty
     variables at sizes 3..7 and finishes, with 4-fold CV per subset, in
@@ -192,6 +194,7 @@ def test_08_exhaustive_search_count_and_runtime(default_contest):
             visited and sized and elapsed < 600.0)
 
 
+@pytest.mark.slow
 def test_09_tournament_orderings():
     """Over 100 replicated contests, the exhaustive selector's mean score
     strictly exceeds the random baseline's, and every method beats selecting

@@ -124,6 +124,15 @@ class TestSelect:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("method", ["team_a", "team_c", "random_baseline"])
+    def test_subset_size_beyond_d_exit_2(self, contest_dir, tmp_path, capsys, method):
+        cfg = tmp_path / "sel.cfg"
+        cfg.write_text("size_min = 21\nsize_max = 21\n")
+        code = run("select", "--method", method, "--data", contest_dir / "dataset.csv",
+                   "--config", cfg, "--out", tmp_path / "s.json")
+        assert code == 2
+        assert "size_max 21 exceeds" in capsys.readouterr().err
+
     def test_unknown_method_exit_2(self, contest_dir, tmp_path, capsys):
         code = run("select", "--method", "team_x",
                    "--data", contest_dir / "dataset.csv", "--out", tmp_path / "s.json")

@@ -128,3 +128,26 @@ def test_wide_contest_keeps_every_column_distinct():
     table = rc.PatternTable(xf, yf, plan)
     assert table.cv_deviance((67,)) == pytest.approx(
         row_cv_deviance(xf, yf, (67,), plan), rel=RTOL)
+
+
+def test_bootstrap_matches_row_refits():
+    """team_d's bootstrap recounts the patterns of the full data, and every
+    p-value equals, bit for bit, that of a refit of the resampled rows."""
+    config = rc.SimulationConfig(n_cases=400, n_controls=400, seed=5)
+    rng = np.random.default_rng(config.seed)
+    data = rc.simulate_dataset(rc.draw_ground_truth(config, rng), config, rng)
+    spec = rc.SelectorSpec("team_d", seed=3, n_resamples=30)
+    x, y = data.x.astype(float), data.y.astype(float)
+    row_rng = np.random.default_rng(spec.seed)
+    expected = []
+    for _ in range(spec.n_resamples):
+        idx = rc.bootstrap_resample(data.n, row_rng)
+        expected.append(rc.wald_pvalues(rc.fit_logistic(x[idx], y[idx])))
+    expected = np.array(expected)
+
+    fits = rc.bootstrap_fits(data.x, data.y, spec.n_resamples,
+                             np.random.default_rng(spec.seed))
+    assert np.array_equal([rc.wald_pvalues(fit) for fit in fits], expected)
+    table = rc.run_selector(data, spec).method_report.splitlines()[-data.d:]
+    assert table == [f"x{j + 1}," + ",".join(f"{v:.6g}" for v in expected[:, j])
+                     for j in range(data.d)]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import riskcontest as rc
 from riskcontest.errors import DegenerateOutcomeError, ValidationError
@@ -97,3 +98,31 @@ class TestPath:
     def test_single_class_raises(self):
         with pytest.raises(DegenerateOutcomeError):
             rc.fit_lasso_path(np.zeros((10, 2)), np.ones(10))
+
+    def test_wrong_length_y_raises(self):
+        x, y = lasso_data(seed=11)
+        with pytest.raises(ValidationError):
+            rc.fit_lasso_path(x, y[:-1])
+
+
+class TestPatternPath:
+    """The path runs on the distinct rows of x with trial and case counts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(80, 400), st.integers(1, 6),
+           st.floats(0.05, 0.5))
+    def test_row_kkt_and_row_order(self, seed, n, p, prevalence):
+        # Few sparse binary columns, so most rows repeat another row.
+        rng = np.random.default_rng(seed)
+        x = (rng.random((n, p)) < prevalence).astype(float)
+        y = (rng.random(n) < rc.expit(-0.5 + x @ rng.normal(0, 1.5, p))).astype(float)
+        assume(0 < y.sum() < n)
+        grid = np.geomspace(0.2, 2e-4, 20)
+        path = rc.fit_lasso_path(x, y, grid)
+        for lam, fit in zip(grid, path):
+            assert fit.converged
+            assert kkt_violation(x, y, float(lam), fit) <= 1e-6
+        perm = rng.permutation(n)
+        for fit, fit_p in zip(path, rc.fit_lasso_path(x[perm], y[perm], grid)):
+            assert np.array_equal(fit.coefficients, fit_p.coefficients)
+            assert fit.deviance == fit_p.deviance

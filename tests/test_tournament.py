@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import riskcontest as rc
+from riskcontest.cli import main
 from riskcontest.errors import ConfigurationError
 from riskcontest.tournament import (
     _method_seed,
@@ -70,6 +71,16 @@ class TestSummaries:
         assert by_team["empty_baseline"].replicates_ok == 2
         assert by_team["empty_baseline"].wins == 2
 
+    def test_subset_sizes_beyond_d_are_tagged_not_fatal(self):
+        sim = rc.SimulationConfig(d=5, k_max=3, n_cases=250, n_controls=250)
+        methods = ("team_a", "team_c", "random_baseline", "empty_baseline")
+        config = rc.TournamentConfig(1, tuple(rc.SelectorSpec(m) for m in methods),
+                                     sim, rc.DEFAULT_WEIGHTS, master_seed=3)
+        rows, _ = rc.run_tournament(config)
+        errors = {r.team: r.error for r in rows}
+        assert all(errors[m].startswith("ValidationError") for m in methods[:3])
+        assert errors["empty_baseline"] == ""
+
     def test_replicate_level_failure_tags_every_method(self):
         sim = rc.SimulationConfig(n_cases=100, n_controls=100,
                                   baseline_intercept=-14.0, draw_budget=2000)
@@ -94,6 +105,21 @@ class TestCsvWriters:
             paths.append((rows_path.read_bytes(), summary_path.read_bytes()))
         assert paths[0] == paths[1]
         assert paths[0][0].startswith(b"replicate,team,")
+
+
+def test_penalized_and_bootstrap_reruns_byte_identical(tmp_path):
+    config = tmp_path / "t.cfg"
+    config.write_text(
+        "replicates = 2\nmaster_seed = 8\nmethods = team_b, team_d\n"
+        "team_d.n_resamples = 20\nn_cases = 250\nn_controls = 250\n")
+    outputs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert main(["tournament", "--config", str(config), "--out", str(out)]) == 0
+        outputs.append(((out / "results.csv").read_bytes(),
+                        (out / "leaderboard.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert b"Error" not in outputs[0][0]
 
 
 class TestConfigParsing:
