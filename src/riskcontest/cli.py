@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ContestError
+from .errors import ContestError
 from .io import (
-    SIM_KEYS,
+    check_config_keys,
     load_weights,
     parse_config_file,
     read_dataset_csv,
@@ -26,36 +25,30 @@ from .io import (
     sim_config_from_mapping,
     verify_commitment,
     write_confounders_csv,
+    write_csv,
     write_dataset_csv,
     write_submission,
     write_truth_json,
 )
 from .scoring import contest_score, rank_leaderboard, youden_index
-from .selectors import SelectorSpec, run_selector
+from .selectors import run_selector
 from .sim import draw_ground_truth, simulate_dataset
 from .tournament import (
-    TOURNAMENT_KEYS,
     run_tournament,
     tournament_config_from_mapping,
     write_rows_csv,
     write_summary_csv,
 )
 
-_SPEC_KEYS = {f.name for f in dataclass_fields(SelectorSpec)} - {"method", "seed"}
-
 
 def _read_config(path) -> dict[str, str]:
-    return parse_config_file(path) if path else {}
+    mapping = parse_config_file(path) if path else {}
+    check_config_keys(mapping)
+    return mapping
 
 
 def cmd_simulate(args) -> int:
-    mapping = _read_config(args.config)
-    for key in mapping:
-        if "." in key or key in TOURNAMENT_KEYS:
-            continue  # a tournament config can seed a single contest
-        if key not in SIM_KEYS:
-            raise ConfigurationError(f"unknown config key {key!r}")
-    config = sim_config_from_mapping(mapping)
+    config = sim_config_from_mapping(_read_config(args.config))
     if args.seed is not None:
         config = sim_config_from_mapping({"seed": str(args.seed)}, base=config)
 
@@ -80,17 +73,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _selector_spec(method: str, seed: int, mapping: dict[str, str]) -> SelectorSpec:
-    merged = dict(mapping)
-    for key, value in mapping.items():
-        if key in _SPEC_KEYS:
-            merged.setdefault(f"{method}.{key}", value)
-    return replace(selector_spec_from_mapping(method, merged), seed=seed)
-
-
 def cmd_select(args) -> int:
     data = read_dataset_csv(args.data)
-    spec = _selector_spec(args.method, args.seed, _read_config(args.config))
+    spec = replace(selector_spec_from_mapping(args.method, _read_config(args.config)),
+                   seed=args.seed)
     submission = run_selector(data, spec)
     out = Path(args.out) if args.out else Path(f"submission_{args.method}.json")
     write_submission(out, submission)
@@ -127,16 +113,10 @@ def cmd_score(args) -> int:
         print(line)
 
     if args.out:
-        import csv
-
-        with open(args.out, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["team", "tp", "fp", "tn", "fn",
-                             "tpr_pct", "tnr_pct", "score", "youden"])
-            for r in ranked:
-                writer.writerow([r.team, r.tp, r.fp, r.tn, r.fn, r.tpr_pct,
-                                 r.tnr_pct, f"{r.score:g}",
-                                 f"{youdens[r.team]:.6f}"])
+        write_csv(args.out,
+                  ["team", "tp", "fp", "tn", "fn", "tpr_pct", "tnr_pct", "score", "youden"],
+                  ([r.team, r.tp, r.fp, r.tn, r.fn, r.tpr_pct, r.tnr_pct,
+                    f"{r.score:g}", f"{youdens[r.team]:.6f}"] for r in ranked))
         print(f"report written to {args.out}")
     return 0
 

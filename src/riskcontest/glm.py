@@ -425,6 +425,8 @@ def default_lambda_grid(x: np.ndarray, y: np.ndarray, n_lambdas: int = 50,
                         min_ratio: float = 1e-3) -> np.ndarray:
     """Log-spaced grid from lambda_max down to lambda_max * min_ratio."""
     lmax = lasso_lambda_max(x, y)
+    if lmax == 0.0:
+        raise ValidationError("lasso lambda_max is 0: no column of x varies with y")
     return np.geomspace(lmax, lmax * min_ratio, n_lambdas)
 
 

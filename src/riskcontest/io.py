@@ -12,38 +12,42 @@ import csv
 import hashlib
 import json
 from dataclasses import fields as dataclass_fields
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CommitmentError, ConfigurationError, DatasetFormatError, ValidationError
 from .scoring import ScoringWeights, WEIGHT_PRESETS
-from .selectors import SelectorSpec, Submission
+from .selectors import METHODS, SelectorSpec, Submission
 from .sim import Confounder, Dataset, GroundTruth, SimulationConfig
 
 SCHEMA_VERSION = 1
 
 
-# -- dataset CSV -------------------------------------------------------------
+# -- CSV outputs -------------------------------------------------------------
+
+def write_csv(path, header, rows) -> None:
+    """The dialect of every CSV the package writes: ',' between fields and
+    a bare newline after each line, so reruns are byte-identical anywhere."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
     """Contestant-facing file: header id,x1..xd,y then strictly 0/1 cells."""
     header = ["id"] + [f"x{j}" for j in range(1, dataset.d + 1)] + ["y"]
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(dataset.n):
-            writer.writerow([i + 1, *map(int, dataset.x[i]), int(dataset.y[i])])
+    rows = zip(dataset.x.astype(int).tolist(), dataset.y.astype(int).tolist())
+    write_csv(path, header, ([i, *x, y] for i, (x, y) in enumerate(rows, 1)))
 
 
 def write_confounders_csv(path, confounders: np.ndarray) -> None:
     """Instructor diagnostics: the latent confounder columns, same row order."""
     header = ["id"] + [f"c{j}" for j in range(1, confounders.shape[1] + 1)]
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(confounders.shape[0]):
-            writer.writerow([i + 1, *map(int, confounders[i])])
+    rows = confounders.astype(int).tolist()
+    write_csv(path, header, ([i, *row] for i, row in enumerate(rows, 1)))
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -200,43 +204,58 @@ def _coerce(name: str, value: str, target_type: type) -> object:
         raise ConfigurationError(f"bad value for {name}: {value!r}")
 
 
+# The key grammar shared by simulate, select and tournament. A key is
+# (a) a SimulationConfig field, (b) a tournament key, (c) a SelectorSpec
+# option, the default for every method, or (d) '<method>.<option>', which
+# overrides that option for one method. Each command reads only its keys.
+SIM_FIELDS = tuple(f.name for f in dataclass_fields(SimulationConfig))
+TOURNAMENT_KEYS = frozenset({"replicates", "master_seed", "methods", "weights"})
+SPEC_OPTIONS = tuple(f.name for f in dataclass_fields(SelectorSpec)
+                     if f.name not in ("method", "seed"))
+_BARE_KEYS = frozenset(SIM_FIELDS) | TOURNAMENT_KEYS | frozenset(SPEC_OPTIONS)
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
-def _field_type(field) -> type:
-    """The type a config value of a dataclass field converts to: its
-    annotation, with 'T | None' read as T."""
-    return _TYPES[field.type.removesuffix(" | None")]
+def check_config_keys(mapping: dict[str, str], methods=METHODS) -> None:
+    """Reject every key outside the grammar; a '<method>.<option>' key must
+    also name one of `methods`."""
+    for key in mapping:
+        method, dot, option = key.partition(".")
+        if not dot:
+            if key not in _BARE_KEYS:
+                raise ConfigurationError(f"unknown config key {key!r}")
+        elif method not in methods:
+            raise ConfigurationError(f"option {key!r} names no configured method")
+        elif option not in SPEC_OPTIONS:
+            raise ConfigurationError(f"unknown selector option {key!r}")
 
 
-_SIM_FIELDS = {f.name: f for f in dataclass_fields(SimulationConfig)}
-SIM_KEYS = frozenset(_SIM_FIELDS)
-_SPEC_FIELDS = {f.name: f for f in dataclass_fields(SelectorSpec)}
+def config_values(cls, names, mapping: dict[str, str], prefix: str = "") -> dict:
+    """The named fields of dataclass `cls` that `mapping` sets, each read
+    from key prefix + name, or else name, and converted to its annotated
+    type ('T | None' read as T)."""
+    types = {f.name: f.type for f in dataclass_fields(cls)}
+    values = {}
+    for name in names:
+        key = prefix + name if prefix + name in mapping else name
+        if key in mapping:
+            target = _TYPES[types[name].removesuffix(" | None")]
+            values[name] = _coerce(key, mapping[key], target)
+    return values
 
 
 def sim_config_from_mapping(mapping: dict[str, str],
                             base: SimulationConfig | None = None) -> SimulationConfig:
     """Build a SimulationConfig from the matching keys of a parsed config."""
-    kwargs = {name: _coerce(name, mapping[name], _field_type(f))
-              for name, f in _SIM_FIELDS.items() if name in mapping}
-    merged = {**(base.__dict__ if base else {}), **kwargs}
-    return SimulationConfig(**merged) if merged else SimulationConfig()
+    values = config_values(SimulationConfig, SIM_FIELDS, mapping)
+    return replace(base or SimulationConfig(), **values)
 
 
 def selector_spec_from_mapping(method: str, mapping: dict[str, str]) -> SelectorSpec:
-    """Build the SelectorSpec of `method` from the '<method>.<option>' keys
-    of a parsed config; keys for other methods are ignored."""
-    kwargs = {}
-    prefix = method + "."
-    for key, value in mapping.items():
-        if not key.startswith(prefix):
-            continue
-        name = key[len(prefix):]
-        field = _SPEC_FIELDS.get(name)
-        if field is None or name in ("method", "seed"):
-            raise ConfigurationError(f"unknown selector option {key!r}")
-        kwargs[name] = _coerce(key, value, _field_type(field))
-    return SelectorSpec(method, **kwargs)
+    """Build the SelectorSpec of `method`: each option from its
+    '<method>.<option>' key, or else from the bare '<option>' default."""
+    return SelectorSpec(method, **config_values(SelectorSpec, SPEC_OPTIONS, mapping,
+                                                prefix=method + "."))
 
 
 def load_weights(spec: str) -> ScoringWeights:

@@ -8,20 +8,20 @@ replicate can be reproduced in isolation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, ContestError
 from .io import (
-    SIM_KEYS,
-    _coerce,
+    check_config_keys,
+    config_values,
     load_weights,
     selector_spec_from_mapping,
     sim_config_from_mapping,
+    write_csv,
 )
-from .scoring import ScoringWeights, contest_score, youden_index
+from .scoring import ScoringWeights, contest_score, rank_leaderboard, youden_index
 from .selectors import METHODS, SelectorSpec, run_selector
 from .sim import SimulationConfig, draw_ground_truth, simulate_dataset
 
@@ -108,11 +108,8 @@ def summarize(rows: list[ReplicateRow],
     wins: dict[str, int] = {spec.method: 0 for spec in methods}
     for rep_rows in by_rep.values():
         ok = [r for r in rep_rows if not r.error]
-        if not ok:
-            continue
-        # Same ordering rule as the single-contest leaderboard.
-        ranked = sorted(ok, key=lambda r: (-r.score, r.fp, -r.tp, r.team))
-        wins[ranked[0].team] += 1
+        if ok:
+            wins[rank_leaderboard(ok)[0].team] += 1
 
     summaries = []
     for spec in methods:
@@ -149,51 +146,36 @@ SUMMARY_HEADER = ["team", "replicates_ok", "mean_score", "mean_tp", "mean_fp", "
 
 
 def write_rows_csv(path, rows: list[ReplicateRow]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ROW_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.replicate, r.team, r.k, " ".join(map(str, r.selected)),
-                r.tp, r.fp, r.tn, r.fn, f"{r.score:g}", f"{r.youden:.6f}", r.error])
+    write_csv(path, ROW_HEADER, (
+        [r.replicate, r.team, r.k, " ".join(map(str, r.selected)),
+         r.tp, r.fp, r.tn, r.fn, f"{r.score:g}", f"{r.youden:.6f}", r.error]
+        for r in rows))
 
 
 def write_summary_csv(path, summaries: list[MethodSummary]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for s in summaries:
-            writer.writerow([s.team, s.replicates_ok, f"{s.mean_score:.4f}",
-                             f"{s.mean_tp:.4f}", f"{s.mean_fp:.4f}", s.wins])
+    write_csv(path, SUMMARY_HEADER, (
+        [s.team, s.replicates_ok, f"{s.mean_score:.4f}",
+         f"{s.mean_tp:.4f}", f"{s.mean_fp:.4f}", s.wins]
+        for s in summaries))
 
 
 # -- config file -------------------------------------------------------------
 
-TOURNAMENT_KEYS = frozenset({"replicates", "master_seed", "methods", "weights"})
-
-
 def tournament_config_from_mapping(mapping: dict[str, str]) -> TournamentConfig:
     """Flat key=value config: replicates, master_seed, weights, a comma list
-    of methods, per-method options as '<method>.<option>', and any
-    SimulationConfig field names."""
+    of methods, any SimulationConfig field, and selector options, bare for
+    every method or as '<method>.<option>' for one."""
     names = [m.strip() for m in mapping.get("methods", "").split(",") if m.strip()]
     if not names:
         raise ConfigurationError("config must list at least one method")
     for name in names:
         if name not in METHODS:
             raise ConfigurationError(f"unknown method {name!r}")
+    check_config_keys(mapping, names)
 
-    known = SIM_KEYS | TOURNAMENT_KEYS
-    for key in mapping:
-        if "." in key:
-            if key.split(".", 1)[0] not in names:
-                raise ConfigurationError(f"option {key!r} names no configured method")
-        elif key not in known:
-            raise ConfigurationError(f"unknown config key {key!r}")
-
-    replicates = _coerce("replicates", mapping.get("replicates", "1"), int)
-    master_seed = _coerce("master_seed", mapping.get("master_seed", "0"), int)
+    values = config_values(TournamentConfig, ("replicates", "master_seed"), mapping)
     methods = tuple(selector_spec_from_mapping(name, mapping) for name in names)
     sim = sim_config_from_mapping(mapping)
     weights = load_weights(mapping.get("weights", "table1"))
-    return TournamentConfig(replicates, methods, sim, weights, master_seed)
+    return TournamentConfig(values.get("replicates", 1), methods, sim, weights,
+                            values.get("master_seed", 0))

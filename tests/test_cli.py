@@ -66,6 +66,13 @@ class TestSimulate:
         assert run("simulate", "--config", cfg, "--out", tmp_path) == 2
         assert "cases" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["team_c.sise_max", "team_x.size_max", "team_c.seed"])
+    def test_malformed_dotted_key_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = 3\n")
+        assert run("simulate", "--config", cfg, "--out", tmp_path) == 2
+        assert repr(key) in capsys.readouterr().err
+
     def test_budget_exit_code(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("n_cases = 50\nn_controls = 50\n"
@@ -114,6 +121,25 @@ class TestSelect:
         run("select", "--method", "team_c", "--data", contest_dir / "dataset.csv",
             "--seed", 5, "--config", cfg, "--out", out)
         assert len(read_submission(out).selected) == 2
+
+    def test_unknown_config_key_exit_2(self, contest_dir, tmp_path, capsys):
+        cfg = tmp_path / "sel.cfg"
+        cfg.write_text("size_mx = 4\n")
+        code = run("select", "--method", "random_baseline",
+                   "--data", contest_dir / "dataset.csv", "--config", cfg,
+                   "--out", tmp_path / "s.json")
+        assert code == 2
+        assert "unknown config key 'size_mx'" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_lasso_without_varying_column_exit_2(self, tmp_path, capsys):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("id,x1,x2,x3,y\n"
+                        + "".join(f"{i},0,0,0,{i % 2}\n" for i in range(1, 41)))
+        code = run("select", "--method", "team_b", "--data", flat,
+                   "--out", tmp_path / "s.json")
+        assert code == 2
+        assert "lambda_max is 0" in capsys.readouterr().err
 
     def test_deterministic(self, contest_dir, tmp_path):
         outs = []
@@ -237,3 +263,40 @@ class TestTournamentCli:
         single_rows = (single / "results.csv").read_text().splitlines()
         assert single_rows[0] == full_rows[0]
         assert single_rows[1:] == [r for r in full_rows[1:] if r.startswith("2,")]
+
+
+SHARED_CONFIG = (
+    "# one file for all three commands\n"
+    "n_cases = 150\nn_controls = 150\nseed = 4\n"
+    "replicates = 1\nmaster_seed = 6\nweights = table1\n"
+    "methods = random_baseline, empty_baseline\n"
+    "size_min = 2\nrandom_baseline.size_max = 4\n")
+
+
+def test_one_config_file_serves_every_command(tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(SHARED_CONFIG)
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "c") == 0
+    assert read_dataset_csv(tmp_path / "c" / "dataset.csv").n == 300
+    sub = tmp_path / "s.json"
+    assert run("select", "--method", "random_baseline", "--config", cfg,
+               "--data", tmp_path / "c" / "dataset.csv", "--out", sub) == 0
+    assert 2 <= len(read_submission(sub).selected) <= 4
+    assert run("tournament", "--config", cfg, "--out", tmp_path / "t") == 0
+    rows = (tmp_path / "t" / "results.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["random_baseline", "empty_baseline"]
+    assert 2 <= len(rows[0].split(",")[3].split()) <= 4
+
+
+def test_every_csv_output_ends_lines_in_newline(tmp_path, classroom_files, sim_config):
+    run("simulate", "--config", sim_config, "--out", tmp_path / "c", "--export-confounders")
+    truth_path, _, subs = classroom_files
+    run("score", "--truth", truth_path, "--out", tmp_path / "report.csv", *subs)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(SHARED_CONFIG)
+    run("tournament", "--config", cfg, "--out", tmp_path / "t")
+    for path in (tmp_path / "c" / "dataset.csv", tmp_path / "c" / "confounders.csv",
+                 tmp_path / "report.csv", tmp_path / "t" / "results.csv",
+                 tmp_path / "t" / "leaderboard.csv"):
+        raw = path.read_bytes()
+        assert raw.endswith(b"\n") and b"\r" not in raw, path.name

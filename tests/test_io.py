@@ -1,7 +1,9 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import riskcontest as rc
 from riskcontest.errors import (
@@ -11,12 +13,16 @@ from riskcontest.errors import (
     ValidationError,
 )
 from riskcontest.io import (
+    SIM_FIELDS,
+    SPEC_OPTIONS,
+    check_config_keys,
     commitment_digest,
     load_weights,
     parse_config_file,
     read_dataset_csv,
     read_submission,
     read_truth_json,
+    selector_spec_from_mapping,
     sim_config_from_mapping,
     truth_from_dict,
     truth_to_dict,
@@ -189,6 +195,61 @@ class TestConfigFiles:
     def test_bad_value(self):
         with pytest.raises(ConfigurationError):
             sim_config_from_mapping({"d": "ten"})
+
+
+floats = st.floats(-1e6, 1e6, allow_nan=False)
+unit = st.floats(1e-9, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def sim_configs(draw):
+    d = draw(st.integers(2, 60))
+    k_max = draw(st.integers(1, d))
+    prev_min, prev_max = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
+    effect_lo, effect_hi = sorted(draw(st.lists(st.floats(1e-6, 10), min_size=2, max_size=2)))
+    kw = dict(d=d, n_cases=draw(st.integers(1, 10**6)), n_controls=draw(st.integers(1, 10**6)),
+              prev_max=prev_max, prev_min=prev_min, k_min=draw(st.integers(1, k_max)),
+              k_max=k_max, effect_lo=effect_lo, effect_hi=effect_hi,
+              n_confounders=draw(st.integers(0, 5)), confounder_prev=draw(unit),
+              baseline_intercept=draw(floats), seed=draw(st.integers(0, 2**63)),
+              jitter_prevalences=draw(st.booleans()),
+              draw_budget=draw(st.none() | st.integers(1, 10**9)))
+    assert set(kw) == {f.name for f in fields(rc.SimulationConfig)}
+    return rc.SimulationConfig(**kw)
+
+
+@st.composite
+def selector_specs(draw):
+    size_max = draw(st.integers(1, 30))
+    kw = dict(size_min=draw(st.integers(1, size_max)), size_max=size_max,
+              n_folds=draw(st.none() | st.integers(2, 20)),
+              n_resamples=draw(st.integers(1, 10**4)), median_p_threshold=draw(floats),
+              max_select=draw(st.integers(0, 50)), max_keep=draw(st.integers(0, 50)),
+              budget=draw(st.integers(-10**9, 10**9)), train_fraction=draw(unit),
+              n_lambdas=draw(st.integers(1, 500)), lambda_min_ratio=draw(floats))
+    assert set(kw) == set(SPEC_OPTIONS)
+    return rc.SelectorSpec(draw(st.sampled_from(rc.METHODS)), **kw)
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sim_configs(), selector_specs(), st.data())
+    def test_every_field_round_trips(self, tmp_path, sim, spec, data):
+        """Each option may be written bare or as '<method>.<option>'; None
+        values are left out, which reads back as the None default."""
+        lines = [f"{name} = {getattr(sim, name)!r}" for name in SIM_FIELDS
+                 if getattr(sim, name) is not None]
+        for name in SPEC_OPTIONS:
+            if getattr(spec, name) is not None:
+                key = f"{spec.method}.{name}" if data.draw(st.booleans()) else name
+                lines.append(f"{key} = {getattr(spec, name)!r}")
+        path = tmp_path / "c.cfg"
+        path.write_text("\n".join(data.draw(st.permutations(lines))) + "\n")
+        mapping = parse_config_file(path)
+        check_config_keys(mapping)
+        assert sim_config_from_mapping(mapping) == sim
+        assert selector_spec_from_mapping(spec.method, mapping) == spec
 
 
 class TestWeightsLoading:

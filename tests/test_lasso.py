@@ -104,6 +104,12 @@ class TestPath:
         with pytest.raises(ValidationError):
             rc.fit_lasso_path(x, y[:-1])
 
+    def test_no_varying_column_raises(self):
+        x = np.zeros((40, 3))
+        y = np.arange(40) % 2.0
+        with pytest.raises(ValidationError, match="lambda_max is 0"):
+            rc.fit_lasso_path(x, y)
+
 
 class TestPatternPath:
     """The path runs on the distinct rows of x with trial and case counts."""

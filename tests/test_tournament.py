@@ -81,6 +81,19 @@ class TestSummaries:
         assert all(errors[m].startswith("ValidationError") for m in methods[:3])
         assert errors["empty_baseline"] == ""
 
+    def test_lasso_without_varying_column_is_tagged_not_fatal(self):
+        # Prevalences of 0.1-0.2% over 40 rows leave every column at 0.
+        sim = rc.SimulationConfig(d=2, k_min=1, k_max=1, prev_max=0.002, prev_min=0.001,
+                                  n_cases=20, n_controls=20, n_confounders=0,
+                                  baseline_intercept=0.0)
+        config = rc.TournamentConfig(
+            1, (rc.SelectorSpec("team_b"), rc.SelectorSpec("empty_baseline")),
+            sim, rc.DEFAULT_WEIGHTS, master_seed=0)
+        rows, _ = rc.run_tournament(config)
+        errors = {r.team: r.error for r in rows}
+        assert errors["team_b"].startswith("ValidationError: lasso lambda_max is 0")
+        assert errors["empty_baseline"] == ""
+
     def test_replicate_level_failure_tags_every_method(self):
         sim = rc.SimulationConfig(n_cases=100, n_controls=100,
                                   baseline_intercept=-14.0, draw_budget=2000)
@@ -142,6 +155,15 @@ class TestConfigParsing:
         assert config.methods[0].train_fraction == 0.8
         assert config.sim.n_cases == 300
         assert config.weights.w_fn == -4
+
+    def test_bare_options_default_every_method(self):
+        config = tournament_config_from_mapping({
+            "methods": "team_a, team_c", "size_max": "4", "team_c.size_max": "3"})
+        assert [m.size_max for m in config.methods] == [4, 3]
+
+    def test_malformed_option_for_listed_method(self):
+        with pytest.raises(ConfigurationError, match="unknown selector option"):
+            tournament_config_from_mapping({"methods": "team_a", "team_a.seed": "2"})
 
     def test_requires_methods(self):
         with pytest.raises(ConfigurationError):
