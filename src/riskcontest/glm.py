@@ -112,6 +112,11 @@ class PenaltySpec:
         if self.lam < 0:
             raise ValidationError("penalty weight must be non-negative")
 
+    @property
+    def ridge_lam(self) -> float:
+        """The ridge weight a fit uses: lam for "ridge", 0 for "none"."""
+        return self.lam if self.kind == "ridge" else 0.0
+
 
 NO_PENALTY = PenaltySpec()
 
@@ -144,24 +149,21 @@ class FitResult:
 
 @dataclass(frozen=True)
 class CvPlan:
-    """Cross-validation fold assignment: labels 1..n_folds, one per row."""
+    """Cross-validation fold assignment: labels 1..n_folds, one per row; a
+    row labelled 0 is in no fold, so it is always trained on."""
 
     n_folds: int
     assignments: np.ndarray
 
 
-class _NumericalTrouble(Exception):
-    """Internal: separation or singular information detected mid-iteration."""
-
-
-def _irls(xmat, trials, successes, lam, *, guard=True, trace=None):
+def _irls(xmat, trials, successes, lam, trace=None):
     """Newton/IRLS with step halving on the ridge-penalized deviance.
 
     xmat includes the intercept column, which the ridge leaves unpenalized.
-    With guard=True (unpenalized fits) raises _NumericalTrouble as soon as
-    any |coefficient| crosses SEPARATION_BOUND or the Newton system is
-    singular; the caller then refits with FALLBACK_RIDGE.
-    Returns (beta, deviance, converged, iterations).
+    An unpenalized fit (lam = 0) that moves any |coefficient| past
+    SEPARATION_BOUND or meets a singular Newton system is refit with
+    FALLBACK_RIDGE, so every caller gets an estimate.
+    Returns (beta, deviance, converged, iterations, separated).
     """
     m, q = xmat.shape
     total = float(trials.sum())
@@ -192,7 +194,9 @@ def _irls(xmat, trials, successes, lam, *, guard=True, trace=None):
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
-            raise _NumericalTrouble("singular information matrix")
+            if lam:
+                raise
+            break
 
         # Step halving: accept the first candidate that does not increase the
         # objective; if even the tiniest step fails we are at the optimum.
@@ -206,35 +210,22 @@ def _irls(xmat, trials, successes, lam, *, guard=True, trace=None):
                 break
             t *= 0.5
         else:
-            return beta, dev, True, it
+            return beta, dev, True, it, False
 
-        if guard and float(np.max(np.abs(cand))) > SEPARATION_BOUND:
-            raise _NumericalTrouble("quasi-complete separation")
+        if not lam and float(np.max(np.abs(cand))) > SEPARATION_BOUND:
+            break
 
         rel = abs(obj - obj_c) / (abs(obj) + 0.1)
         beta, eta, dev, obj = cand, eta_c, dev_c, obj_c
         if trace is not None:
             trace.append(dev)
         if rel < DEVIANCE_RTOL:
-            return beta, dev, True, it
-    return beta, dev, False, MAX_ITER
-
-
-def _fit_grouped(xmat, trials, successes, penalty):
-    """IRLS on a ridge or no penalty, with the separation/collinearity fallback.
-
-    Unpenalized fits that separate (or hit a singular system) are refit with
-    a tiny ridge so downstream machinery stays total. Returns
-    (beta, deviance, converged, iterations, separated).
-    """
-    lam = penalty.lam if penalty.kind == "ridge" else 0.0
-    try:
-        beta, dev, conv, it = _irls(xmat, trials, successes, lam, guard=(lam == 0.0))
-        return beta, dev, conv, it, False
-    except _NumericalTrouble:
-        beta, dev, conv, it = _irls(xmat, trials, successes,
-                                    max(lam, FALLBACK_RIDGE), guard=False)
-        return beta, dev, conv, it, True
+            return beta, dev, True, it, False
+    else:
+        return beta, dev, False, MAX_ITER, False
+    # Separated or singular: only an unpenalized fit breaks out of the loop.
+    *fit, _ = _irls(xmat, trials, successes, FALLBACK_RIDGE, trace)
+    return (*fit, True)
 
 
 def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY) -> FitResult:
@@ -265,7 +256,7 @@ def _fit_counts(patterns, trials, cases, penalty=NO_PENALTY) -> FitResult:
     if n <= p:
         raise ValidationError(f"need more rows than columns (n={n}, p={p})")
     xmat = np.column_stack([np.ones(len(patterns)), patterns])
-    beta, dev, conv, it, separated = _fit_grouped(xmat, trials, cases, penalty)
+    beta, dev, conv, it, separated = _irls(xmat, trials, cases, penalty.ridge_lam)
 
     std = None
     if penalty.kind == "none" and conv:
@@ -310,48 +301,56 @@ def make_folds(y: np.ndarray, n_folds: int, rng: np.random.Generator) -> CvPlan:
 
 
 class PatternTable:
-    """Trial and case counts of the distinct covariate patterns of (x, y) in
-    every fold of a CvPlan, built once to score many column subsets.
+    """Trial and case counts of the distinct covariate patterns of (x, y), in
+    all rows and in the held-out rows of every fold of a CvPlan, built once
+    to score many column subsets. Rows labelled 0 are never held out.
 
-    cv_deviance projects the patterns onto a subset's columns and fits every
-    fold on the projected counts; lasso_cv_deviance fits every fold's path.
+    fold_deviances projects the patterns onto a subset's columns and fits
+    every fold's training counts, all rows minus the held-out ones;
+    lasso_cv_deviance fits every fold's path.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, plan: CvPlan):
-        self.patterns, _, _, inv = _pattern_counts(x, y)
+        self.patterns, trials, cases, inv = _pattern_counts(x, y)
         if plan.assignments.shape != inv.shape:
             raise ValidationError("x must be (n, p) with y and the folds of length n")
         held = plan.assignments == np.arange(1, plan.n_folds + 1)[:, None]
-        # Rows 0..F-1: held-out trials per fold; rows F..2F-1: held-out cases.
-        self.held = _pattern_sums(inv, len(self.patterns), np.vstack([held, held * y]))
-        self.n = inv.size
-        self.min_train = self.n - int(held.sum(axis=1).max())
+        # Rows 0 and 1: all trials and cases; then F rows of held-out trials
+        # per fold and F of held-out cases.
+        self.counts = np.vstack([trials, cases, _pattern_sums(
+            inv, len(self.patterns), np.vstack([held, held * y]))])
+        self.n_held = int(held.sum())
+        self.min_train = inv.size - int(held.sum(axis=1).max())
 
-    def cv_deviance(self, subset, penalty: PenaltySpec = NO_PENALTY) -> float:
-        """cv_deviance(x, y, subset, plan, penalty) on this table's x, y and plan."""
-        cols = sorted(subset)
+    def fold_deviances(self, cols, penalty: PenaltySpec = NO_PENALTY) -> list[tuple[float, float]]:
+        """(training deviance, held-out deviance) per fold of the model on the
+        columns `cols`, in the order given, fit on the fold's training counts."""
         if self.min_train <= len(cols):
             raise ValidationError(
                 f"need more rows than columns (n={self.min_train}, p={len(cols)})")
         sub, inv = _collapse(self.patterns[:, cols])
         design = np.column_stack([np.ones(len(sub)), sub])
-        held_n, held_c = np.split(_pattern_sums(inv, len(sub), self.held), 2)
-        all_n, all_c = held_n.sum(axis=0), held_c.sum(axis=0)
-        total = 0.0
-        for n_te, c_te in zip(held_n, held_c):
+        all_n, all_c, *held = _pattern_sums(inv, len(sub), self.counts)
+        folds = []
+        for n_te, c_te in zip(held[:len(held) // 2], held[len(held) // 2:]):
             live = all_n > n_te
-            beta, *_ = _fit_grouped(design[live], (all_n - n_te)[live],
-                                    (all_c - c_te)[live], penalty)
-            total += _grouped_deviance(design @ beta, n_te, c_te)
-        return total / self.n
+            beta, dev, *_ = _irls(design[live], (all_n - n_te)[live],
+                                  (all_c - c_te)[live], penalty.ridge_lam)
+            folds.append((dev, _grouped_deviance(design @ beta, n_te, c_te)))
+        return folds
+
+    def cv_deviance(self, subset, penalty: PenaltySpec = NO_PENALTY) -> float:
+        """cv_deviance(x, y, subset, plan, penalty) on this table's x, y and plan."""
+        return sum(held for _, held in self.fold_deviances(sorted(subset), penalty)) / self.n_held
 
     def lasso_cv_deviance(self, grid) -> np.ndarray:
         """(n_folds, len(grid)) held-out deviance per held-out row of the
         lasso path on all columns, fit on every fold's complement."""
-        held_n, held_c = np.split(self.held, 2)
+        all_n, all_c = self.counts[:2]
+        held_n, held_c = np.split(self.counts[2:], 2)
         curve = np.empty((len(held_n), len(grid)))
         for f, (n_te, c_te) in enumerate(zip(held_n, held_c)):
-            n_tr, c_tr = held_n.sum(axis=0) - n_te, held_c.sum(axis=0) - c_te
+            n_tr, c_tr = all_n - n_te, all_c - c_te
             live = n_tr > 0
             path = _lasso_path(self.patterns[live], n_tr[live], c_tr[live], grid)
             curve[f] = [_grouped_deviance(fit.intercept + self.patterns @ fit.slopes,
@@ -364,7 +363,8 @@ def cv_deviance(x: np.ndarray, y: np.ndarray, subset, plan: CvPlan,
     """Mean held-out deviance of the model on the given columns of x.
 
     For every fold the model is fit on the complement and -2 log-likelihood
-    is accumulated on the held-out rows; the total is divided by n. `subset`
+    is accumulated on the held-out rows; the total is divided by the number
+    of held-out rows, n for a make_folds plan. `subset`
     holds 0-based column indices; an empty subset fits the intercept alone.
     To score many subsets on one plan, build a PatternTable once.
     """

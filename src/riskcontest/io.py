@@ -268,10 +268,12 @@ def load_weights(spec: str) -> ScoringWeights:
             f"unknown weights preset or missing file: {spec!r} "
             f"(presets: {', '.join(sorted(WEIGHT_PRESETS))})")
     mapping = parse_config_file(path)
+    names = [f.name for f in dataclass_fields(ScoringWeights)]
+    for key in mapping:
+        if key not in names:
+            raise ConfigurationError(f"unknown weights key {key!r}")
     try:
-        return ScoringWeights(
-            w_tp=float(mapping["w_tp"]), w_fp=float(mapping["w_fp"]),
-            w_tn=float(mapping["w_tn"]), w_fn=float(mapping["w_fn"]))
+        return ScoringWeights(**{name: float(mapping[name]) for name in names})
     except KeyError as exc:
         raise ConfigurationError(f"weights file must define w_tp/w_fp/w_tn/w_fn ({exc})")
     except ValueError as exc:

@@ -15,11 +15,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EnumerationBudgetError, ValidationError
-# selectors.cv_deviance stays importable: perfbench's tracer wraps it here.
+# No selector calls fit_logistic or cv_deviance; both stay importable here
+# because perfbench's tracer wraps them by this module's names.
 from .glm import (
+    CvPlan,
     PatternTable,
     PenaltySpec,
-    _grouped_deviance,
     bootstrap_fits,
     cv_deviance,
     default_lambda_grid,
@@ -93,6 +94,8 @@ class SelectorSpec:
             raise ValidationError("train_fraction must be in (0, 1)")
         if self.max_select < 0 or self.max_keep < 0:
             raise ValidationError("selection caps must be non-negative")
+        if self.n_lambdas < 1 or not 0.0 < self.lambda_min_ratio < 1.0:
+            raise ValidationError("need n_lambdas >= 1 and 0 < lambda_min_ratio < 1")
 
 
 def run_selector(data: Dataset, spec: SelectorSpec) -> Submission:
@@ -114,55 +117,44 @@ def _to_1based(cols) -> tuple[int, ...]:
     return tuple(sorted(int(c) + 1 for c in cols))
 
 
-def _stratified_split(y, fraction, rng):
-    train, test = [], []
+def _holdout_plan(y, fraction, rng) -> CvPlan:
+    """One-fold plan: each class shuffled, its first `fraction` kept for
+    training (label 0) and the rest held out (label 1)."""
+    labels = np.zeros(y.size, dtype=np.int64)
     for cls in (1, 0):
         idx = rng.permutation(np.flatnonzero(y == cls))
-        cut = int(round(fraction * idx.size))
-        train.append(idx[:cut])
-        test.append(idx[cut:])
-    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
+        labels[idx[int(round(fraction * idx.size)):]] = 1
+    if not labels.any():
+        raise ValidationError(f"train_fraction {fraction} holds out no row")
+    return CvPlan(1, labels)
 
 
 def select_team_a(data: Dataset, spec: SelectorSpec) -> Submission:
     """Holdout best subset: greedy forward selection per size on a stratified
     75/25 split, keeping the candidate size with the lowest test deviance."""
-    rng = np.random.default_rng(spec.seed)
-    x = data.x.astype(float)
-    y = data.y.astype(float)
-    train_idx, test_idx = _stratified_split(data.y, spec.train_fraction, rng)
-    xtr, ytr = x[train_idx], y[train_idx]
-    xte, yte = x[test_idx], y[test_idx]
+    plan = _holdout_plan(data.y, spec.train_fraction, np.random.default_rng(spec.seed))
+    table = PatternTable(data.x, data.y, plan)
+    n_test = table.n_held
 
-    lines = [f"stratified split: {train_idx.size} train / {test_idx.size} test rows"]
+    lines = [f"stratified split: {data.n - n_test} train / {n_test} test rows"]
     chosen: list[int] = []
     remaining = list(range(data.d))
-    candidates: dict[int, tuple[int, ...]] = {}
+    test_devs: dict[int, float] = {}
     while len(chosen) < spec.size_max:
-        devs = np.array([
-            fit_logistic(xtr[:, chosen + [j]], ytr).deviance for j in remaining
-        ])
-        best = remaining[int(np.argmin(devs))]  # ties: lowest column index
-        chosen.append(best)
-        remaining.remove(best)
-        lines.append(f"forward step {len(chosen)}: add x{best + 1} "
-                     f"(train deviance {devs.min():.3f})")
+        # One fold: (training deviance, held-out deviance) per candidate.
+        devs = np.array([table.fold_deviances(chosen + [j])[0] for j in remaining])
+        i = int(np.argmin(devs[:, 0]))  # ties: lowest column index
+        chosen.append(remaining.pop(i))
+        lines.append(f"forward step {len(chosen)}: add x{chosen[-1] + 1} "
+                     f"(train deviance {devs[i, 0]:.3f})")
         if len(chosen) >= spec.size_min:
-            candidates[len(chosen)] = tuple(chosen)
+            test_devs[len(chosen)] = devs[i, 1] / n_test
 
-    best_cols = None
-    best_dev = math.inf
-    for size in sorted(candidates):
-        cols = list(candidates[size])
-        fit = fit_logistic(xtr[:, cols], ytr)
-        eta = fit.intercept + xte[:, cols] @ fit.slopes
-        test_dev = _grouped_deviance(eta, np.ones(yte.size), yte) / yte.size
+    for size, test_dev in test_devs.items():
         lines.append(f"size {size}: test deviance per row {test_dev:.6f}")
-        if test_dev < best_dev:
-            best_dev = test_dev
-            best_cols = cols
-    lines.append(f"picked size {len(best_cols)} with test deviance {best_dev:.6f}")
-    return Submission("team_a", _to_1based(best_cols), "\n".join(lines))
+    best = min(test_devs, key=test_devs.get)  # ties: the smaller size
+    lines.append(f"picked size {best} with test deviance {test_devs[best]:.6f}")
+    return Submission("team_a", _to_1based(chosen[:best]), "\n".join(lines))
 
 
 def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:

@@ -37,8 +37,11 @@ class TournamentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ConfigurationError("need at least one replicate")
-        if not self.methods:
+        names = [spec.method for spec in self.methods]
+        if not names:
             raise ConfigurationError("need at least one method")
+        if len(set(names)) < len(names):
+            raise ConfigurationError(f"a method is listed twice: {', '.join(names)}")
 
 
 @dataclass(frozen=True)

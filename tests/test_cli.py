@@ -141,6 +141,28 @@ class TestSelect:
         assert code == 2
         assert "lambda_max is 0" in capsys.readouterr().err
 
+    def test_team_a_holdout_without_test_rows_exit_2(self, tmp_path, capsys):
+        # round(0.99 * 20) = 20: each class of 20 keeps every row for training.
+        data = tmp_path / "small.csv"
+        data.write_text("id,x1,x2,x3,y\n" + "".join(
+            f"{i},{i % 2},{i // 2 % 2},{i // 4 % 2},{int(i > 20)}\n" for i in range(1, 41)))
+        cfg = tmp_path / "sel.cfg"
+        cfg.write_text("train_fraction = 0.99\nsize_min = 1\nsize_max = 2\n")
+        code = run("select", "--method", "team_a", "--data", data, "--config", cfg,
+                   "--out", tmp_path / "s.json")
+        assert code == 2
+        assert "holds out no row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-0.5", "1"])
+    def test_team_b_lambda_min_ratio_outside_unit_interval_exit_2(
+            self, contest_dir, tmp_path, capsys, value):
+        cfg = tmp_path / "sel.cfg"
+        cfg.write_text(f"lambda_min_ratio = {value}\n")
+        code = run("select", "--method", "team_b", "--data", contest_dir / "dataset.csv",
+                   "--config", cfg, "--out", tmp_path / "s.json")
+        assert code == 2
+        assert "0 < lambda_min_ratio < 1" in capsys.readouterr().err
+
     def test_deterministic(self, contest_dir, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -253,6 +275,16 @@ class TestTournamentCli:
         assert outs[0] == outs[1]
         rows = outs[0][0].decode().splitlines()
         assert len(rows) == 1 + 2 * 2  # header + methods x replicates
+
+    @pytest.mark.parametrize("extra", [
+        "methods = empty_baseline, empty_baseline\n",
+        "methods = team_b\nlambda_min_ratio = 0\n",
+    ])
+    def test_config_rejected_exit_2(self, tmp_path, extra):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("replicates = 1\nn_cases = 100\nn_controls = 100\n" + extra)
+        assert run("tournament", "--config", cfg, "--out", tmp_path / "t") == 2
+        assert not (tmp_path / "t" / "results.csv").exists()
 
     def test_single_replicate_flag(self, tmp_path):
         cfg = self.make_config(tmp_path)

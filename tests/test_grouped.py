@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import riskcontest as rc
-from riskcontest.glm import FALLBACK_RIDGE, NO_PENALTY, _fit_grouped, _grouped_deviance
+from riskcontest.glm import FALLBACK_RIDGE, NO_PENALTY, _grouped_deviance, _irls
 
 RTOL = 1e-12
 # A fit that separates is refit with a tiny ridge. That system is so
@@ -25,7 +25,7 @@ def row_fit(x, y, penalty=NO_PENALTY):
     """(beta, deviance, std_errors, separated, iterations) of a row-wise fit."""
     n, p = x.shape
     xmat = np.hstack([np.ones((n, 1)), x])
-    beta, dev, conv, it, separated = _fit_grouped(xmat, np.ones(n), y, penalty)
+    beta, dev, conv, it, separated = _irls(xmat, np.ones(n), y, penalty.ridge_lam)
     std = None
     if penalty.kind == "none" and conv:
         prob = rc.expit(xmat @ beta)
@@ -111,6 +111,40 @@ class TestCvDeviance:
         cols = range(x.shape[1])
         assert_close(rc.cv_deviance(x, y, cols, plan),
                      row_cv_deviance(x, y, cols, plan), SEPARATED_RTOL)
+
+
+class TestFoldDeviances:
+    @settings(max_examples=80, deadline=None)
+    @given(contests, st.sampled_from(PENALTIES), st.sampled_from([0, 2, 3, 4]))
+    def test_matches_row_fits(self, case, penalty, n_folds):
+        """n_folds = 0 draws a one-fold holdout plan whose rows labelled 0
+        are never held out; otherwise a make_folds plan. Columns come in a
+        random order, which the training fit must keep."""
+        x, y, rng = draw(**case)
+        if n_folds:
+            plan = rc.make_folds(y, n_folds, rng)
+        else:
+            labels = np.zeros(y.size, dtype=np.int64)
+            for cls in (1, 0):
+                idx = rng.permutation(np.flatnonzero(y == cls))
+                labels[idx[:int(rng.uniform(0.1, 0.5) * idx.size)]] = 1
+            plan = rc.CvPlan(1, labels)
+        p = x.shape[1]
+        cols = [int(c) for c in rng.permutation(p)[:rng.integers(0, p + 1)]]
+        folds = rc.PatternTable(x, y, plan).fold_deviances(cols, penalty)
+        assert len(folds) == plan.n_folds
+        for f, (train_dev, held_dev) in enumerate(folds, 1):
+            test = plan.assignments == f
+            fit = rc.fit_logistic(x[~test][:, cols], y[~test], penalty)
+            assert train_dev == fit.deviance
+            eta = fit.intercept + x[test][:, cols] @ fit.slopes
+            assert_close(held_dev, _grouped_deviance(eta, np.ones(int(test.sum())), y[test]),
+                         SEPARATED_RTOL if fit.separation_flag else RTOL)
+
+        perm = rng.permutation(y.size)
+        permuted = rc.PatternTable(x[perm], y[perm],
+                                   rc.CvPlan(plan.n_folds, plan.assignments[perm]))
+        assert permuted.fold_deviances(cols, penalty) == folds
 
 
 def test_wide_contest_keeps_every_column_distinct():

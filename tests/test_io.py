@@ -226,7 +226,7 @@ def selector_specs(draw):
               n_resamples=draw(st.integers(1, 10**4)), median_p_threshold=draw(floats),
               max_select=draw(st.integers(0, 50)), max_keep=draw(st.integers(0, 50)),
               budget=draw(st.integers(-10**9, 10**9)), train_fraction=draw(unit),
-              n_lambdas=draw(st.integers(1, 500)), lambda_min_ratio=draw(floats))
+              n_lambdas=draw(st.integers(1, 500)), lambda_min_ratio=draw(unit))
     assert set(kw) == set(SPEC_OPTIONS)
     return rc.SelectorSpec(draw(st.sampled_from(rc.METHODS)), **kw)
 
@@ -265,6 +265,12 @@ class TestWeightsLoading:
     def test_unknown_preset(self):
         with pytest.raises(ConfigurationError):
             load_weights("no_such_preset")
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "w.cfg"
+        path.write_text("w_tp = 5\nw_fp = -6\nw_tn = 2\nw_fn = -1\nw_fm = -9\n")
+        with pytest.raises(ConfigurationError, match="'w_fm'"):
+            load_weights(str(path))
 
     def test_incomplete_file(self, tmp_path):
         path = tmp_path / "w.cfg"

@@ -38,6 +38,14 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             rc.SelectorSpec("team_a", **kw)
 
+    @pytest.mark.parametrize("kw", [
+        {"lambda_min_ratio": 0.0}, {"lambda_min_ratio": -1e-3}, {"lambda_min_ratio": 1.0},
+        {"lambda_min_ratio": float("nan")}, {"n_lambdas": 0}, {"n_lambdas": -2},
+    ])
+    def test_bad_lasso_grid(self, kw):
+        with pytest.raises(ValidationError, match="lambda"):
+            rc.SelectorSpec("team_b", **kw)
+
 
 class TestTeamA:
     def test_recovers_planted_signal(self):

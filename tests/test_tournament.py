@@ -3,7 +3,7 @@ import pytest
 
 import riskcontest as rc
 from riskcontest.cli import main
-from riskcontest.errors import ConfigurationError
+from riskcontest.errors import ConfigurationError, ValidationError
 from riskcontest.tournament import (
     _method_seed,
     run_replicate,
@@ -94,6 +94,18 @@ class TestSummaries:
         assert errors["team_b"].startswith("ValidationError: lasso lambda_max is 0")
         assert errors["empty_baseline"] == ""
 
+    def test_holdout_without_test_rows_is_tagged_not_fatal(self):
+        # round(0.99 * 20) = 20: the split holds out no row of either class.
+        sim = rc.SimulationConfig(n_cases=20, n_controls=20)
+        config = rc.TournamentConfig(
+            1, (rc.SelectorSpec("team_a", train_fraction=0.99),
+                rc.SelectorSpec("empty_baseline")),
+            sim, rc.DEFAULT_WEIGHTS, master_seed=0)
+        rows, _ = rc.run_tournament(config)
+        errors = {r.team: r.error for r in rows}
+        assert errors["team_a"].startswith("ValidationError: train_fraction 0.99")
+        assert errors["empty_baseline"] == ""
+
     def test_replicate_level_failure_tags_every_method(self):
         sim = rc.SimulationConfig(n_cases=100, n_controls=100,
                                   baseline_intercept=-14.0, draw_budget=2000)
@@ -180,6 +192,14 @@ class TestConfigParsing:
     def test_option_for_unlisted_method(self):
         with pytest.raises(ConfigurationError):
             tournament_config_from_mapping({"methods": "team_a", "team_c.size_min": "2"})
+
+    def test_method_listed_twice(self):
+        with pytest.raises(ConfigurationError, match="listed twice"):
+            tournament_config_from_mapping({"methods": "empty_baseline, empty_baseline"})
+
+    def test_lasso_grid_checked_when_read(self):
+        with pytest.raises(ValidationError, match="lambda_min_ratio"):
+            tournament_config_from_mapping({"methods": "team_b", "lambda_min_ratio": "0"})
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
