@@ -184,6 +184,25 @@ class TestCvDeviance:
         value = rc.cv_deviance(x, y, (0, 3), plan)
         assert math.isfinite(value)
 
+    @pytest.mark.parametrize("subset", [(-1,), (1, 1), (7,), (0, 2.0)])
+    def test_bad_column_indices_rejected(self, subset):
+        """A negative index would score the last column, a repeated one a
+        duplicated column, and one past the end raised numpy's IndexError."""
+        x, y = random_binary(300, 4, seed=23)
+        plan = rc.make_folds(y, 4, np.random.default_rng(5))
+        with pytest.raises(ValidationError):
+            rc.cv_deviance(x, y, subset, plan)
+        table = rc.PatternTable(x, y, plan)
+        with pytest.raises(ValidationError):
+            table.fold_deviances(list(subset))
+        with pytest.raises(ValidationError):
+            table.cv_deviances([list(subset)])
+
+    def test_plan_holding_out_no_row_rejected(self):
+        x, y = random_binary(100, 2, seed=24)
+        with pytest.raises(ValidationError):
+            rc.cv_deviance(x, y, (0,), rc.CvPlan(2, np.zeros(100, dtype=np.int64)))
+
 
 class TestBootstrap:
     def test_size_one_returns_the_only_index(self):

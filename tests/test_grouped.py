@@ -1,17 +1,27 @@
-"""Pattern fits against row-by-row fits.
+"""Pattern fits against row-by-row fits, and batched fits against single ones.
 
 glm fits every logistic model on distinct covariate patterns. The reference
 here fits the same data one row per observation, with unit trials, through
 the same grouped-binomial IRLS routine, so the two differ only in the order
-of floating-point sums.
+of floating-point sums. The batched kernel behind PatternTable.cv_deviances
+is checked against the scalar fold fits of PatternTable.fold_deviances.
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import riskcontest as rc
-from riskcontest.glm import FALLBACK_RIDGE, NO_PENALTY, _grouped_deviance, _irls
+from riskcontest.errors import DegenerateOutcomeError
+from riskcontest.glm import (
+    FALLBACK_RIDGE,
+    NO_PENALTY,
+    _grouped_deviance,
+    _irls,
+    _irls_batch,
+)
 
 RTOL = 1e-12
 # A fit that separates is refit with a tiny ridge. That system is so
@@ -185,3 +195,84 @@ def test_bootstrap_matches_row_refits():
     table = rc.run_selector(data, spec).method_report.splitlines()[-data.d:]
     assert table == [f"x{j + 1}," + ",".join(f"{v:.6g}" for v in expected[:, j])
                      for j in range(data.d)]
+
+
+problems = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "members": st.integers(1, 12),
+    "cells": st.integers(1, 10),
+    "q": st.integers(1, 4),
+    "shared": st.booleans(),
+})
+
+
+def grouped_problems(seed, members, cells, q, shared):
+    """Random grouped-binomial problems on binary designs with an intercept
+    column. Cells hold 0-29 trials; the first cell of every member has both
+    outcomes. Rank-deficient designs and separation both occur."""
+    rng = np.random.default_rng(seed)
+    design = np.ones((1 if shared else members, cells, q))
+    design[..., 1:] = rng.random(design[..., 1:].shape) < 0.5
+    trials = rng.integers(0, 30, (members, cells)).astype(float)
+    trials[:, 0] += 2
+    successes = rng.binomial(trials.astype(int), rng.random((members, cells))).astype(float)
+    successes[:, 0] = np.clip(successes[:, 0], 1, trials[:, 0] - 1)
+    return design, trials, successes, rng
+
+
+class TestBatchedKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(problems, st.sampled_from(PENALTIES))
+    def test_batch_invariance(self, case, penalty):
+        """Every member's beta, deviance and flags have the same bits alone,
+        in the full batch, in a shuffled batch and in uneven chunks."""
+        design, trials, successes, rng = grouped_problems(**case)
+        n = len(trials)
+
+        def run(idx):
+            idx = np.asarray(idx)
+            own = design if len(design) == 1 else design[idx]
+            return _irls_batch(own, trials[idx], successes[idx], penalty.ridge_lam)
+
+        def same_bits(a, b):
+            return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+        full = run(np.arange(n))
+        for i in range(n):
+            assert same_bits(run([i]), [part[i:i + 1] for part in full])
+        order = rng.permutation(n)
+        assert same_bits(run(order), [part[order] for part in full])
+        cuts = np.r_[0, np.sort(rng.choice(np.arange(1, n), min(n - 1, 2), replace=False)), n]
+        chunks = [run(np.arange(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
+        assert same_bits([np.concatenate(parts) for parts in zip(*chunks)], full)
+
+    @settings(max_examples=60, deadline=None)
+    @given(contests, st.sampled_from(PENALTIES), st.integers(0, 6), st.booleans())
+    def test_cv_deviances_match_scalar_fold_fits(self, case, penalty, size, doubled):
+        """cv_deviances against the scalar fold fits: the full-factorial
+        design when 2^s <= k, the projected patterns otherwise, and always
+        the projected patterns when x is not binary (doubled)."""
+        x, y, rng = draw(**case)
+        if doubled:
+            x = 2.0 * x
+        plan = rc.make_folds(y, 4, rng)
+        table = rc.PatternTable(x, y, plan)
+        subsets = np.array(list(combinations(range(x.shape[1]), min(size, x.shape[1]))))
+        devs, refit, converged = table.cv_deviances(subsets, penalty)
+        assert devs.shape == (len(subsets),)
+        assert refit.shape == converged.shape == (len(subsets), plan.n_folds)
+        for cols, dev, separated in zip(subsets, devs, refit):
+            folds = table.fold_deviances(list(cols), penalty)
+            expected = sum(held for _, held in folds) / table.n_held
+            assert_close(dev, expected, SEPARATED_RTOL if separated.any() else RTOL)
+            assert table.cv_deviance(cols, penalty) == dev
+
+    def test_single_class_training_fold_raises(self):
+        """Fold 1 holds every case, so its training counts have none."""
+        x, y, _ = draw(seed=3, n=80, p=2, prevalence=0.4)
+        labels = np.where(y == 1, 1, 2)
+        table = rc.PatternTable(x, y, rc.CvPlan(2, labels))
+        with pytest.raises(DegenerateOutcomeError):
+            table.cv_deviances(np.array([[0], [1]]))
+        with pytest.raises(DegenerateOutcomeError):
+            table.cv_deviance((0, 1))

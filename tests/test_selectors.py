@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 import riskcontest as rc
-from riskcontest.errors import EnumerationBudgetError, ValidationError
-from riskcontest.glm import cv_deviance, make_folds
+from riskcontest import selectors
+from riskcontest.errors import DegenerateOutcomeError, EnumerationBudgetError, ValidationError
+from riskcontest.glm import _collapse, _irls, _pattern_sums, cv_deviance, make_folds
 
 from conftest import null_dataset, planted_dataset
 
@@ -148,6 +151,87 @@ class TestTeamC:
         sub = rc.run_selector(data, rc.SelectorSpec("team_c", seed=8, size_min=1,
                                                     size_max=1))
         assert sub.selected == (1,)
+
+
+def scalar_fold_flags(table, cols):
+    """(separated, converged) of the scalar _irls on each fold's training
+    counts, built as PatternTable.fold_deviances builds them."""
+    sub, inv = _collapse(table.patterns[:, list(cols)])
+    design = np.column_stack([np.ones(len(sub)), sub])
+    all_n, all_c, *held = _pattern_sums(inv, len(sub), table.counts)
+    flags = []
+    for n_te, c_te in zip(held[:table.n_folds], held[table.n_folds:]):
+        live = all_n > n_te
+        *_, converged, _, separated = _irls(design[live], (all_n - n_te)[live],
+                                            (all_c - c_te)[live], 0.0)
+        flags.append((separated, converged))
+    return flags
+
+
+class TestTeamCBatched:
+    """A sparse contest with 2^5 <= k < 2^6 distinct patterns, so that one
+    search over sizes 3..6 scores sizes 3-5 on the shared full-factorial
+    design and size 6 on the projected patterns. Its rare last column makes
+    some fold fits separate."""
+
+    @pytest.fixture(scope="class")
+    def contest(self):
+        rng = np.random.default_rng(34)
+        x = (rng.random((300, 8)) < 0.12).astype(np.int8)
+        x[:, 7] = rng.random(300) < 0.02
+        y = (rng.random(300) < rc.expit(-1.0 + 1.5 * x[:, 0])).astype(np.int8)
+        spec = rc.SelectorSpec("team_c", seed=3, size_min=3, size_max=6)
+        table = rc.PatternTable(x, y, make_folds(y, 4, np.random.default_rng(spec.seed)))
+        assert 2**5 <= len(table.patterns) < 2**6
+        return rc.Dataset(x, y), spec, table
+
+    def test_matches_scalar_search(self, contest):
+        """Selection and top-5 leaders equal a search on the scalar fold
+        fits, with team_c's tie rules."""
+        data, spec, table = contest
+        best, leaders = None, []
+        for s in range(spec.size_min, spec.size_max + 1):
+            for cols in combinations(range(data.d), s):
+                dev = sum(held for _, held in table.fold_deviances(list(cols))) / table.n_held
+                if best is None or dev < best[0]:
+                    best = (dev, cols)
+                if len(leaders) < 5 or dev < leaders[-1][0]:
+                    leaders.append((dev, cols))
+                    leaders.sort(key=lambda t: t[0])
+                    del leaders[5:]
+        sub = rc.run_selector(data, spec)
+        assert sub.selected == tuple(c + 1 for c in best[1])
+        assert sub.method_report.splitlines()[2:7] == [
+            f"  {dev:.6f}  {{{' '.join(f'x{c + 1}' for c in cols)}}}" for dev, cols in leaders]
+
+    def test_fallback_counts_match_scalar_fits(self, contest):
+        data, spec, table = contest
+        flags = [flag for s in range(spec.size_min, spec.size_max + 1)
+                 for cols in combinations(range(data.d), s)
+                 for flag in scalar_fold_flags(table, cols)]
+        separated = sum(sep for sep, _ in flags)
+        unconverged = sum(not conv for _, conv in flags)
+        assert separated > 0
+        assert rc.run_selector(data, spec).method_report.splitlines()[-1] == (
+            f"fold fits: {len(flags)} run, {separated} refit with the separation ridge, "
+            f"{unconverged} not converged")
+
+    def test_too_few_training_rows(self):
+        """Eight rows in four folds leave six training rows for six columns."""
+        rng = np.random.default_rng(32)
+        data = rc.Dataset((rng.random((8, 8)) < 0.5).astype(np.int8),
+                          np.array([1, 0] * 4, dtype=np.int8))
+        with pytest.raises(ValidationError):
+            rc.run_selector(data, rc.SelectorSpec("team_c", size_min=6, size_max=7))
+
+    def test_single_class_training_fold(self, contest, monkeypatch):
+        """make_folds never leaves a fold's complement with one class, so a
+        plan that puts every case in fold 1 stands in for one."""
+        data, spec, _ = contest
+        monkeypatch.setattr(selectors, "make_folds",
+                            lambda y, n_folds, rng: rc.CvPlan(2, np.where(y == 1, 1, 2)))
+        with pytest.raises(DegenerateOutcomeError):
+            rc.run_selector(data, spec)
 
 
 class TestTeamD:
