@@ -18,6 +18,23 @@ size, the member's place in it or the chunk boundaries. It agrees with the
 scalar fold fits to a relative 1e-12 in CV deviance, 1e-6 for fits refit with
 the separation ridge. fold_deviances, fit_logistic and bootstrap_fits stay on
 the scalar _irls.
+
+_lasso_path fits M lasso paths over one (k, p) pattern matrix at once, one
+member per row of (M, k) trial and case counts; PatternTable.lasso_cv_deviance
+runs every fold's training counts and the all-rows counts as one batch, and
+fit_lasso_path is a batch of one. Each member keeps every rule of glmnet-style
+coordinate descent on its own: its own weighted standardization, the log-odds
+start, the 1e-10 weight clip, the KKT check at kkt_tol, LASSO_MAX_OUTER outer
+iterations, up to LASSO_MAX_SWEEPS sweeps that end when nothing moved by
+LASSO_SWEEP_TOL, the skip of a column constant over its trials and the
+intercept shift. A member that is done stops changing, so it runs exactly the
+iterations it would run alone, and the Python loop runs once per coordinate
+per sweep for the whole batch. A pattern with no trials in a member has zero
+weight and zero working residual, so it adds exactly nothing to that member's
+sums. The kernel sums with np.einsum and .sum(axis=...), so a member's
+coefficients, deviance, converged flag and iterations have the same bits
+whatever the batch size or the member's place in it. The paths agree with the
+one-path scalar descent they replaced to 1e-12 relative (tests/test_lasso.py).
 """
 
 from __future__ import annotations
@@ -555,19 +572,29 @@ class PatternTable:
         """cv_deviance(x, y, subset, plan, penalty) on this table's x, y and plan."""
         return float(self.cv_deviances([sorted(subset)], penalty)[0][0])
 
-    def lasso_cv_deviance(self, grid) -> np.ndarray:
-        """(n_folds, len(grid)) held-out deviance per held-out row of the
-        lasso path on all columns, fit on every fold's complement."""
+    def lasso_cv_deviance(self, grid):
+        """Lasso paths on all columns, fit on every fold's complement and on
+        all rows as one batch of n_folds + 1 members.
+
+        Returns the (n_folds, len(grid)) held-out deviance per held-out row
+        of every fold's path, the all-rows path as one FitResult per
+        penalty, and the (n_folds + 1, len(grid)) converged mask, the
+        all-rows path last.
+        """
         all_n, all_c = self.counts[:2]
         held_n, held_c = np.split(self.counts[2:], 2)
-        curve = np.empty((len(held_n), len(grid)))
-        for f, (n_te, c_te) in enumerate(zip(held_n, held_c)):
-            n_tr, c_tr = all_n - n_te, all_c - c_te
-            live = n_tr > 0
-            path = _lasso_path(self.patterns[live], n_tr[live], c_tr[live], grid)
-            curve[f] = [_grouped_deviance(fit.intercept + self.patterns @ fit.slopes,
-                                          n_te, c_te) for fit in path]
-        return curve / held_n.sum(axis=1)[:, None]
+        held_rows = held_n.sum(axis=1)
+        for f, rows in enumerate(held_rows, start=1):
+            if rows == 0:
+                raise ValidationError(f"fold {f} holds out no row")
+            if rows == all_n.sum():
+                raise ValidationError(f"fold {f} leaves no training row")
+        paths = _lasso_path(self.patterns, np.vstack([all_n - held_n, all_n]),
+                            np.vstack([all_c - held_c, all_c]), grid)
+        coef = paths[0][:-1]
+        eta = coef[..., :1] + np.einsum("kp,flp->flk", self.patterns, coef[..., 1:])
+        curve = _deviances(eta, held_n[:, None], held_c[:, None])
+        return curve / held_rows[:, None], _path_fits(paths, -1), paths[2]
 
 
 def cv_deviance(x: np.ndarray, y: np.ndarray, subset, plan: CvPlan,
@@ -604,21 +631,27 @@ def bootstrap_fits(x: np.ndarray, y: np.ndarray, n_resamples: int,
 
 # ---------------------------------------------------------------------------
 # Lasso path: cyclic coordinate descent on the quadratic approximation with
-# warm starts, glmnet-style. Columns are standardized internally and the
-# coefficients reported back on the original 0/1 scale.
+# warm starts, glmnet-style (Friedman, Hastie & Tibshirani 2010, JSS 33(1)).
+# Columns are standardized internally and the coefficients reported back on
+# the original 0/1 scale. _lasso_path runs M paths over one pattern matrix
+# at once: each coordinate update acts on every member still sweeping.
 # ---------------------------------------------------------------------------
 
 KKT_TOL = 1e-7
 LASSO_MAX_OUTER = 250
+LASSO_MAX_SWEEPS = 1000
+LASSO_SWEEP_TOL = 1e-10
 
 
 def _standardize(patterns, trials):
-    # Mean and standard deviation over the rows the trial counts stand for.
-    n = trials.sum()
-    mean = trials @ patterns / n
-    scale = np.sqrt(trials @ (patterns - mean) ** 2 / n)
+    # Mean and standard deviation over the rows the trial counts stand for,
+    # per row of trials (..., k); standardized patterns are (..., k, p).
+    n = trials.sum(axis=-1)[..., None]
+    mean = np.einsum("...k,kp->...p", trials, patterns) / n
+    centered = patterns - mean[..., None, :]
+    scale = np.sqrt(np.einsum("...k,...kp->...p", trials, centered**2) / n)
     scale = np.where(scale == 0.0, 1.0, scale)
-    return (patterns - mean) / scale, mean, scale
+    return centered / scale[..., None, :], mean, scale
 
 
 def lasso_lambda_max(x: np.ndarray, y: np.ndarray) -> float:
@@ -642,48 +675,84 @@ def default_lambda_grid(x: np.ndarray, y: np.ndarray, n_lambdas: int = 50,
     return np.geomspace(lmax, lmax * min_ratio, n_lambdas)
 
 
-def _lasso_cd(xs, trials, cases, lam, b0, beta, kkt_tol):
-    """Solve one lasso problem at penalty lam, warm-started at (b0, beta).
+def _lasso_cd(xs, trials, cases, n, lam, b0, beta, kkt_tol):
+    """Solve M lasso problems at penalty lam, warm-started at (b0, beta).
 
-    Objective: (1/n) sum[-c*eta + t*log(1+exp(eta))] + lam * ||beta||_1 over
-    standardized patterns with t trials and c cases each, n trials in all.
-    The outer loop re-quadratizes with observation weights t*p(1-p);
-    convergence is checked on the exact subgradient conditions.
+    Member i's objective: (1/n_i) sum[-c*eta + t*log(1+exp(eta))]
+    + lam * ||beta_i||_1 over its standardized patterns xs[:, i] (p, M, k),
+    with t trials and c cases per pattern, n_i trials in all. The outer loop
+    re-quadratizes with observation weights t*p(1-p); a member stops when
+    its exact subgradient conditions hold within kkt_tol, and its inner
+    sweeps stop when no coefficient moved by LASSO_SWEEP_TOL. b0 (M,) and
+    beta (p, M) are updated in place. Returns converged (M,) and the outer
+    iterations (M,).
     """
-    n, p = trials.sum(), xs.shape[1]
+    n_members = len(n)
+    converged = np.zeros(n_members, dtype=bool)
+    iterations = np.full(n_members, LASSO_MAX_OUTER)
+    live = np.arange(n_members)
     for outer in range(1, LASSO_MAX_OUTER + 1):
-        eta = b0 + xs @ beta
-        prob = expit(eta)
-        resid = trials * prob - cases
-        g = xs.T @ resid / n
-        viol = np.where(beta != 0.0, np.abs(g + lam * np.sign(beta)), np.abs(g) - lam)
-        if max(abs(float(resid.sum())) / n, float(np.max(viol, initial=0.0))) <= kkt_tol:
-            return b0, beta, True, outer
+        x, t, c, m, b, b_0 = xs[:, live], trials[live], cases[live], n[live], beta[:, live], b0[live]
+        prob = expit(b_0[:, None] + np.einsum("pik,pi->ik", x, b))
+        resid = t * prob - c
+        g = np.einsum("pik,ik->pi", x, resid) / m
+        viol = np.where(b != 0.0, np.abs(g + lam * np.sign(b)), np.abs(g) - lam)
+        met = np.maximum(np.abs(resid.sum(axis=1)) / m, viol.max(axis=0, initial=0.0)) <= kkt_tol
+        converged[live[met]], iterations[live[met]] = True, outer
+        if met.all():
+            break
+        go = ~met
+        live, x, t, m, b, b_0 = live[go], x[:, go], t[go], m[go], b[:, go], b_0[go]
+        prob, resid = prob[go], resid[go]
 
-        w = trials * np.maximum(prob * (1.0 - prob), 1e-10)
-        r = -resid / w
-        wx2 = (w @ xs**2) / n
-        wsum = float(w.sum())
-        for _ in range(1000):
-            delta = 0.0
-            for j in range(p):
-                if wx2[j] == 0.0:
-                    continue
-                old = beta[j]
-                rho = float(w @ (xs[:, j] * r)) / n + wx2[j] * old
-                new = math.copysign(max(abs(rho) - lam, 0.0), rho) / wx2[j]
-                if new != old:
-                    r -= (new - old) * xs[:, j]
-                    beta[j] = new
-                    delta = max(delta, abs(new - old))
-            shift = float(w @ r) / wsum
-            if shift != 0.0:
-                b0 += shift
-                r -= shift
-                delta = max(delta, abs(shift))
-            if delta < 1e-10:
-                break
-    return b0, beta, False, LASSO_MAX_OUTER
+        w = t * np.maximum(prob * (1.0 - prob), 1e-10)
+        # A pattern with no trials has w = 0 and r = -0, so it adds nothing.
+        r = -resid / np.where(t > 0.0, w, 1.0)
+        wx = x * w
+        wx2 = np.einsum("pik,pik->pi", wx, x) / m
+        # A coordinate with wx2 = 0 is constant over the member's trials and
+        # stays at 0: dividing by inf keeps every update of it at 0.
+        wx2_div = np.where(wx2 == 0.0, np.inf, wx2)
+        b_0, b = _lasso_sweeps(x, wx, w, r, m, wx2, wx2_div, lam, b_0, b)
+        b0[live], beta[:, live] = b_0, b
+    return converged, iterations
+
+
+def _lasso_sweeps(x, wx, w, r, n, wx2, wx2_div, lam, b0, beta):
+    """Cyclic coordinate sweeps on the members' weighted least-squares
+    problems, at most LASSO_MAX_SWEEPS each; a member leaves once no
+    coordinate or intercept moved by LASSO_SWEEP_TOL in a sweep. Returns
+    the updated (b0, beta)."""
+    out_b0, out_beta = np.empty_like(b0), np.empty_like(beta)
+    sweeping = np.arange(len(n))
+    wsum = w.sum(axis=1)
+    einsum, maximum, minimum = np.einsum, np.maximum, np.minimum
+    for _ in range(LASSO_MAX_SWEEPS):
+        start = beta.copy()
+        for j, (x_j, wx_j, wx2_j, div_j) in enumerate(zip(x, wx, wx2, wx2_div)):
+            old = beta[j]
+            rho = einsum("ik,ik->i", wx_j, r) / n + wx2_j * old
+            new = (rho - minimum(maximum(rho, -lam), lam)) / div_j
+            # An unmoved coordinate subtracts zeros from r.
+            r -= (new - old)[:, None] * x_j
+            beta[j] = new
+        shift = einsum("ik,ik->i", w, r) / wsum
+        b0 += shift
+        r -= shift[:, None]
+        # Each coordinate moved once, by its final minus its starting value.
+        moved = np.abs(beta - start).max(axis=0, initial=0.0)
+        moving = maximum(moved, np.abs(shift)) >= LASSO_SWEEP_TOL
+        if not moving.all():
+            done = ~moving
+            out_b0[sweeping[done]], out_beta[:, sweeping[done]] = b0[done], beta[:, done]
+            sweeping = sweeping[moving]
+            if not sweeping.size:
+                return out_b0, out_beta
+            x, wx, w, r, n = x[:, moving], wx[:, moving], w[moving], r[moving], n[moving]
+            wx2, wx2_div, wsum = wx2[:, moving], wx2_div[:, moving], wsum[moving]
+            b0, beta = b0[moving], beta[:, moving]
+    out_b0[sweeping], out_beta[:, sweeping] = b0, beta
+    return out_b0, out_beta
 
 
 def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None, *,
@@ -698,26 +767,42 @@ def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None, *,
     if not 0.0 < cases.sum() < trials.sum():
         raise DegenerateOutcomeError("outcome vector contains a single class")
     grid = default_lambda_grid(x, y) if lambda_grid is None else lambda_grid
-    return _lasso_path(patterns, trials, cases, grid, kkt_tol)
+    return _path_fits(_lasso_path(patterns, trials[None], cases[None], grid, kkt_tol), 0)
+
+
+def _path_fits(paths, i) -> list[FitResult]:
+    """Member i of _lasso_path's output as one FitResult per penalty."""
+    coef, dev, conv, iters = paths
+    return [FitResult(coef[i, l], None, float(dev[i, l]), bool(conv[i, l]), int(iters[i, l]))
+            for l in range(coef.shape[1])]
 
 
 def _lasso_path(patterns, trials, cases, lambda_grid, kkt_tol=KKT_TOL):
-    """fit_lasso_path on pattern counts, every one with at least one trial."""
+    """fit_lasso_path on M sets of counts over the k patterns (p columns) at
+    once: trials and cases are (M, k), and a pattern may have no trials.
+
+    Returns coefficients (M, L, p + 1) on the 0/1 scale, deviance (M, L),
+    converged (M, L) and outer iterations (M, L) for the L grid points.
+    """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0 or np.any(grid < 0) or np.any(np.diff(grid) >= 0):
         raise ValidationError("lambda grid must be strictly decreasing and non-negative")
+    n, hits = trials.sum(axis=1), cases.sum(axis=1)
+    if np.any((hits <= 0.0) | (hits >= n)):
+        raise DegenerateOutcomeError("outcome vector contains a single class")
 
     xs, mean, scale = _standardize(patterns, trials)
-    ybar = float(cases.sum() / trials.sum())
-    b0 = math.log(ybar / (1.0 - ybar))
-    beta = np.zeros(patterns.shape[1])
+    xs = np.ascontiguousarray(xs.transpose(2, 0, 1))  # (p, M, k)
+    b0 = np.array([math.log(odds) for odds in (hits / n) / (1.0 - hits / n)])
+    beta = np.zeros((patterns.shape[1], len(n)))
 
-    results = []
-    for lam in grid:
-        b0, beta, conv, iters = _lasso_cd(xs, trials, cases, float(lam), b0, beta, kkt_tol)
-        slopes = beta / scale
-        intercept = b0 - float(np.sum(beta * mean / scale))
-        coef = np.concatenate(([intercept], slopes))
-        dev = _grouped_deviance(intercept + patterns @ slopes, trials, cases)
-        results.append(FitResult(coef, None, dev, conv, iters))
-    return results
+    coef = np.empty((len(n), grid.size, patterns.shape[1] + 1))
+    converged = np.empty((len(n), grid.size), dtype=bool)
+    iterations = np.empty((len(n), grid.size), dtype=int)
+    for l, lam in enumerate(grid):
+        converged[:, l], iterations[:, l] = _lasso_cd(
+            xs, trials, cases, n, float(lam), b0, beta, kkt_tol)
+        coef[:, l, 1:] = beta.T / scale
+        coef[:, l, 0] = b0 - (beta.T * mean / scale).sum(axis=1)
+    eta = coef[..., :1] + np.einsum("kp,ilp->ilk", patterns, coef[..., 1:])
+    return coef, _deviances(eta, trials[:, None], cases[:, None]), converged, iterations

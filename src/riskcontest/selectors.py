@@ -14,9 +14,10 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import EnumerationBudgetError, ValidationError
-# No selector calls fit_logistic or cv_deviance; both stay importable here
-# because perfbench's tracer wraps them by this module's names.
+from .errors import EnumerationBudgetError, UnsupportedFitError, ValidationError
+# No selector calls fit_logistic, cv_deviance or fit_lasso_path (team_b takes
+# its full-data path from PatternTable.lasso_cv_deviance); all three stay
+# importable here because perfbench's tracer wraps them by this module's names.
 from .glm import (
     CvPlan,
     PatternTable,
@@ -161,9 +162,12 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
     """Penalized-regression screen with a conservative cap.
 
     Cross-validates a lasso path, applies the one-standard-error rule, and
-    keeps at most max_select variables (largest coefficients first). A ridge
-    CV curve and the per-variable case/control exposure comparison go into
-    the audit trail as the corroborating evidence.
+    keeps at most max_select variables (largest coefficients first). The
+    fold paths and the full-data path whose one-SE coefficients are kept run
+    as one batch in PatternTable.lasso_cv_deviance. A ridge CV curve and the
+    per-variable case/control exposure comparison go into the audit trail as
+    the corroborating evidence; its last line counts the lasso fits (paths x
+    penalties) and those that did not converge, which are used as they are.
     """
     rng = np.random.default_rng(spec.seed)
     n_folds = spec.n_folds if spec.n_folds is not None else 10
@@ -171,7 +175,7 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
 
     table = PatternTable(data.x, data.y, plan)
     grid = default_lambda_grid(data.x, data.y, spec.n_lambdas, spec.lambda_min_ratio)
-    curve = table.lasso_cv_deviance(grid)
+    curve, path, converged = table.lasso_cv_deviance(grid)
     mean = curve.mean(axis=0)
     se = curve.std(axis=0, ddof=1) / math.sqrt(n_folds)
     i_min = int(np.argmin(mean))
@@ -179,7 +183,6 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
     # is the most conservative admissible penalty.
     i_1se = int(np.flatnonzero(mean <= mean[i_min] + se[i_min])[0])
 
-    path = fit_lasso_path(data.x, data.y, grid)
     slopes = path[i_1se].slopes
     nonzero = np.flatnonzero(slopes != 0.0)
     kept = nonzero
@@ -207,6 +210,8 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
                      f"{int(data.x[~cases, j].sum())}")
     if nonzero.size > spec.max_select:
         lines.append(f"capped to the {spec.max_select} largest coefficients")
+    lines.append(f"lasso fits: {converged.size} run ({n_folds + 1} paths x {grid.size} "
+                 f"penalties), {converged.size - int(converged.sum())} not converged")
     return Submission("team_b", _to_1based(kept), "\n".join(lines))
 
 
@@ -263,10 +268,15 @@ def select_team_c(data: Dataset, spec: SelectorSpec) -> Submission:
 def select_team_d(data: Dataset, spec: SelectorSpec) -> Submission:
     """Bootstrap p-value screen: refit the full model on resamples, keep the
     variables whose median Wald p-value falls below the threshold (at most
-    max_keep, smallest medians first)."""
+    max_keep, smallest medians first). A resample whose fit has no standard
+    errors is left out of the medians and counted in the report's last line;
+    with none left, UnsupportedFitError."""
     fits = bootstrap_fits(data.x, data.y, spec.n_resamples,
                           np.random.default_rng(spec.seed))
-    pvals = np.array([wald_pvalues(fit) for fit in fits])
+    usable = [fit for fit in fits if fit.std_errors is not None]
+    if not usable:
+        raise UnsupportedFitError("no bootstrap fit has standard errors")
+    pvals = np.array([wald_pvalues(fit) for fit in usable])
 
     medians = np.median(pvals, axis=0)
     below = np.flatnonzero(medians < spec.median_p_threshold)
@@ -283,6 +293,9 @@ def select_team_d(data: Dataset, spec: SelectorSpec) -> Submission:
     lines.append("p-value table (variable; one column per resample):")
     for j in range(data.d):
         lines.append(f"x{j + 1}," + ",".join(f"{v:.6g}" for v in pvals[:, j]))
+    if len(usable) < len(fits):
+        lines.append(f"{len(fits) - len(usable)} of {len(fits)} resamples dropped: "
+                     f"fit without standard errors")
     return Submission("team_d", _to_1based(kept), "\n".join(lines))
 
 

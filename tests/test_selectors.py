@@ -1,11 +1,17 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 import riskcontest as rc
-from riskcontest import selectors
-from riskcontest.errors import DegenerateOutcomeError, EnumerationBudgetError, ValidationError
+from riskcontest import glm, selectors
+from riskcontest.errors import (
+    DegenerateOutcomeError,
+    EnumerationBudgetError,
+    UnsupportedFitError,
+    ValidationError,
+)
 from riskcontest.glm import _collapse, _irls, _pattern_sums, cv_deviance, make_folds
 
 from conftest import null_dataset, planted_dataset
@@ -98,6 +104,26 @@ class TestTeamB:
         sub = rc.run_selector(data, rc.SelectorSpec("team_b", seed=4, n_lambdas=12))
         assert "lambda,mean_cv_deviance,se" in sub.method_report
         assert "exposed counts" in sub.method_report
+
+    def test_report_counts_lasso_fits(self):
+        data = planted_dataset(n=400, d=5, seed=8)
+        sub = rc.run_selector(data, rc.SelectorSpec("team_b", seed=4, n_lambdas=12))
+        assert sub.method_report.splitlines()[-1] == \
+            "lasso fits: 132 run (11 paths x 12 penalties), 0 not converged"
+
+    def test_report_counts_nonconverged_lasso_fits(self, monkeypatch):
+        """One outer iteration leaves most fits short of the KKT conditions;
+        the report counts them and the rest of it is unchanged."""
+        data = planted_dataset(n=400, d=5, seed=8)
+        spec = rc.SelectorSpec("team_b", seed=4, n_lambdas=12)
+        plan = make_folds(data.y, 10, np.random.default_rng(spec.seed))
+        grid = rc.default_lambda_grid(data.x, data.y, 12)
+        monkeypatch.setattr(glm, "LASSO_MAX_OUTER", 1)
+        _, _, converged = glm.PatternTable(data.x, data.y, plan).lasso_cv_deviance(grid)
+        missed = int(converged.size - converged.sum())
+        assert 0 < missed < converged.size
+        lines = rc.run_selector(data, spec).method_report.splitlines()
+        assert lines[-1] == f"lasso fits: 132 run (11 paths x 12 penalties), {missed} not converged"
 
     def test_conservative_on_classroom_regime(self, classroom_truth):
         # The cautious style of play under the false-positive-heavy rule:
@@ -268,6 +294,32 @@ class TestTeamD:
         data = planted_dataset(n=300, d=5, seed=16)
         spec = rc.SelectorSpec("team_d", seed=12, n_resamples=15)
         assert rc.run_selector(data, spec) == rc.run_selector(data, spec)
+
+    def test_fit_without_standard_errors_is_dropped(self, monkeypatch):
+        data = planted_dataset(n=300, d=5, seed=17)
+        spec = rc.SelectorSpec("team_d", seed=14, n_resamples=9)
+        fits = rc.bootstrap_fits(data.x, data.y, 9, np.random.default_rng(spec.seed))
+        full = rc.run_selector(data, spec).method_report.splitlines()
+        assert not any("dropped" in line for line in full)
+        broken = list(fits)
+        broken[4] = dataclasses.replace(fits[4], std_errors=None)
+        monkeypatch.setattr(selectors, "bootstrap_fits", lambda *args: broken)
+        sub = rc.run_selector(data, spec)
+        lines = sub.method_report.splitlines()
+        assert lines[-1] == "1 of 9 resamples dropped: fit without standard errors"
+        medians = np.median([rc.wald_pvalues(f) for i, f in enumerate(fits) if i != 4], axis=0)
+        assert lines[1] == "median p per variable: " + " ".join(
+            f"x{j + 1}={m:.4f}" for j, m in enumerate(medians))
+        assert lines[0] == full[0] and lines[2:4] == full[2:4]
+        assert all(line.count(",") == 8 for line in lines[4:-1])
+
+    def test_no_fit_with_standard_errors_raises(self, monkeypatch):
+        data = planted_dataset(n=300, d=5, seed=17)
+        fits = rc.bootstrap_fits(data.x, data.y, 3, np.random.default_rng(0))
+        monkeypatch.setattr(selectors, "bootstrap_fits", lambda *args: [
+            dataclasses.replace(fit, std_errors=None) for fit in fits])
+        with pytest.raises(UnsupportedFitError):
+            rc.run_selector(data, rc.SelectorSpec("team_d", n_resamples=3))
 
     def test_classroom_regime_flags_the_common_variables(self, classroom_truth):
         # Regenerated data from the classroom answer key: the two relevant
