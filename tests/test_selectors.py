@@ -113,7 +113,7 @@ class TestTeamB:
 
     def test_report_counts_nonconverged_lasso_fits(self, monkeypatch):
         """One outer iteration leaves most fits short of the KKT conditions;
-        the report counts them and the rest of it is unchanged."""
+        the report's last line counts them."""
         data = planted_dataset(n=400, d=5, seed=8)
         spec = rc.SelectorSpec("team_b", seed=4, n_lambdas=12)
         plan = make_folds(data.y, 10, np.random.default_rng(spec.seed))
@@ -123,7 +123,8 @@ class TestTeamB:
         missed = int(converged.size - converged.sum())
         assert 0 < missed < converged.size
         lines = rc.run_selector(data, spec).method_report.splitlines()
-        assert lines[-1] == f"lasso fits: 132 run (11 paths x 12 penalties), {missed} not converged"
+        assert lines[-1] == \
+            f"lasso fits: 132 run (11 paths x 12 penalties), {missed} not converged"
 
     def test_conservative_on_classroom_regime(self, classroom_truth):
         # The cautious style of play under the false-positive-heavy rule:
