@@ -1,7 +1,8 @@
 """Command-line harness: simulate, select, score, tournament, verify-truth.
 
-Exit codes: 0 success, 2 validation/configuration error, 3 commitment
-mismatch, 4 simulation budget exceeded.
+Exit codes: 0 success, 2 validation/configuration error or a file that
+cannot be read or written, 3 commitment mismatch, 4 simulation budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -211,6 +212,10 @@ def main(argv=None) -> int:
     except ContestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,8 +16,13 @@ FALLBACK_RIDGE refit). Its sums run through np.einsum and .sum(axis=...),
 never matmul, so a member's result has the same bits whatever the batch
 size, the member's place in it or the chunk boundaries. It agrees with the
 scalar fold fits to a relative 1e-12 in CV deviance, 1e-6 for fits refit with
-the separation ridge. fold_deviances, fit_logistic and bootstrap_fits stay on
-the scalar _irls.
+the separation ridge. A quasi-separated fold fit that stops by DEVIANCE_RTOL
+with |beta| still under SEPARATION_BOUND and growing is the exception: the
+batched and scalar sums round differently, the two fits stop at slightly
+different beta, and their CV deviances can differ by about 1e-9 relative
+(1.7e-9 on a 208-row, 2-column contest whose fold had all 12 exposed rows as
+cases; beta stopped near 11.3, growing about 1 per iteration).
+fold_deviances, fit_logistic and bootstrap_fits stay on the scalar _irls.
 
 _lasso_path fits M lasso paths over one (k, p) pattern matrix at once, one
 member per row of (M, k) trial and case counts; PatternTable.lasso_cv_deviance

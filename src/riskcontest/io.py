@@ -16,6 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CommitmentError, ConfigurationError, DatasetFormatError, ValidationError
 from .scoring import ScoringWeights, WEIGHT_PRESETS
@@ -36,47 +37,120 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_binary_csv(path, header, cells) -> None:
+    """Write the header, then per row of the 0/1 matrix `cells` its 1-based
+    id and its cells, in write_csv's dialect and with the same bytes. One
+    uint8 block holds every row's ',c' pairs and newline, so only the ids
+    are formatted one by one."""
+    cells = np.asarray(cells)
+    if not np.isin(cells, (0, 1)).all():
+        raise ValidationError("binary CSV cells must be 0/1")
+    block = np.empty((cells.shape[0], 2 * cells.shape[1] + 1), dtype=np.uint8)
+    block[:, 0:-1:2] = ord(",")
+    block[:, 1:-1:2] = cells.astype(np.uint8) + ord("0")
+    block[:, -1] = ord("\n")
+    body, width = block.tobytes(), block.shape[1]
+    lines = (b"%d" % i + body[start:start + width]
+             for i, start in enumerate(range(0, len(body), width), start=1))
+    Path(path).write_bytes(",".join(header).encode() + b"\n" + b"".join(lines))
+
+
 def write_dataset_csv(path, dataset: Dataset) -> None:
     """Contestant-facing file: header id,x1..xd,y then strictly 0/1 cells."""
     header = ["id"] + [f"x{j}" for j in range(1, dataset.d + 1)] + ["y"]
-    rows = zip(dataset.x.astype(int).tolist(), dataset.y.astype(int).tolist())
-    write_csv(path, header, ([i, *x, y] for i, (x, y) in enumerate(rows, 1)))
+    _write_binary_csv(path, header, np.column_stack([dataset.x, dataset.y]))
 
 
 def write_confounders_csv(path, confounders: np.ndarray) -> None:
     """Instructor diagnostics: the latent confounder columns, same row order."""
     header = ["id"] + [f"c{j}" for j in range(1, confounders.shape[1] + 1)]
-    rows = confounders.astype(int).tolist()
-    write_csv(path, header, ([i, *row] for i, row in enumerate(rows, 1)))
+    _write_binary_csv(path, header, confounders)
 
 
 def read_dataset_csv(path) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty file")
-        if len(header) < 3 or header[0] != "id" or header[-1] != "y":
-            raise DatasetFormatError(f"{path}: expected header id,x1,...,y")
-        d = len(header) - 2
-        if header[1:-1] != [f"x{j}" for j in range(1, d + 1)]:
-            raise DatasetFormatError(f"{path}: expected columns x1..x{d}")
-        xs, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 2:
+    """Read a contestant dataset: header id,x1..xd,y, then one row per
+    record whose x and y cells are 0 or 1 (the id cell is not checked).
+
+    A file in the layout write_dataset_csv produces is parsed as one byte
+    buffer; any other file goes through csv.reader, which accepts CRLF or CR
+    endings, quoted cells and a missing final newline, and raises
+    DatasetFormatError naming the line (and column) of the first fault."""
+    raw = Path(path).read_bytes()
+    dataset = _parse_written_layout(raw)
+    return dataset if dataset is not None else _parse_csv_rows(path, raw)
+
+
+def _parse_written_layout(raw: bytes) -> Dataset | None:
+    """The dataset in `raw`, or None unless it is in the writer's layout.
+
+    In ASCII with LF endings and no '"', csv.reader splits a line at every
+    ',' and nowhere else. So a data row is valid when its last 2(d + 1)
+    bytes are d + 1 ',c' pairs with c in {0, 1}; and once every row has its
+    d + 1 commas in that tail, a file-wide comma count of (n + 1)(d + 1)
+    leaves none for an id cell. Rejecting a file here only sends it to
+    _parse_csv_rows, which raises the error, if any."""
+    if not raw.isascii() or b'"' in raw or b"\r" in raw or not raw.endswith(b"\n"):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    header = raw[:ends[0]].split(b",")
+    d, n = len(header) - 2, len(ends) - 1
+    if d < 1 or n == 0 or header != [b"id", *(b"x%d" % j for j in range(1, d + 1)), b"y"]:
+        return None
+    if raw.count(b",") != (n + 1) * (d + 1):
+        return None
+    # A line shorter than `width` fails the tail check: the newline before
+    # it falls inside its window.
+    width = 2 * (d + 1)
+    tails = sliding_window_view(buf, width)[ends[1:] - width]
+    cells = tails[:, 1::2] - np.uint8(ord("0"))
+    if (tails[:, 0::2] != ord(",")).any() or (cells > 1).any():
+        return None
+    cells = cells.view(np.int8)
+    return Dataset(np.ascontiguousarray(cells[:, :-1]), cells[:, -1].copy())
+
+
+def _parse_csv_rows(path, raw: bytes) -> Dataset:
+    """Read `raw` through csv.reader, one record at a time, and raise
+    DatasetFormatError at the first line that breaks the layout."""
+    reader = csv.reader(_utf8_lines(path, raw))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetFormatError(f"{path}: empty file")
+    if len(header) < 3 or header[0] != "id" or header[-1] != "y":
+        raise DatasetFormatError(f"{path}: expected header id,x1,...,y")
+    d = len(header) - 2
+    if header[1:-1] != [f"x{j}" for j in range(1, d + 1)]:
+        raise DatasetFormatError(f"{path}: expected columns x1..x{d}")
+    xs, ys = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != d + 2:
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: expected {d + 2} fields, got {len(row)}")
+        for col, cell in zip(header[1:], row[1:]):
+            if cell not in ("0", "1"):
                 raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected {d + 2} fields, got {len(row)}")
-            for col, cell in zip(header[1:], row[1:]):
-                if cell not in ("0", "1"):
-                    raise DatasetFormatError(
-                        f"{path}: line {lineno}: column {col}: "
-                        f"expected 0 or 1, got {cell!r}")
-            xs.append([int(c) for c in row[1:-1]])
-            ys.append(int(row[-1]))
+                    f"{path}: line {lineno}: column {col}: "
+                    f"expected 0 or 1, got {cell!r}")
+        xs.append([int(c) for c in row[1:-1]])
+        ys.append(int(row[-1]))
     if not xs:
         raise DatasetFormatError(f"{path}: no data rows")
     return Dataset(np.array(xs, dtype=np.int8), np.array(ys, dtype=np.int8))
+
+
+def _utf8_lines(path, raw: bytes):
+    """The lines of `raw` with their endings, decoded as UTF-8 one at a
+    time, as open(path, newline="") hands them to csv.reader; a line that
+    is not UTF-8 raises DatasetFormatError naming it."""
+    for lineno, line in enumerate(raw.splitlines(keepends=True), start=1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: not UTF-8 text "
+                f"(byte {line[exc.start]:#04x}: {exc.reason})") from None
 
 
 # -- sealed truth ------------------------------------------------------------

@@ -196,6 +196,17 @@ class TestSelect:
         err = capsys.readouterr().err
         assert "line 3" in err and "column x2" in err
 
+    def test_dataset_not_utf8_names_line(self, contest_dir, tmp_path, capsys):
+        lines = (contest_dir / "dataset.csv").read_bytes().split(b"\n")
+        lines[3] = b"\xe9" + lines[3]
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"\n".join(lines))
+        code = run("select", "--method", "empty_baseline", "--data", bad,
+                   "--out", tmp_path / "s.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 4: not UTF-8" in err
+
 
 @pytest.fixture
 def classroom_files(tmp_path, classroom_truth):
@@ -332,3 +343,31 @@ def test_every_csv_output_ends_lines_in_newline(tmp_path, classroom_files, sim_c
                  tmp_path / "t" / "leaderboard.csv"):
         raw = path.read_bytes()
         assert raw.endswith(b"\n") and b"\r" not in raw, path.name
+
+
+@pytest.mark.parametrize("command", [
+    "simulate --config",
+    "select --data",
+    "select --config",
+    "score --truth",
+    "score submission",
+    "tournament --config",
+    "verify-truth --truth",
+])
+def test_missing_input_file_exit_2(tmp_path, contest_dir, classroom_files, capsys, command):
+    missing = tmp_path / "no_such_file"
+    truth_path, digest, subs = classroom_files
+    data = contest_dir / "dataset.csv"
+    argv = {
+        "simulate --config": ["simulate", "--config", missing, "--out", tmp_path / "o"],
+        "select --data": ["select", "--method", "empty_baseline", "--data", missing,
+                          "--out", tmp_path / "s.json"],
+        "select --config": ["select", "--method", "empty_baseline", "--data", data,
+                            "--config", missing, "--out", tmp_path / "s.json"],
+        "score --truth": ["score", "--truth", missing, *subs],
+        "score submission": ["score", "--truth", truth_path, subs[0], missing],
+        "tournament --config": ["tournament", "--config", missing, "--out", tmp_path / "t"],
+        "verify-truth --truth": ["verify-truth", "--truth", missing, "--digest", digest],
+    }[command]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"

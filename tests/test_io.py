@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import fields
 
@@ -26,7 +27,10 @@ from riskcontest.io import (
     sim_config_from_mapping,
     truth_from_dict,
     truth_to_dict,
+    _parse_written_layout,
     verify_commitment,
+    write_confounders_csv,
+    write_csv,
     write_dataset_csv,
     write_submission,
     write_truth_json,
@@ -87,6 +91,156 @@ class TestDatasetCsv:
         path.write_text("")
         with pytest.raises(DatasetFormatError):
             read_dataset_csv(path)
+
+    def test_not_utf8_names_line(self, tmp_path, small_dataset):
+        path = tmp_path / "d.csv"
+        write_dataset_csv(path, small_dataset)
+        lines = path.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b",", b"\xe9,", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DatasetFormatError, match=r"line 5: not UTF-8 text \(byte 0xe9"):
+            read_dataset_csv(path)
+
+    def test_written_file_takes_the_buffer_parse(self, tmp_path, small_dataset):
+        path = tmp_path / "d.csv"
+        write_dataset_csv(path, small_dataset)
+        parsed = _parse_written_layout(path.read_bytes())
+        assert np.array_equal(parsed.x, small_dataset.x)
+        assert np.array_equal(parsed.y, small_dataset.y)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (1, 70), (25, 70), (9, 3)])
+    def test_writers_match_write_csv(self, tmp_path, n, d):
+        """Both binary-matrix writers produce write_csv's bytes."""
+        rng = np.random.default_rng(1000 * n + d)
+        data = rc.Dataset(rng.integers(0, 2, (n, d)).astype(np.int8),
+                          rng.integers(0, 2, n).astype(np.int8))
+        write_dataset_csv(tmp_path / "fast.csv", data)
+        write_csv(tmp_path / "rows.csv", ["id", *(f"x{j}" for j in range(1, d + 1)), "y"],
+                  ([i, *x, y] for i, (x, y) in
+                   enumerate(zip(data.x.tolist(), data.y.tolist()), 1)))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        for k in (0, 1, d):
+            conf = (rng.random((n, k)) < 0.5).astype(float)
+            write_confounders_csv(tmp_path / "fast.csv", conf)
+            write_csv(tmp_path / "rows.csv", ["id", *(f"c{j}" for j in range(1, k + 1))],
+                      ([i, *row] for i, row in enumerate(conf.astype(int).tolist(), 1)))
+            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_writer_rejects_non_binary_cells(self, tmp_path):
+        with pytest.raises(ValidationError):
+            write_confounders_csv(tmp_path / "c.csv", np.array([[0.0, 2.0]]))
+
+
+def reference_read_dataset_csv(path) -> rc.Dataset:
+    """The csv.reader loop that read_dataset_csv replaced, kept as the
+    reference for the differential tests. Only the encoding, before the
+    locale's default, is spelled out."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetFormatError(f"{path}: empty file")
+        if len(header) < 3 or header[0] != "id" or header[-1] != "y":
+            raise DatasetFormatError(f"{path}: expected header id,x1,...,y")
+        d = len(header) - 2
+        if header[1:-1] != [f"x{j}" for j in range(1, d + 1)]:
+            raise DatasetFormatError(f"{path}: expected columns x1..x{d}")
+        xs, ys = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != d + 2:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}: expected {d + 2} fields, got {len(row)}")
+            for col, cell in zip(header[1:], row[1:]):
+                if cell not in ("0", "1"):
+                    raise DatasetFormatError(
+                        f"{path}: line {lineno}: column {col}: "
+                        f"expected 0 or 1, got {cell!r}")
+            xs.append([int(c) for c in row[1:-1]])
+            ys.append(int(row[-1]))
+    if not xs:
+        raise DatasetFormatError(f"{path}: no data rows")
+    return rc.Dataset(np.array(xs, dtype=np.int8), np.array(ys, dtype=np.int8))
+
+
+def read_outcome(read, path):
+    """What a reader returns (arrays with their dtypes) or raises (type and
+    message), in a form two readers can be compared by."""
+    try:
+        data = read(path)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return data.x.dtype, data.x.shape, data.x.tolist(), data.y.dtype, data.y.tolist()
+
+
+MUTATIONS = ("cell", "short", "long", "blank", "quote", "space", "nul", "bom", "empty_id")
+
+
+@st.composite
+def mutated_dataset_files(draw):
+    """The bytes of a written dataset after up to three mutations and a
+    choice of line ending and final newline."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = [["id", *(f"x{j}" for j in range(1, d + 1)), "y"]]
+    lines += [[str(i), *map(str, rng.integers(0, 2, d + 1))] for i in range(1, n + 1)]
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        r = draw(st.integers(0, len(lines) - 1))
+        fields = lines[r]
+        c = draw(st.integers(0, max(len(fields) - 1, 0)))
+        if kind == "blank":
+            lines.insert(r, [])
+        elif not fields:
+            continue
+        elif kind == "cell":
+            fields[c] = draw(st.sampled_from(["2", "", "a", "00", "-1", "1.0", "é"]))
+        elif kind == "short":
+            fields.pop()
+        elif kind == "long":
+            fields.append(draw(st.sampled_from(["0", "1", ""])))
+        elif kind == "quote":
+            fields[c] = draw(st.sampled_from(['"{}"', '"{}', '{}"', '"{}"""'])).format(fields[c])
+        elif kind == "space":
+            fields[c] = draw(st.sampled_from([" {}", "{} ", "{} {}"])).format(fields[c], fields[c])
+        elif kind == "nul":
+            fields[c] = draw(st.sampled_from(["\0{}", "{}\0"])).format(fields[c])
+        elif kind == "bom":
+            lines[0] = ["\ufeff" + lines[0][0], *lines[0][1:]] if lines[0] else ["\ufeff"]
+        elif kind == "empty_id":
+            fields[0] = ""
+    # Weighted towards the writer's LF endings, so both parses are reached.
+    ending = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    text = ending.join(",".join(fields) for fields in lines)
+    return (text + ending if draw(st.sampled_from([True, True, False])) else text).encode()
+
+
+class TestDatasetReaderAgainstReference:
+    """read_dataset_csv against the csv.reader loop it replaced: the same
+    arrays, or the same exception type and message, on every input."""
+
+    def check(self, path, raw):
+        path.write_bytes(raw)
+        expected = read_outcome(reference_read_dataset_csv, path)
+        assert read_outcome(read_dataset_csv, path) == expected
+        parsed = _parse_written_layout(raw)
+        if parsed is not None:  # the buffer parse accepts only what the loop accepts
+            assert read_outcome(lambda _: parsed, path) == expected
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_dataset_files())
+    def test_mutated_written_files(self, tmp_path, raw):
+        self.check(tmp_path / "d.csv", raw)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.sampled_from(["7,0,1,1", ",1,1,0", "a\0 ,0,0,1", "é,1,0,1",
+                                     '"7,0,1,1', '7",1,0,0', '"7""",0,1,0', "7\r8,0,1,1"])
+                    | st.text(alphabet='01,\r" a\0é', max_size=10), max_size=6),
+           st.booleans())
+    def test_arbitrary_lines_after_a_header(self, tmp_path, lines, final_newline):
+        text = "\n".join(["id,x1,x2,y", *lines]) + ("\n" if final_newline else "")
+        self.check(tmp_path / "d.csv", text.encode())
 
 
 class TestTruthFile:
