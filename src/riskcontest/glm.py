@@ -5,24 +5,32 @@ rows to their distinct values with trial and case counts, and the IRLS fit,
 the lasso path, the CV table and the bootstrap work on those counts. Pattern
 and row fits agree to a relative 1e-12 in coefficients, deviance, standard
 errors and CV deviance, and to about 1e-8 for an ill-conditioned fit refit
-with the separation ridge (tests/test_grouped.py). A bootstrap fit equals the
-fit of its resampled rows bit for bit.
+with the separation ridge (tests/test_grouped.py).
 
-PatternTable.cv_deviances scores many same-size column subsets through one
-batched kernel, _irls_batch: Newton/IRLS with step halving on M
-grouped-binomial problems at once, each keeping every rule of the scalar
-_irls (start, weight clip, halving test, DEVIANCE_RTOL, separation check and
-FALLBACK_RIDGE refit). Its sums run through np.einsum and .sum(axis=...),
-never matmul, so a member's result has the same bits whatever the batch
-size, the member's place in it or the chunk boundaries. It agrees with the
-scalar fold fits to a relative 1e-12 in CV deviance, 1e-6 for fits refit with
-the separation ridge. A quasi-separated fold fit that stops by DEVIANCE_RTOL
-with |beta| still under SEPARATION_BOUND and growing is the exception: the
-batched and scalar sums round differently, the two fits stop at slightly
-different beta, and their CV deviances can differ by about 1e-9 relative
-(1.7e-9 on a 208-row, 2-column contest whose fold had all 12 exposed rows as
-cases; beta stopped near 11.3, growing about 1 per iteration).
-fold_deviances, fit_logistic and bootstrap_fits stay on the scalar _irls.
+Every IRLS fit runs on one batched kernel, _irls_batch: Newton/IRLS with
+step halving on M grouped-binomial problems at once. Its sums run through
+np.einsum and .sum(axis=...), never matmul, so a member's result has the same
+bits whatever the batch size, the member's place in it or the chunk
+boundaries. fit_logistic is a batch of one; bootstrap_fits fits all its
+resamples, and PatternTable.subsets_fold_deviances every fold of many column
+subsets, through _irls_stacked. Each of those members keeps exactly its own
+patterns with trials, in _collapse order, and _irls_stacked stacks the
+members with the same number of them. So a bootstrap fit equals a
+fit_logistic refit of its resampled rows, and a fold's training deviance the
+fit_logistic fit of its training rows, bit for bit.
+
+PatternTable.cv_deviances scores many same-size column subsets on the
+full-factorial design of 2^s cells that every size-s subset of binary columns
+shares, or on all k patterns projected onto each subset's columns, absent
+cells getting no trials. Its CV deviances agree with those of the collapsed
+per-fold designs of fold_deviances to a relative 1e-12, 1e-6 for fits refit
+with the separation ridge. A quasi-separated fold fit that stops by
+DEVIANCE_RTOL with |beta| still under SEPARATION_BOUND and growing is the
+exception: the sums over the two designs round differently, the two fits
+stop at slightly different beta, and their CV deviances can differ by about
+1e-9 relative (1.7e-9 on a 208-row, 2-column contest whose fold had all 12
+exposed rows as cases; beta stopped near 11.3, growing about 1 per
+iteration).
 
 _lasso_path fits M lasso paths over one (k, p) pattern matrix at once, one
 member per row of (M, k) trial and case counts; PatternTable.lasso_cv_deviance
@@ -197,78 +205,6 @@ class CvPlan:
     assignments: np.ndarray
 
 
-def _irls(xmat, trials, successes, lam, trace=None):
-    """Newton/IRLS with step halving on the ridge-penalized deviance.
-
-    xmat includes the intercept column, which the ridge leaves unpenalized.
-    An unpenalized fit (lam = 0) that moves any |coefficient| past
-    SEPARATION_BOUND or meets a singular Newton system is refit with
-    FALLBACK_RIDGE, so every caller gets an estimate.
-    Returns (beta, deviance, converged, iterations, separated).
-    """
-    m, q = xmat.shape
-    total = float(trials.sum())
-    hits = float(successes.sum())
-    if hits <= 0.0 or hits >= total:
-        raise DegenerateOutcomeError("outcome vector contains a single class")
-
-    pen = np.ones(q)
-    pen[0] = 0.0
-
-    beta = np.zeros(q)
-    ybar = hits / total
-    beta[0] = math.log(ybar / (1.0 - ybar))
-    eta = xmat @ beta
-    dev = _grouped_deviance(eta, trials, successes)
-    obj = dev + lam * float(np.sum(pen * beta**2))
-    if trace is not None:
-        trace.append(dev)
-
-    for it in range(1, MAX_ITER + 1):
-        p = expit(eta)
-        # Clip per trial, so a pattern of t rows weighs what its rows do.
-        w = trials * np.maximum(p * (1.0 - p), 1e-10)
-        grad = xmat.T @ (successes - trials * p) - lam * pen * beta
-        hess = (xmat * w[:, None]).T @ xmat
-        if lam:
-            hess[np.arange(q), np.arange(q)] += lam * pen
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            if lam:
-                raise
-            break
-
-        # Step halving: accept the first candidate that does not increase the
-        # objective; if even the tiniest step fails we are at the optimum.
-        t = 1.0
-        for _ in range(30):
-            cand = beta + t * step
-            eta_c = xmat @ cand
-            dev_c = _grouped_deviance(eta_c, trials, successes)
-            obj_c = dev_c + lam * float(np.sum(pen * cand**2))
-            if obj_c <= obj * (1.0 + 1e-14) + 1e-14:
-                break
-            t *= 0.5
-        else:
-            return beta, dev, True, it, False
-
-        if not lam and float(np.max(np.abs(cand))) > SEPARATION_BOUND:
-            break
-
-        rel = abs(obj - obj_c) / (abs(obj) + 0.1)
-        beta, eta, dev, obj = cand, eta_c, dev_c, obj_c
-        if trace is not None:
-            trace.append(dev)
-        if rel < DEVIANCE_RTOL:
-            return beta, dev, True, it, False
-    else:
-        return beta, dev, False, MAX_ITER, False
-    # Separated or singular: only an unpenalized fit breaks out of the loop.
-    *fit, _ = _irls(xmat, trials, successes, FALLBACK_RIDGE, trace)
-    return (*fit, True)
-
-
 def _newton_steps(hess, grad, lam):
     """Solve every member's Newton system; under lam = 0 a singular member
     gets a zero step and a True in the returned mask."""
@@ -288,15 +224,22 @@ def _newton_steps(hess, grad, lam):
 
 
 def _irls_batch(design, trials, successes, lam):
-    """_irls on M grouped-binomial problems at once, with one ridge lam.
+    """Newton/IRLS with step halving on the ridge-penalized deviance of M
+    grouped-binomial problems at once, with one ridge lam.
 
-    design is (1 or M, m, q), intercept column first; a first axis of 1 is
-    shared by every member. trials and successes are (M, m), and a cell may
-    have no trials. Each member keeps _irls's rules: start, weight clip, step
-    halving, DEVIANCE_RTOL, and at lam = 0 the FALLBACK_RIDGE refit after
-    |coefficient| > SEPARATION_BOUND or a singular Newton system, which under
-    a ridge raises LinAlgError. A member leaves the batch when it finishes.
-    Returns beta (M, q), deviance (M,), converged (M,) and separated (M,).
+    design is (1 or M, m, q), intercept column first, which the ridge leaves
+    unpenalized; a first axis of 1 is shared by every member. trials and
+    successes are (M, m), and a cell may have no trials. Each member starts
+    at its log-odds intercept, clips its weights per trial, takes the first
+    of 30 halved Newton steps that does not raise its objective (none: it is
+    at its optimum) and converges when the objective moves by less than
+    DEVIANCE_RTOL relative. At lam = 0 a member that moves any |coefficient|
+    past SEPARATION_BOUND or meets a singular Newton system is refit with
+    FALLBACK_RIDGE, so every member gets an estimate; under a ridge a
+    singular system raises LinAlgError. A member leaves the batch when it
+    finishes. Returns beta (M, q), deviance (M,), converged (M,), separated
+    (M,) and iterations (M,): the refit's for a separated member, MAX_ITER
+    for one that did not converge.
     """
     n_members, q = len(trials), design.shape[-1]
     total, hits = trials.sum(axis=1), successes.sum(axis=1)
@@ -319,6 +262,7 @@ def _irls_batch(design, trials, successes, lam):
     out_dev = np.empty(n_members)
     converged = np.zeros(n_members, dtype=bool)
     separated = np.zeros(n_members, dtype=bool)
+    iterations = np.full(n_members, MAX_ITER)
     # The design is kept as (1 or M, q, m), so every sum runs over cells.
     xt = np.ascontiguousarray(design.transpose(0, 2, 1))
     shared = len(xt) == 1
@@ -327,7 +271,7 @@ def _irls_batch(design, trials, successes, lam):
     beta[:, 0] = [math.log(odds) for odds in (hits / total) / (1.0 - hits / total)]
     eta, dev, obj = score(xt, beta, t, c)
 
-    for _ in range(MAX_ITER):
+    for it in range(1, MAX_ITER + 1):
         p = expit(eta)
         w = t * np.maximum(p * (1.0 - p), 1e-10)
         grad = np.einsum("...k,...qk->...q", c - t * p, xt)
@@ -370,6 +314,7 @@ def _irls_batch(design, trials, successes, lam):
         if finished.any():
             converged[live[done]] = True
             separated[live[refit]] = True
+            iterations[live[finished]] = it
             out_beta[live[finished]], out_dev[live[finished]] = beta[finished], dev[finished]
             keep = ~finished
             live, beta, eta, dev, obj = live[keep], beta[keep], eta[keep], dev[keep], obj[keep]
@@ -382,9 +327,9 @@ def _irls_batch(design, trials, successes, lam):
 
     if separated.any():
         redo = np.flatnonzero(separated)
-        out_beta[redo], out_dev[redo], converged[redo], _ = _irls_batch(
+        out_beta[redo], out_dev[redo], converged[redo], _, iterations[redo] = _irls_batch(
             design if shared else design[redo], trials[redo], successes[redo], FALLBACK_RIDGE)
-    return out_beta, out_dev, converged, separated
+    return out_beta, out_dev, converged, separated, iterations
 
 
 def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY) -> FitResult:
@@ -404,34 +349,50 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY
     standard errors so Wald machinery stays usable.
     """
     patterns, trials, cases, _ = _pattern_counts(x, y)
-    return _fit_counts(patterns, trials, cases, penalty)
+    return _fit_counts(patterns, trials[None], cases[None], penalty)[0]
 
 
-def _fit_counts(patterns, trials, cases, penalty=NO_PENALTY) -> FitResult:
-    """fit_logistic on pattern counts; patterns with no trials are dropped."""
-    live = trials > 0
-    patterns, trials, cases = patterns[live], trials[live], cases[live]
-    n, p = int(trials.sum()), patterns.shape[1]
-    if n <= p:
-        raise ValidationError(f"need more rows than columns (n={n}, p={p})")
-    xmat = np.column_stack([np.ones(len(patterns)), patterns])
-    beta, dev, conv, it, separated = _irls(xmat, trials, cases, penalty.ridge_lam)
+def _irls_stacked(members, lam):
+    """_irls_batch on (design, trials, successes) members whose cells all
+    have trials; the members with the same number of cells run as one
+    batch. Returns one (beta, deviance, converged, separated, iterations)
+    per member."""
+    sizes = [len(trials) for _, trials, _ in members]
+    fits = [None] * len(members)
+    for m in sorted(set(sizes)):
+        group = [i for i, size in enumerate(sizes) if size == m]
+        batch = (np.stack(part) for part in zip(*(members[i] for i in group)))
+        for i, fit in zip(group, zip(*_irls_batch(*batch, lam))):
+            fits[i] = fit
+    return fits
 
-    std = None
-    if penalty.kind == "none" and conv:
-        prob = expit(xmat @ beta)
-        w = trials * np.maximum(prob * (1.0 - prob), 1e-10)
-        info = (xmat * w[:, None]).T @ xmat
-        if separated:
-            # Same stabilization that produced the estimate.
-            idx = np.arange(1, p + 1)
-            info[idx, idx] += FALLBACK_RIDGE
-        try:
-            std = np.sqrt(np.diag(np.linalg.inv(info)))
-        except np.linalg.LinAlgError:
-            std = None
 
-    return FitResult(beta, std, dev, conv, it, separated)
+def _fit_counts(patterns, trials, cases, penalty=NO_PENALTY) -> list[FitResult]:
+    """fit_logistic on each row of (M, k) trial and case counts over the k
+    patterns; each fit drops the patterns it has no trials on."""
+    n, p = trials.sum(axis=1), patterns.shape[1]
+    if np.any(n <= p):
+        raise ValidationError(f"need more rows than columns (n={int(n.min())}, p={p})")
+    design = np.column_stack([np.ones(len(patterns)), patterns])
+    members = [(design[t > 0], t[t > 0], c[t > 0]) for t, c in zip(trials, cases)]
+    results = []
+    for (xmat, t, _), (beta, dev, conv, separated, it) in zip(
+            members, _irls_stacked(members, penalty.ridge_lam)):
+        std = None
+        if penalty.kind == "none" and conv:
+            prob = expit(xmat @ beta)
+            w = t * np.maximum(prob * (1.0 - prob), 1e-10)
+            info = (xmat * w[:, None]).T @ xmat
+            if separated:
+                # Same stabilization that produced the estimate.
+                idx = np.arange(1, p + 1)
+                info[idx, idx] += FALLBACK_RIDGE
+            try:
+                std = np.sqrt(np.diag(np.linalg.inv(info)))
+            except np.linalg.LinAlgError:
+                std = None
+        results.append(FitResult(beta, std, float(dev), bool(conv), int(it), bool(separated)))
+    return results
 
 
 def wald_pvalues(fit: FitResult) -> np.ndarray:
@@ -465,9 +426,9 @@ class PatternTable:
     to score many column subsets. Rows labelled 0 are never held out.
 
     fold_deviances projects the patterns onto a subset's columns and fits
-    every fold's training counts, all rows minus the held-out ones, one fold
-    at a time; cv_deviances fits those of many same-size subsets in one
-    batched run; lasso_cv_deviance fits every fold's path.
+    every fold's training counts, all rows minus the held-out ones;
+    subsets_fold_deviances and cv_deviances fit those of many same-size
+    subsets in one batched run; lasso_cv_deviance fits every fold's path.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, plan: CvPlan):
@@ -504,16 +465,24 @@ class PatternTable:
     def fold_deviances(self, cols, penalty: PenaltySpec = NO_PENALTY) -> list[tuple[float, float]]:
         """(training deviance, held-out deviance) per fold of the model on the
         columns `cols`, in the order given, fit on the fold's training counts."""
-        sub, inv = _collapse(self.patterns[:, self._columns([cols])[0]])
-        design = np.column_stack([np.ones(len(sub)), sub])
-        all_n, all_c, *held = _pattern_sums(inv, len(sub), self.counts)
-        folds = []
-        for n_te, c_te in zip(held[:len(held) // 2], held[len(held) // 2:]):
-            live = all_n > n_te
-            beta, dev, *_ = _irls(design[live], (all_n - n_te)[live],
-                                  (all_c - c_te)[live], penalty.ridge_lam)
-            folds.append((dev, _grouped_deviance(design @ beta, n_te, c_te)))
-        return folds
+        return self.subsets_fold_deviances([cols], penalty)[0]
+
+    def subsets_fold_deviances(self, subsets, penalty: PenaltySpec = NO_PENALTY):
+        """fold_deviances of every row of an (M, s) array of column subsets;
+        all M x n_folds fold fits go to one _irls_stacked call."""
+        designs, held, members = [], [], []
+        for cols in self._columns(subsets):
+            sub, inv = _collapse(self.patterns[:, cols])
+            counts = _pattern_sums(inv, len(sub), self.counts)
+            designs.append(np.column_stack([np.ones(len(sub)), sub]))
+            held.append(counts[2:].reshape(2, self.n_folds, -1))
+            members += [(designs[-1][t > 0], t[t > 0], c[t > 0])
+                        for t, c in zip(*counts[:2, None] - held[-1])]
+        fits = _irls_stacked(members, penalty.ridge_lam)
+        f = self.n_folds
+        return [[(float(dev), _grouped_deviance(design @ beta, n_te, c_te))
+                 for (beta, dev, *_), n_te, c_te in zip(fits[i * f:(i + 1) * f], *h)]
+                for i, (design, h) in enumerate(zip(designs, held))]
 
     def cv_deviances(self, subsets, penalty: PenaltySpec = NO_PENALTY):
         """cv_deviance of every row of an (M, s) array of column subsets.
@@ -566,7 +535,7 @@ class PatternTable:
             a = np.broadcast_to(a, (self.n_folds, n_sub, a.shape[-1]))
             return a.transpose(1, 0, 2).reshape(n_sub * self.n_folds, -1)
 
-        beta, _, converged, separated = _irls_batch(
+        beta, _, converged, separated, _ = _irls_batch(
             design, members(all_n - held_n), members(all_c - held_c), lam)
         eta = np.einsum("...kq,...q->...k", design, beta)
         held = _deviances(eta, members(held_n), members(held_c)).reshape(n_sub, self.n_folds)
@@ -629,9 +598,11 @@ def bootstrap_fits(x: np.ndarray, y: np.ndarray, n_resamples: int,
     patterns, _, _, inv = _pattern_counts(x, y)
     y, k = np.asarray(y, dtype=float), len(patterns)
     resamples = (bootstrap_resample(y.size, rng) for _ in range(n_resamples))
-    return [_fit_counts(patterns, np.bincount(inv[idx], minlength=k),
+    # Only the (M, 2, k) counts are kept, not the M index arrays.
+    counts = np.array([(np.bincount(inv[idx], minlength=k),
                         np.bincount(inv[idx], weights=y[idx], minlength=k))
-            for idx in resamples]
+                       for idx in resamples]).reshape(n_resamples, 2, k)
+    return _fit_counts(patterns, counts[:, 0], counts[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -140,17 +140,23 @@ def _parse_csv_rows(path, raw: bytes) -> Dataset:
     return Dataset(np.array(xs, dtype=np.int8), np.array(ys, dtype=np.int8))
 
 
-def _utf8_lines(path, raw: bytes):
+def _utf8_lines(path, raw: bytes, error=DatasetFormatError):
     """The lines of `raw` with their endings, decoded as UTF-8 one at a
     time, as open(path, newline="") hands them to csv.reader; a line that
-    is not UTF-8 raises DatasetFormatError naming it."""
+    is not UTF-8 raises `error` naming it."""
     for lineno, line in enumerate(raw.splitlines(keepends=True), start=1):
         try:
             yield line.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise DatasetFormatError(
+            raise error(
                 f"{path}: line {lineno}: not UTF-8 text "
                 f"(byte {line[exc.start]:#04x}: {exc.reason})") from None
+
+
+def _read_text(path, error=ValidationError) -> str:
+    """The UTF-8 text of the file at path; a line that is not UTF-8 raises
+    `error` naming it."""
+    return "".join(_utf8_lines(path, Path(path).read_bytes(), error))
 
 
 # -- sealed truth ------------------------------------------------------------
@@ -180,7 +186,7 @@ def truth_from_dict(payload: dict) -> GroundTruth:
             for c in payload["confounders"]
         )
         prevalences = tuple(float(p) for p in payload["prevalences"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed truth payload: {exc}")
     return GroundTruth(relevant, effects, confounders, prevalences)
 
@@ -203,7 +209,7 @@ def write_truth_json(path, truth: GroundTruth, seed: int, salt: str) -> str:
 
 def read_truth_json(path) -> tuple[GroundTruth, dict]:
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}")
     return truth_from_dict(payload), payload
@@ -230,7 +236,7 @@ def write_submission(path, submission: Submission) -> None:
 def read_submission(path) -> Submission:
     """JSON submission, or the plain-text fallback of whitespace-separated
     1-based indices (team name taken from the file stem)."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
@@ -243,8 +249,11 @@ def read_submission(path) -> Submission:
         return Submission(Path(path).stem, selected)
     if not isinstance(payload, dict) or "selected" not in payload:
         raise ValidationError(f"{path}: submission JSON needs a 'selected' array")
+    selected = payload["selected"]
+    if not isinstance(selected, list) or any(type(j) is not int for j in selected):
+        raise ValidationError(f"{path}: 'selected' must be an array of integers")
     team = str(payload.get("team") or Path(path).stem)
-    selected = tuple(sorted(int(j) for j in payload["selected"]))
+    selected = tuple(sorted(selected))
     return Submission(team, selected, str(payload.get("method_report", "")))
 
 
@@ -253,7 +262,7 @@ def read_submission(path) -> Submission:
 def parse_config_file(path) -> dict[str, str]:
     """key = value lines; '#' starts a comment; later keys win."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, ConfigurationError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

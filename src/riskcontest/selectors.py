@@ -143,7 +143,7 @@ def select_team_a(data: Dataset, spec: SelectorSpec) -> Submission:
     test_devs: dict[int, float] = {}
     while len(chosen) < spec.size_max:
         # One fold: (training deviance, held-out deviance) per candidate.
-        devs = np.array([table.fold_deviances(chosen + [j])[0] for j in remaining])
+        devs = np.array(table.subsets_fold_deviances([chosen + [j] for j in remaining]))[:, 0]
         i = int(np.argmin(devs[:, 0]))  # ties: lowest column index
         chosen.append(remaining.pop(i))
         lines.append(f"forward step {len(chosen)}: add x{chosen[-1] + 1} "

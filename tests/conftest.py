@@ -1,7 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 import riskcontest as rc
+from riskcontest.errors import DegenerateOutcomeError
+from riskcontest.glm import (
+    DEVIANCE_RTOL,
+    FALLBACK_RIDGE,
+    MAX_ITER,
+    SEPARATION_BOUND,
+    _grouped_deviance,
+    expit,
+)
 
 # The recorded classroom contest used as the canonical regression fixture:
 # seven relevant variables out of twenty, effects as revealed after the game.
@@ -67,3 +78,72 @@ def null_dataset(n=400, d=6, prevalence=0.3, seed=0) -> rc.Dataset:
     y[: n // 2] = 1
     rng.shuffle(y)
     return rc.Dataset(x, y)
+
+
+def _irls(xmat, trials, successes, lam):
+    """Newton/IRLS with step halving on the ridge-penalized deviance, one
+    problem at a time with matmul sums: the reference for glm._irls_batch.
+
+    xmat includes the intercept column, which the ridge leaves unpenalized.
+    An unpenalized fit (lam = 0) that moves any |coefficient| past
+    SEPARATION_BOUND or meets a singular Newton system is refit with
+    FALLBACK_RIDGE, so every caller gets an estimate.
+    Returns (beta, deviance, converged, iterations, separated).
+    """
+    m, q = xmat.shape
+    total = float(trials.sum())
+    hits = float(successes.sum())
+    if hits <= 0.0 or hits >= total:
+        raise DegenerateOutcomeError("outcome vector contains a single class")
+
+    pen = np.ones(q)
+    pen[0] = 0.0
+
+    beta = np.zeros(q)
+    ybar = hits / total
+    beta[0] = math.log(ybar / (1.0 - ybar))
+    eta = xmat @ beta
+    dev = _grouped_deviance(eta, trials, successes)
+    obj = dev + lam * float(np.sum(pen * beta**2))
+
+    for it in range(1, MAX_ITER + 1):
+        p = expit(eta)
+        # Clip per trial, so a pattern of t rows weighs what its rows do.
+        w = trials * np.maximum(p * (1.0 - p), 1e-10)
+        grad = xmat.T @ (successes - trials * p) - lam * pen * beta
+        hess = (xmat * w[:, None]).T @ xmat
+        if lam:
+            hess[np.arange(q), np.arange(q)] += lam * pen
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            if lam:
+                raise
+            break
+
+        # Step halving: accept the first candidate that does not increase the
+        # objective; if even the tiniest step fails we are at the optimum.
+        t = 1.0
+        for _ in range(30):
+            cand = beta + t * step
+            eta_c = xmat @ cand
+            dev_c = _grouped_deviance(eta_c, trials, successes)
+            obj_c = dev_c + lam * float(np.sum(pen * cand**2))
+            if obj_c <= obj * (1.0 + 1e-14) + 1e-14:
+                break
+            t *= 0.5
+        else:
+            return beta, dev, True, it, False
+
+        if not lam and float(np.max(np.abs(cand))) > SEPARATION_BOUND:
+            break
+
+        rel = abs(obj - obj_c) / (abs(obj) + 0.1)
+        beta, eta, dev, obj = cand, eta_c, dev_c, obj_c
+        if rel < DEVIANCE_RTOL:
+            return beta, dev, True, it, False
+    else:
+        return beta, dev, False, MAX_ITER, False
+    # Separated or singular: only an unpenalized fit breaks out of the loop.
+    *fit, _ = _irls(xmat, trials, successes, FALLBACK_RIDGE)
+    return (*fit, True)

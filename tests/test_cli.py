@@ -345,7 +345,7 @@ def test_every_csv_output_ends_lines_in_newline(tmp_path, classroom_files, sim_c
         assert raw.endswith(b"\n") and b"\r" not in raw, path.name
 
 
-@pytest.mark.parametrize("command", [
+INPUT_FILES = [
     "simulate --config",
     "select --data",
     "select --config",
@@ -353,21 +353,45 @@ def test_every_csv_output_ends_lines_in_newline(tmp_path, classroom_files, sim_c
     "score submission",
     "tournament --config",
     "verify-truth --truth",
-])
-def test_missing_input_file_exit_2(tmp_path, contest_dir, classroom_files, capsys, command):
-    missing = tmp_path / "no_such_file"
+]
+
+
+def input_file_argv(command, path, tmp_path, contest_dir, classroom_files):
+    """The argv of `command` reading its input file from path."""
     truth_path, digest, subs = classroom_files
     data = contest_dir / "dataset.csv"
-    argv = {
-        "simulate --config": ["simulate", "--config", missing, "--out", tmp_path / "o"],
-        "select --data": ["select", "--method", "empty_baseline", "--data", missing,
+    return {
+        "simulate --config": ["simulate", "--config", path, "--out", tmp_path / "o"],
+        "select --data": ["select", "--method", "empty_baseline", "--data", path,
                           "--out", tmp_path / "s.json"],
         "select --config": ["select", "--method", "empty_baseline", "--data", data,
-                            "--config", missing, "--out", tmp_path / "s.json"],
-        "score --truth": ["score", "--truth", missing, *subs],
-        "score submission": ["score", "--truth", truth_path, subs[0], missing],
-        "tournament --config": ["tournament", "--config", missing, "--out", tmp_path / "t"],
-        "verify-truth --truth": ["verify-truth", "--truth", missing, "--digest", digest],
+                            "--config", path, "--out", tmp_path / "s.json"],
+        "score --truth": ["score", "--truth", path, *subs],
+        "score submission": ["score", "--truth", truth_path, subs[0], path],
+        "tournament --config": ["tournament", "--config", path, "--out", tmp_path / "t"],
+        "verify-truth --truth": ["verify-truth", "--truth", path, "--digest", digest],
     }[command]
-    assert run(*argv) == 2
+
+
+@pytest.mark.parametrize("command", INPUT_FILES)
+def test_missing_input_file_exit_2(tmp_path, contest_dir, classroom_files, capsys, command):
+    missing = tmp_path / "no_such_file"
+    assert run(*input_file_argv(command, missing, tmp_path, contest_dir, classroom_files)) == 2
     assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", INPUT_FILES)
+def test_input_file_not_utf8_exit_2(tmp_path, contest_dir, classroom_files, capsys, command):
+    bad = tmp_path / "latin1"
+    bad.write_bytes(b"n_cases = 10\xe9\n")
+    assert run(*input_file_argv(command, bad, tmp_path, contest_dir, classroom_files)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: not UTF-8 text (byte 0xe9")
+
+
+@pytest.mark.parametrize("selected", ["5", '["x"]', "[1.7]", "[true]"])
+def test_score_rejects_non_integer_selected(tmp_path, classroom_files, capsys, selected):
+    truth_path, digest, subs = classroom_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"team": "x", "selected": {selected}}}')
+    assert run("score", "--truth", truth_path, subs[0], bad) == 2
+    assert "'selected' must be an array of integers" in capsys.readouterr().err

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import riskcontest as rc
+from riskcontest import glm
 from riskcontest.errors import (
     DegenerateOutcomeError,
     StratificationError,
     UnsupportedFitError,
     ValidationError,
 )
-from riskcontest.glm import FitResult, _irls
+from riskcontest.glm import FitResult
 
 from conftest import planted_dataset, two_by_two
 
@@ -60,11 +61,17 @@ class TestFitLogistic:
             rc.fit_logistic(np.zeros((10, 1)), np.array([0, 1] * 5),
                             rc.PenaltySpec("lasso", 0.1))
 
-    def test_deviance_non_increasing_within_fit(self):
+    def test_deviance_non_increasing_within_fit(self, monkeypatch):
+        # A fit capped at i iterations stops at the deviance of iteration i.
         x, y = random_binary(300, 5, seed=2)
-        xmat = np.hstack([np.ones((300, 1)), x])
         trace: list[float] = []
-        _irls(xmat, np.ones(300), y, 0.0, trace=trace)
+        for cap in range(glm.MAX_ITER + 1):
+            monkeypatch.setattr(glm, "MAX_ITER", cap)
+            fit = rc.fit_logistic(x, y)
+            trace.append(fit.deviance)
+            if fit.converged:
+                break
+        assert fit.converged and not fit.separation_flag and len(trace) > 3
         assert all(b <= a * (1 + 1e-12) + 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_nesting_never_hurts_in_sample(self):

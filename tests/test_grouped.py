@@ -2,9 +2,10 @@
 
 glm fits every logistic model on distinct covariate patterns. The reference
 here fits the same data one row per observation, with unit trials, through
-the same grouped-binomial IRLS routine, so the two differ only in the order
-of floating-point sums. The batched kernel behind PatternTable.cv_deviances
-is checked against the scalar fold fits of PatternTable.fold_deviances.
+conftest's scalar IRLS, which keeps every rule of glm's batched kernel but
+sums with matmul, so the two differ only in the order of floating-point
+sums. The shared or projected designs of PatternTable.cv_deviances are
+checked against the per-fold designs of PatternTable.fold_deviances.
 """
 
 from itertools import combinations
@@ -19,9 +20,10 @@ from riskcontest.glm import (
     FALLBACK_RIDGE,
     NO_PENALTY,
     _grouped_deviance,
-    _irls,
     _irls_batch,
 )
+
+from conftest import _irls
 
 RTOL = 1e-12
 # A fit that separates is refit with a tiny ridge. That system is so
@@ -156,6 +158,19 @@ class TestFoldDeviances:
                                    rc.CvPlan(plan.n_folds, plan.assignments[perm]))
         assert permuted.fold_deviances(cols, penalty) == folds
 
+    @settings(max_examples=40, deadline=None)
+    @given(contests, st.sampled_from(PENALTIES), st.integers(0, 6))
+    def test_subsets_match_one_at_a_time(self, case, penalty, size):
+        """Subsets whose designs have different numbers of cells, fit in
+        one batch, keep the bits of their one-subset fits."""
+        x, y, rng = draw(**case)
+        plan = rc.make_folds(y, 3, rng)
+        table = rc.PatternTable(x, y, plan)
+        subsets = list(combinations(range(x.shape[1]), min(size, x.shape[1])))
+        subsets = [list(rng.permutation(cols)) for cols in subsets]
+        assert table.subsets_fold_deviances(subsets, penalty) == [
+            table.fold_deviances(cols, penalty) for cols in subsets]
+
 
 def test_wide_contest_keeps_every_column_distinct():
     """With 64 or more columns no integer code fits a row; the planted
@@ -224,8 +239,9 @@ class TestBatchedKernel:
     @settings(max_examples=80, deadline=None)
     @given(problems, st.sampled_from(PENALTIES))
     def test_batch_invariance(self, case, penalty):
-        """Every member's beta, deviance and flags have the same bits alone,
-        in the full batch, in a shuffled batch and in uneven chunks."""
+        """Every member's beta, deviance, flags and iterations have the same
+        bits alone, in the full batch, in a shuffled batch and in uneven
+        chunks."""
         design, trials, successes, rng = grouped_problems(**case)
         n = len(trials)
 

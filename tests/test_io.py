@@ -282,6 +282,12 @@ class TestTruthFile:
         with pytest.raises(ValidationError):
             truth_from_dict({"relevant": "nope"})
 
+    def test_non_integer_index(self, classroom_truth):
+        payload = truth_to_dict(classroom_truth, 1, "00" * 16)
+        payload["relevant"][0]["index"] = "x"
+        with pytest.raises(ValidationError, match="malformed truth payload"):
+            truth_from_dict(payload)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text("{broken")
@@ -314,6 +320,25 @@ class TestSubmissionFile:
         path.write_text('{"team": "x"}')
         with pytest.raises(ValidationError):
             read_submission(path)
+
+    @pytest.mark.parametrize("selected", ['5', '["x"]', '[1.7]', '[true]', '[2, 1.0]', '"3 6"'])
+    def test_selected_must_be_integer_array(self, tmp_path, selected):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"team": "x", "selected": {selected}}}')
+        with pytest.raises(ValidationError, match="'selected' must be an array of integers"):
+            read_submission(path)
+
+
+@pytest.mark.parametrize("read, error", [
+    (parse_config_file, ConfigurationError),
+    (read_truth_json, ValidationError),
+    (read_submission, ValidationError),
+])
+def test_text_file_not_utf8_names_line(tmp_path, read, error):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# contest\nn_cases = 10\xe9\n")
+    with pytest.raises(error, match=r"latin1.txt: line 2: not UTF-8 text \(byte 0xe9"):
+        read(path)
 
 
 class TestConfigFiles:

@@ -12,9 +12,9 @@ from riskcontest.errors import (
     UnsupportedFitError,
     ValidationError,
 )
-from riskcontest.glm import _collapse, _irls, _pattern_sums, cv_deviance, make_folds
+from riskcontest.glm import _collapse, _pattern_sums, cv_deviance, make_folds
 
-from conftest import null_dataset, planted_dataset
+from conftest import _irls, null_dataset, planted_dataset
 
 
 def permute_columns(data: rc.Dataset, perm: np.ndarray) -> rc.Dataset:
