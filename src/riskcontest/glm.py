@@ -11,26 +11,19 @@ Every IRLS fit runs on one batched kernel, _irls_batch: Newton/IRLS with
 step halving on M grouped-binomial problems at once. Its sums run through
 np.einsum and .sum(axis=...), never matmul, so a member's result has the same
 bits whatever the batch size, the member's place in it or the chunk
-boundaries. fit_logistic is a batch of one; bootstrap_fits fits all its
-resamples, and PatternTable.subsets_fold_deviances every fold of many column
-subsets, through _irls_stacked. Each of those members keeps exactly its own
-patterns with trials, in _collapse order, and _irls_stacked stacks the
-members with the same number of them. So a bootstrap fit equals a
-fit_logistic refit of its resampled rows, and a fold's training deviance the
-fit_logistic fit of its training rows, bit for bit.
+boundaries. _fit_members takes the fits as (member, cell) entries and runs
+the members with the same number of cells as one batch. fit_logistic is a
+batch of one and bootstrap_fits fits all its resamples at once, each keeping
+exactly its patterns with trials.
 
-PatternTable.cv_deviances scores many same-size column subsets on the
-full-factorial design of 2^s cells that every size-s subset of binary columns
-shares, or on all k patterns projected onto each subset's columns, absent
-cells getting no trials. Its CV deviances agree with those of the collapsed
-per-fold designs of fold_deviances to a relative 1e-12, 1e-6 for fits refit
-with the separation ridge. A quasi-separated fold fit that stops by
-DEVIANCE_RTOL with |beta| still under SEPARATION_BOUND and growing is the
-exception: the sums over the two designs round differently, the two fits
-stop at slightly different beta, and their CV deviances can differ by about
-1e-9 relative (1.7e-9 on a 208-row, 2-column contest whose fold had all 12
-exposed rows as cases; beta stopped near 11.3, growing about 1 per
-iteration).
+PatternTable._fold_fits is the one cross-validation routine: team_a's
+holdout steps, team_c's exhaustive search, the ridge CV curve and cv_deviance
+all read it. It projects the table's patterns onto each subset's columns and
+collapses them as _collapse would, so fold fit (subset, fold) keeps exactly
+the subset's cells with training trials, in _collapse order. A fold's
+training deviance therefore equals the fit_logistic fit of its training
+rows bit for bit, its held-out deviance is summed cell by cell, and
+cv_deviances is the held-out sum of fold_deviances over n_held, bit for bit.
 
 _lasso_path fits M lasso paths over one (k, p) pattern matrix at once, one
 member per row of (M, k) trial and case counts; PatternTable.lasso_cv_deviance
@@ -69,8 +62,8 @@ MAX_ITER = 100
 DEVIANCE_RTOL = 1e-10
 SEPARATION_BOUND = 15.0
 FALLBACK_RIDGE = 1e-6
-# Elements, summed over its working arrays, of one chunk of fold fits in
-# PatternTable.cv_deviances: 0.8 MB of float64.
+# (fold fit, pattern) pairs in one chunk of PatternTable._fold_fits; a fold
+# fit has at most one cell per pattern.
 BATCH_ELEMENTS = 100_000
 
 
@@ -85,10 +78,6 @@ def _deviances(eta, trials, successes):
     # -2 * log-likelihood of binomial logit models over the last axis,
     # binomial constants omitted.
     return 2.0 * (trials * np.logaddexp(0.0, eta) - successes * eta).sum(axis=-1)
-
-
-def _grouped_deviance(eta: np.ndarray, trials: np.ndarray, successes: np.ndarray) -> float:
-    return float(_deviances(eta, trials, successes))
 
 
 def _collapse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,18 +197,15 @@ class CvPlan:
 def _newton_steps(hess, grad, lam):
     """Solve every member's Newton system; under lam = 0 a singular member
     gets a zero step and a True in the returned mask."""
-    singular = np.zeros(len(grad), dtype=bool)
     try:
-        return np.linalg.solve(hess, grad[..., None])[..., 0], singular
+        return np.linalg.solve(hess, grad[..., None])[..., 0], np.zeros(len(grad), dtype=bool)
     except np.linalg.LinAlgError:
         if lam:
             raise
+    # Sign 0 marks a zero LU pivot, the condition on which solve raises.
+    singular = np.linalg.slogdet(hess)[0] == 0.0
     steps = np.zeros_like(grad)
-    for i in range(len(grad)):
-        try:
-            steps[i] = np.linalg.solve(hess[i], grad[i, :, None])[:, 0]
-        except np.linalg.LinAlgError:
-            singular[i] = True
+    steps[~singular] = np.linalg.solve(hess[~singular], grad[~singular, :, None])[..., 0]
     return steps, singular
 
 
@@ -227,19 +213,18 @@ def _irls_batch(design, trials, successes, lam):
     """Newton/IRLS with step halving on the ridge-penalized deviance of M
     grouped-binomial problems at once, with one ridge lam.
 
-    design is (1 or M, m, q), intercept column first, which the ridge leaves
-    unpenalized; a first axis of 1 is shared by every member. trials and
-    successes are (M, m), and a cell may have no trials. Each member starts
-    at its log-odds intercept, clips its weights per trial, takes the first
-    of 30 halved Newton steps that does not raise its objective (none: it is
-    at its optimum) and converges when the objective moves by less than
-    DEVIANCE_RTOL relative. At lam = 0 a member that moves any |coefficient|
-    past SEPARATION_BOUND or meets a singular Newton system is refit with
-    FALLBACK_RIDGE, so every member gets an estimate; under a ridge a
-    singular system raises LinAlgError. A member leaves the batch when it
-    finishes. Returns beta (M, q), deviance (M,), converged (M,), separated
-    (M,) and iterations (M,): the refit's for a separated member, MAX_ITER
-    for one that did not converge.
+    design is (M, m, q), intercept column first, which the ridge leaves
+    unpenalized; trials and successes are (M, m), and a cell may have no
+    trials. Each member starts at its log-odds intercept, clips its weights
+    per trial, takes the first of 30 halved Newton steps that does not raise
+    its objective (none: it is at its optimum) and converges when the
+    objective moves by less than DEVIANCE_RTOL relative. At lam = 0 a member
+    that moves any |coefficient| past SEPARATION_BOUND or meets a singular
+    Newton system is refit with FALLBACK_RIDGE, so every member gets an
+    estimate; under a ridge a singular system raises LinAlgError. A member
+    leaves the batch when it finishes. Returns beta (M, q), deviance (M,),
+    converged (M,), separated (M,) and iterations (M,): the refit's for a
+    separated member, MAX_ITER for one that did not converge.
     """
     n_members, q = len(trials), design.shape[-1]
     total, hits = trials.sum(axis=1), successes.sum(axis=1)
@@ -263,9 +248,8 @@ def _irls_batch(design, trials, successes, lam):
     converged = np.zeros(n_members, dtype=bool)
     separated = np.zeros(n_members, dtype=bool)
     iterations = np.full(n_members, MAX_ITER)
-    # The design is kept as (1 or M, q, m), so every sum runs over cells.
+    # The design is kept as (M, q, m), so every sum runs over cells.
     xt = np.ascontiguousarray(design.transpose(0, 2, 1))
-    shared = len(xt) == 1
     live, t, c = np.arange(n_members), trials, successes
     beta = out_beta.copy()
     beta[:, 0] = [math.log(odds) for odds in (hits / total) / (1.0 - hits / total)]
@@ -291,7 +275,7 @@ def _irls_batch(design, trials, successes, lam):
             if not halving.size:
                 break
             b = beta[halving] + 0.5**j * step[halving]
-            e, d, o = score(xt if shared else xt[halving], b, t[halving], c[halving])
+            e, d, o = score(xt[halving], b, t[halving], c[halving])
             ok = accepted(o, obj[halving])
             took = halving[ok]
             cand[took], eta_c[took], dev_c[took], obj_c[took] = b[ok], e[ok], d[ok], o[ok]
@@ -318,9 +302,7 @@ def _irls_batch(design, trials, successes, lam):
             out_beta[live[finished]], out_dev[live[finished]] = beta[finished], dev[finished]
             keep = ~finished
             live, beta, eta, dev, obj = live[keep], beta[keep], eta[keep], dev[keep], obj[keep]
-            t, c = t[keep], c[keep]
-            if not shared:
-                xt = xt[keep]
+            xt, t, c = xt[keep], t[keep], c[keep]
             if not live.size:
                 break
     out_beta[live], out_dev[live] = beta, dev
@@ -328,7 +310,7 @@ def _irls_batch(design, trials, successes, lam):
     if separated.any():
         redo = np.flatnonzero(separated)
         out_beta[redo], out_dev[redo], converged[redo], _, iterations[redo] = _irls_batch(
-            design if shared else design[redo], trials[redo], successes[redo], FALLBACK_RIDGE)
+            design[redo], trials[redo], successes[redo], FALLBACK_RIDGE)
     return out_beta, out_dev, converged, separated, iterations
 
 
@@ -352,18 +334,24 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY
     return _fit_counts(patterns, trials[None], cases[None], penalty)[0]
 
 
-def _irls_stacked(members, lam):
-    """_irls_batch on (design, trials, successes) members whose cells all
-    have trials; the members with the same number of cells run as one
-    batch. Returns one (beta, deviance, converged, separated, iterations)
-    per member."""
-    sizes = [len(trials) for _, trials, _ in members]
-    fits = [None] * len(members)
-    for m in sorted(set(sizes)):
-        group = [i for i, size in enumerate(sizes) if size == m]
-        batch = (np.stack(part) for part in zip(*(members[i] for i in group)))
-        for i, fit in zip(group, zip(*_irls_batch(*batch, lam))):
-            fits[i] = fit
+def _fit_members(design, member, cell, trials, successes, n_members, lam):
+    """_irls_batch on n_members problems given entry by entry: entry e puts
+    trials[e] and successes[e] on row cell[e] of the (cells, q) design in
+    member member[e], the entries sorted by member, then by cell. The
+    members with the same number of entries run as one batch. Returns beta
+    (M, q), deviance (M,), converged (M,), separated (M,) and iterations
+    (M,)."""
+    sizes = np.bincount(member, minlength=n_members)
+    starts = np.cumsum(sizes) - sizes
+    fits = (np.empty((n_members, design.shape[1])), np.empty(n_members),
+            np.empty(n_members, dtype=bool), np.empty(n_members, dtype=bool),
+            np.empty(n_members, dtype=int))
+    for m in np.flatnonzero(np.bincount(sizes)):
+        group = np.flatnonzero(sizes == m)
+        idx = starts[group, None] + np.arange(m)
+        for out, part in zip(fits, _irls_batch(design[cell[idx]], trials[idx],
+                                               successes[idx], lam)):
+            out[group] = part
     return fits
 
 
@@ -374,12 +362,14 @@ def _fit_counts(patterns, trials, cases, penalty=NO_PENALTY) -> list[FitResult]:
     if np.any(n <= p):
         raise ValidationError(f"need more rows than columns (n={int(n.min())}, p={p})")
     design = np.column_stack([np.ones(len(patterns)), patterns])
-    members = [(design[t > 0], t[t > 0], c[t > 0]) for t, c in zip(trials, cases)]
+    member, cell = np.nonzero(trials)
+    fits = _fit_members(design, member, cell, trials[member, cell], cases[member, cell],
+                        len(trials), penalty.ridge_lam)
     results = []
-    for (xmat, t, _), (beta, dev, conv, separated, it) in zip(
-            members, _irls_stacked(members, penalty.ridge_lam)):
+    for t, (beta, dev, conv, separated, it) in zip(trials, zip(*fits)):
         std = None
         if penalty.kind == "none" and conv:
+            xmat, t = design[t > 0], t[t > 0]
             prob = expit(xmat @ beta)
             w = t * np.maximum(prob * (1.0 - prob), 1e-10)
             info = (xmat * w[:, None]).T @ xmat
@@ -425,10 +415,10 @@ class PatternTable:
     all rows and in the held-out rows of every fold of a CvPlan, built once
     to score many column subsets. Rows labelled 0 are never held out.
 
-    fold_deviances projects the patterns onto a subset's columns and fits
-    every fold's training counts, all rows minus the held-out ones;
-    subsets_fold_deviances and cv_deviances fit those of many same-size
-    subsets in one batched run; lasso_cv_deviance fits every fold's path.
+    fold_deviances, subsets_fold_deviances and cv_deviances read _fold_fits,
+    which projects the patterns onto each subset's columns and fits every
+    fold's training counts, all rows minus the held-out ones, in batched
+    runs; lasso_cv_deviance fits every fold's path.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, plan: CvPlan):
@@ -442,7 +432,10 @@ class PatternTable:
             inv, len(self.patterns), np.vstack([held, held * y]))])
         self.n_folds, self.n_held = plan.n_folds, int(held.sum())
         self.min_train = inv.size - int(held.sum(axis=1).max())
-        self.binary = bool(np.all((self.patterns == 0) | (self.patterns == 1)))
+        # Each column's values as dense ranks: _project's compact sort keys.
+        k = len(self.patterns)
+        self.ranks = np.array([_collapse(col[:, None])[1] for col in self.patterns.T],
+                              np.min_scalar_type(k)).reshape(-1, k)
 
     def _columns(self, subsets) -> np.ndarray:
         """subsets as an (M, s) array whose rows are s distinct columns of x,
@@ -468,79 +461,74 @@ class PatternTable:
         return self.subsets_fold_deviances([cols], penalty)[0]
 
     def subsets_fold_deviances(self, subsets, penalty: PenaltySpec = NO_PENALTY):
-        """fold_deviances of every row of an (M, s) array of column subsets;
-        all M x n_folds fold fits go to one _irls_stacked call."""
-        designs, held, members = [], [], []
-        for cols in self._columns(subsets):
-            sub, inv = _collapse(self.patterns[:, cols])
-            counts = _pattern_sums(inv, len(sub), self.counts)
-            designs.append(np.column_stack([np.ones(len(sub)), sub]))
-            held.append(counts[2:].reshape(2, self.n_folds, -1))
-            members += [(designs[-1][t > 0], t[t > 0], c[t > 0])
-                        for t, c in zip(*counts[:2, None] - held[-1])]
-        fits = _irls_stacked(members, penalty.ridge_lam)
-        f = self.n_folds
-        return [[(float(dev), _grouped_deviance(design @ beta, n_te, c_te))
-                 for (beta, dev, *_), n_te, c_te in zip(fits[i * f:(i + 1) * f], *h)]
-                for i, (design, h) in enumerate(zip(designs, held))]
+        """fold_deviances of every row of an (M, s) array of column subsets."""
+        train, held, _, _ = self._fold_fits(subsets, penalty.ridge_lam)
+        return [list(zip(t, h)) for t, h in zip(train.tolist(), held.tolist())]
 
     def cv_deviances(self, subsets, penalty: PenaltySpec = NO_PENALTY):
         """cv_deviance of every row of an (M, s) array of column subsets.
 
         Returns the M deviances and two (M, n_folds) masks: the fold fits
         refit with FALLBACK_RIDGE, and the fold fits that converged.
-        When x is binary and 2^s <= k, the number of distinct patterns, every
-        subset shares the full-factorial design of 2^s cells, absent cells
-        getting no trials; otherwise a subset's design is the k patterns
-        projected onto its columns. _irls_batch fits every subset x fold, in
-        chunks whose working arrays hold about BATCH_ELEMENTS elements.
         """
-        subsets = self._columns(subsets)
         if not self.n_held:
             raise ValidationError("the plan holds out no row")
-        s, k = subsets.shape[1], len(self.patterns)
-        factorial = self.binary and 2**s <= k
-        # A fold fit's share of the working arrays, as measured: a dozen
-        # arrays of its m cells and its weighted design, q per cell, then its
-        # share of the pattern counts, or its own design and transpose.
-        m, q = (2**s if factorial else k), s + 1
-        per_fit = m * (12 + q) + k * (1 if factorial else 2 * q)
-        chunk = max(1, BATCH_ELEMENTS // (self.n_folds * per_fit))
-        parts = [self._score_chunk(subsets[i:i + chunk], factorial, penalty.ridge_lam)
-                 for i in range(0, len(subsets), chunk)]
+        _, held, refit, converged = self._fold_fits(subsets, penalty.ridge_lam)
+        # Summed fold by fold, as sum() adds up the fold_deviances.
+        return sum(held.T) / self.n_held, refit, converged
+
+    def _fold_fits(self, subsets, lam):
+        """Fit every fold of every row of an (M, s) array of column subsets
+        on its training counts, in chunks of about BATCH_ELEMENTS fold fit x
+        pattern pairs. Returns (M, n_folds) arrays: the training deviance,
+        the held-out deviance, the refit mask and the converged mask."""
+        subsets = self._columns(subsets)
+        chunk = max(1, BATCH_ELEMENTS // (self.n_folds * len(self.patterns)))
+        parts = [self._fit_chunk(part, lam)
+                 for part in np.array_split(subsets, -(-len(subsets) // chunk))]
         return tuple(np.concatenate(part) for part in zip(*parts))
 
-    def _score_chunk(self, subsets, factorial, lam):
-        n_sub, s = subsets.shape
-        if factorial:
-            design = np.column_stack(
-                [np.ones(2**s), np.arange(2**s)[:, None] >> np.arange(s) & 1])[None]
-            # Each pattern's cell: bit j is its value on the subset's column j.
-            cells = np.repeat(np.arange(n_sub)[:, None] << s, len(self.patterns), axis=1)
-            for j, col in enumerate(subsets.T):
-                cells += self.patterns.T[col].astype(np.intp) << j
-            counts = np.array([np.bincount(cells.ravel(), np.tile(row, n_sub), n_sub << s)
-                               for row in self.counts]).reshape(len(self.counts), n_sub, 2**s)
-        else:
-            projected = self.patterns[:, subsets].transpose(1, 0, 2)  # (n_sub, k, s)
-            design = np.repeat(np.concatenate(
-                [np.ones(projected.shape[:2] + (1,)), projected], axis=2), self.n_folds, axis=0)
-            counts = self.counts[:, None]
-        all_n, all_c = counts[:2]
-        held_n, held_c = np.split(counts[2:], 2)
+    def _project(self, subsets):
+        """The patterns of every row of an (M, s) array of column subsets,
+        projected onto its columns and collapsed as _collapse does: sorted
+        with the subset's last column as the primary key. Returns the design
+        of the distinct rows, subset after subset, with an intercept column,
+        each row's subset and the (2 + 2 n_folds, rows) counts."""
+        (n_sub, s), k = subsets.shape, len(self.patterns)
+        keys = self.ranks[subsets.T]  # (s, n_sub, k)
+        order = (np.lexsort(keys, axis=-1) if s
+                 else np.broadcast_to(np.arange(k), (n_sub, k)))
+        keys = np.take_along_axis(keys, order[None], axis=2)
+        first = np.ones((n_sub, k), dtype=bool)
+        np.any(keys[:, :, 1:] != keys[:, :, :-1], axis=0, out=first[:, 1:])
+        starts = np.flatnonzero(first)
+        owner = starts // k
+        order = order.ravel()
+        design = np.column_stack([np.ones(len(starts)),
+                                  self.patterns[order[starts, None], subsets[owner]]])
+        counts = np.array([np.add.reduceat(row[order], starts) for row in self.counts])
+        return design, owner, counts
 
-        def members(a):
-            # (n_folds, n_sub or 1, m) to one row per fold fit, fit (i, f)
-            # of subset i and fold f at row i * n_folds + f.
-            a = np.broadcast_to(a, (self.n_folds, n_sub, a.shape[-1]))
-            return a.transpose(1, 0, 2).reshape(n_sub * self.n_folds, -1)
+    def _fit_chunk(self, subsets, lam):
+        n_sub, f = len(subsets), self.n_folds
+        design, owner, counts = self._project(subsets)
+        held_n, held_c = counts[2:2 + f], counts[2 + f:]
+        train_n, train_c = counts[0] - held_n, counts[1] - held_c
 
-        beta, _, converged, separated, _ = _irls_batch(
-            design, members(all_n - held_n), members(all_c - held_c), lam)
-        eta = np.einsum("...kq,...q->...k", design, beta)
-        held = _deviances(eta, members(held_n), members(held_c)).reshape(n_sub, self.n_folds)
-        return (held.sum(axis=1) / self.n_held, separated.reshape(n_sub, self.n_folds),
-                converged.reshape(n_sub, self.n_folds))
+        # Fold fit (i, fold) is member fold * n_sub + i; it keeps exactly the
+        # cells of subset i with training trials, in cell order.
+        fold, cell = np.nonzero(train_n)
+        beta, train_dev, converged, separated, _ = _fit_members(
+            design, fold * n_sub + owner[cell], cell, train_n[fold, cell], train_c[fold, cell],
+            n_sub * f, lam)
+
+        # Held-out deviance, summed per member in cell order.
+        fold, cell = np.nonzero(held_n)
+        member = fold * n_sub + owner[cell]
+        eta = np.einsum("eq,eq->e", design[cell], beta[member])
+        terms = held_n[fold, cell] * np.logaddexp(0.0, eta) - held_c[fold, cell] * eta
+        held_dev = 2.0 * np.bincount(member, terms, n_sub * f)
+        return tuple(a.reshape(f, n_sub).T for a in (train_dev, held_dev, separated, converged))
 
     def cv_deviance(self, subset, penalty: PenaltySpec = NO_PENALTY) -> float:
         """cv_deviance(x, y, subset, plan, penalty) on this table's x, y and plan."""

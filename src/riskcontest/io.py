@@ -176,12 +176,19 @@ def truth_to_dict(truth: GroundTruth, seed: int, salt: str) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    # int() would read 3.7, true and "3" as 3, 1 and 3.
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def truth_from_dict(payload: dict) -> GroundTruth:
     try:
-        relevant = tuple(int(e["index"]) for e in payload["relevant"])
-        effects = {int(e["index"]): float(e["log_or"]) for e in payload["relevant"]}
+        relevant = tuple(_json_int(e["index"]) for e in payload["relevant"])
+        effects = {_json_int(e["index"]): float(e["log_or"]) for e in payload["relevant"]}
         confounders = tuple(
-            Confounder(float(c["log_or"]), tuple(int(j) for j in c["linked"]),
+            Confounder(float(c["log_or"]), tuple(_json_int(j) for j in c["linked"]),
                        float(c["prevalence"]))
             for c in payload["confounders"]
         )

@@ -221,13 +221,12 @@ def select_team_c(data: Dataset, spec: SelectorSpec) -> Submission:
     Enumerates every subset of sizes size_min..size_max, scores each by
     k-fold held-out deviance on one shared fold assignment, and returns the
     argmin; ties go to the smaller, then lexicographically first subset.
-    PatternTable.cv_deviances scores all subsets of one size together, every
-    subset x fold fit in one batched IRLS run. A size-s subset of binary
-    columns has at most 2^s covariate patterns, so while 2^s is below the
-    number of distinct patterns all subsets of a size share one design of
-    2^s cells. The report counts the fold fits, those refit with the
-    separation ridge and those that did not converge; the scores use the
-    refits as they are.
+    PatternTable.cv_deviances scores all subsets of one size together: each
+    subset x fold fit keeps the subset's covariate patterns with training
+    rows, and the fits with the same number of them run as one batched IRLS
+    run. The report counts the fold fits, those refit with the separation
+    ridge and those that did not converge; the scores use the refits as
+    they are.
     """
     n_subsets = sum(math.comb(data.d, s)
                     for s in range(spec.size_min, spec.size_max + 1))

@@ -10,7 +10,7 @@ from riskcontest.glm import (
     FALLBACK_RIDGE,
     MAX_ITER,
     SEPARATION_BOUND,
-    _grouped_deviance,
+    _deviances,
     expit,
 )
 
@@ -78,6 +78,12 @@ def null_dataset(n=400, d=6, prevalence=0.3, seed=0) -> rc.Dataset:
     y[: n // 2] = 1
     rng.shuffle(y)
     return rc.Dataset(x, y)
+
+
+def _grouped_deviance(eta, trials, successes) -> float:
+    """-2 log-likelihood of one grouped-binomial logit model, binomial
+    constants omitted."""
+    return float(_deviances(eta, trials, successes))
 
 
 def _irls(xmat, trials, successes, lam):

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line surface (exit codes, files, console)."""
 
+import json
+
 import pytest
 
 import riskcontest as rc
@@ -395,3 +397,14 @@ def test_score_rejects_non_integer_selected(tmp_path, classroom_files, capsys, s
     bad.write_text(f'{{"team": "x", "selected": {selected}}}')
     assert run("score", "--truth", truth_path, subs[0], bad) == 2
     assert "'selected' must be an array of integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", [3.7, True, "3"])
+def test_score_rejects_non_integer_truth_index(tmp_path, classroom_files, capsys, index):
+    truth_path, digest, subs = classroom_files
+    payload = json.loads(truth_path.read_text())
+    payload["relevant"][0]["index"] = index
+    bad = tmp_path / "bad_truth.json"
+    bad.write_text(json.dumps(payload))
+    assert run("score", "--truth", bad, *subs) == 2
+    assert "malformed truth payload" in capsys.readouterr().err

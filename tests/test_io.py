@@ -288,6 +288,19 @@ class TestTruthFile:
         with pytest.raises(ValidationError, match="malformed truth payload"):
             truth_from_dict(payload)
 
+    @pytest.mark.parametrize("bad", [3.7, 3.0, True, "3"])
+    @pytest.mark.parametrize("field", ["index", "linked"])
+    def test_indices_must_be_json_integers(self, classroom_truth, field, bad):
+        payload = truth_to_dict(classroom_truth, 1, "00" * 16)
+        payload["confounders"] = [{"log_or": 0.5, "linked": [3], "prevalence": 0.2}]
+        truth_from_dict(payload)
+        if field == "index":
+            payload["relevant"][0]["index"] = bad
+        else:
+            payload["confounders"][0]["linked"] = [bad]
+        with pytest.raises(ValidationError, match="malformed truth payload"):
+            truth_from_dict(payload)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text("{broken")

@@ -34,6 +34,21 @@ class TestConfusionCounts:
     def test_accepts_plain_index_sets(self):
         assert rc.confusion_counts(submission(1, 2), {2, 3}, 5) == (1, 1, 2, 1)
 
+    @given(st.data(), st.integers(1, 60))
+    def test_counts_partition_the_variables(self, data, d):
+        """TP + FP + TN + FN = d, each count >= 0, for every submission and
+        truth over d variables."""
+        indices = st.sets(st.integers(1, d))
+        relevant = sorted(data.draw(indices))
+        truth = rc.GroundTruth(tuple(relevant), {j: 0.5 for j in relevant}, (),
+                               (0.1,) * d)
+        picked = submission(*data.draw(indices))
+        counts = rc.confusion_counts(picked, truth, d)
+        assert sum(counts) == d
+        assert min(counts) >= 0
+        tp, fp, _, fn = counts
+        assert (tp + fp, tp + fn) == (len(picked.selected), truth.k)
+
 
 class TestContestScore:
     def test_classroom_scores(self, classroom_truth, classroom_submissions):

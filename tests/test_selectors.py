@@ -196,10 +196,8 @@ def scalar_fold_flags(table, cols):
 
 
 class TestTeamCBatched:
-    """A sparse contest with 2^5 <= k < 2^6 distinct patterns, so that one
-    search over sizes 3..6 scores sizes 3-5 on the shared full-factorial
-    design and size 6 on the projected patterns. Its rare last column makes
-    some fold fits separate."""
+    """A sparse contest with 2^5 <= k < 2^6 distinct patterns, searched over
+    sizes 3..6. Its rare last column makes some fold fits separate."""
 
     @pytest.fixture(scope="class")
     def contest(self):
