@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContestError
+from .errors import ContestError, ValidationError
 from .io import (
     check_config_keys,
     load_weights,
@@ -95,6 +95,11 @@ def cmd_score(args) -> int:
     rank_by_youden = args.weights == "youden"
     weights = load_weights("table1" if rank_by_youden else args.weights)
     submissions = [read_submission(p) for p in args.submissions]
+    # The Youden values are keyed by team, so each team scores once.
+    teams = [sub.team for sub in submissions]
+    for team in teams:
+        if teams.count(team) > 1:
+            raise ValidationError(f"team {team!r} is submitted more than once")
 
     reports = [contest_score(sub, truth, weights) for sub in submissions]
     youdens = {sub.team: youden_index(sub, truth, truth.d) for sub in submissions}

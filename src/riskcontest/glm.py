@@ -8,9 +8,10 @@ errors and CV deviance, and to about 1e-8 for an ill-conditioned fit refit
 with the separation ridge (tests/test_grouped.py).
 
 Every IRLS fit runs on one batched kernel, _irls_batch: Newton/IRLS with
-step halving on M grouped-binomial problems at once. Its sums run through
-np.einsum and .sum(axis=...), never matmul, so a member's result has the same
-bits whatever the batch size, the member's place in it or the chunk
+step halving on M grouped-binomial problems at once, each with its own ridge
+weight, which the kernel carries as data and never branches on. Its sums run
+through np.einsum and .sum(axis=...), never matmul, so a member's result has
+the same bits whatever the batch size, the member's place in it or the chunk
 boundaries. _fit_members takes the fits as (member, cell) entries and runs
 the members with the same number of cells as one batch. fit_logistic is a
 batch of one and bootstrap_fits fits all its resamples at once, each keeping
@@ -18,12 +19,14 @@ exactly its patterns with trials.
 
 PatternTable._fold_fits is the one cross-validation routine: team_a's
 holdout steps, team_c's exhaustive search, the ridge CV curve and cv_deviance
-all read it. It projects the table's patterns onto each subset's columns and
-collapses them as _collapse would, so fold fit (subset, fold) keeps exactly
-the subset's cells with training trials, in _collapse order. A fold's
-training deviance therefore equals the fit_logistic fit of its training
-rows bit for bit, its held-out deviance is summed cell by cell, and
-cv_deviances is the held-out sum of fold_deviances over n_held, bit for bit.
+all read it. It takes one PenaltySpec or one per subset, so the ridge CV
+curve's penalties run as one batch. It projects the table's patterns onto
+each subset's columns and collapses them as _collapse would, so fold fit
+(subset, fold) keeps exactly the subset's cells with training trials, in
+_collapse order. A fold's training deviance therefore equals the
+fit_logistic fit of its training rows bit for bit, its held-out deviance is
+summed cell by cell, and cv_deviances is the held-out sum of fold_deviances
+over n_held, bit for bit.
 
 _lasso_path fits M lasso paths over one (k, p) pattern matrix at once, one
 member per row of (M, k) trial and case counts; PatternTable.lasso_cv_deviance
@@ -195,15 +198,16 @@ class CvPlan:
 
 
 def _newton_steps(hess, grad, lam):
-    """Solve every member's Newton system; under lam = 0 a singular member
-    gets a zero step and a True in the returned mask."""
+    """Solve every member's Newton system, with lam a scalar or one ridge
+    weight per member. A singular member with lam = 0 gets a zero step and a
+    True in the returned mask; one with lam > 0 raises LinAlgError."""
     try:
         return np.linalg.solve(hess, grad[..., None])[..., 0], np.zeros(len(grad), dtype=bool)
     except np.linalg.LinAlgError:
-        if lam:
+        # Sign 0 marks a zero LU pivot, the condition on which solve raises.
+        singular = np.linalg.slogdet(hess)[0] == 0.0
+        if np.any(singular & (lam > 0)):
             raise
-    # Sign 0 marks a zero LU pivot, the condition on which solve raises.
-    singular = np.linalg.slogdet(hess)[0] == 0.0
     steps = np.zeros_like(grad)
     steps[~singular] = np.linalg.solve(hess[~singular], grad[~singular, :, None])[..., 0]
     return steps, singular
@@ -211,20 +215,21 @@ def _newton_steps(hess, grad, lam):
 
 def _irls_batch(design, trials, successes, lam):
     """Newton/IRLS with step halving on the ridge-penalized deviance of M
-    grouped-binomial problems at once, with one ridge lam.
+    grouped-binomial problems at once, each with its own ridge weight.
 
     design is (M, m, q), intercept column first, which the ridge leaves
     unpenalized; trials and successes are (M, m), and a cell may have no
-    trials. Each member starts at its log-odds intercept, clips its weights
-    per trial, takes the first of 30 halved Newton steps that does not raise
-    its objective (none: it is at its optimum) and converges when the
-    objective moves by less than DEVIANCE_RTOL relative. At lam = 0 a member
-    that moves any |coefficient| past SEPARATION_BOUND or meets a singular
-    Newton system is refit with FALLBACK_RIDGE, so every member gets an
-    estimate; under a ridge a singular system raises LinAlgError. A member
-    leaves the batch when it finishes. Returns beta (M, q), deviance (M,),
-    converged (M,), separated (M,) and iterations (M,): the refit's for a
-    separated member, MAX_ITER for one that did not converge.
+    trials; lam is a scalar or one weight per member. Each member starts at
+    its log-odds intercept, clips its weights per trial, takes the first of
+    30 halved Newton steps that does not raise its objective (none: it is at
+    its optimum) and converges when the objective moves by less than
+    DEVIANCE_RTOL relative. A member with lam = 0 that moves any
+    |coefficient| past SEPARATION_BOUND or meets a singular Newton system is
+    refit with FALLBACK_RIDGE, so every member gets an estimate; a singular
+    system under lam > 0 raises LinAlgError. A member leaves the batch when
+    it finishes. Returns beta (M, q), deviance (M,), converged (M,),
+    separated (M,) and iterations (M,): the refit's for a separated member,
+    MAX_ITER for one that did not converge.
     """
     n_members, q = len(trials), design.shape[-1]
     total, hits = trials.sum(axis=1), successes.sum(axis=1)
@@ -233,12 +238,14 @@ def _irls_batch(design, trials, successes, lam):
     pen = np.ones(q)
     pen[0] = 0.0
     diag = np.arange(q)
+    lam = np.broadcast_to(lam, n_members)
+    ridge = lam[:, None] * pen
 
-    def score(xt, beta, t, c):
+    def score(xt, beta, t, c, lam):
         # Linear predictor, deviance and penalized objective at beta.
         eta = np.einsum("...qk,...q->...k", xt, beta)
         dev = _deviances(eta, t, c)
-        return eta, dev, dev + lam * (pen * beta**2).sum(axis=1) if lam else dev
+        return eta, dev, dev + lam * np.einsum("q,mq,mq->m", pen, beta, beta)
 
     def accepted(obj_c, obj):
         return obj_c <= obj * (1.0 + 1e-14) + 1e-14
@@ -253,29 +260,28 @@ def _irls_batch(design, trials, successes, lam):
     live, t, c = np.arange(n_members), trials, successes
     beta = out_beta.copy()
     beta[:, 0] = [math.log(odds) for odds in (hits / total) / (1.0 - hits / total)]
-    eta, dev, obj = score(xt, beta, t, c)
+    eta, dev, obj = score(xt, beta, t, c, lam)
 
     for it in range(1, MAX_ITER + 1):
         p = expit(eta)
         w = t * np.maximum(p * (1.0 - p), 1e-10)
         grad = np.einsum("...k,...qk->...q", c - t * p, xt)
         hess = np.einsum("...ak,...bk->...ab", xt * w[:, None], xt)
-        if lam:
-            grad -= lam * pen * beta
-            hess[:, diag, diag] += lam * pen
+        grad -= ridge * beta
+        hess[:, diag, diag] += ridge
         step, singular = _newton_steps(hess, grad, lam)
 
         # Step halving: the full step for every member, then halved steps
         # where the objective rose. Members whose every candidate fails are
         # at their optimum.
         cand = beta + step
-        eta_c, dev_c, obj_c = score(xt, cand, t, c)
+        eta_c, dev_c, obj_c = score(xt, cand, t, c, lam)
         halving = np.flatnonzero(~singular & ~accepted(obj_c, obj))
         for j in range(1, 30):
             if not halving.size:
                 break
             b = beta[halving] + 0.5**j * step[halving]
-            e, d, o = score(xt[halving], b, t[halving], c[halving])
+            e, d, o = score(xt[halving], b, t[halving], c[halving], lam[halving])
             ok = accepted(o, obj[halving])
             took = halving[ok]
             cand[took], eta_c[took], dev_c[took], obj_c[took] = b[ok], e[ok], d[ok], o[ok]
@@ -284,9 +290,7 @@ def _irls_batch(design, trials, successes, lam):
         optimal[halving] = True
 
         moved = ~(singular | optimal)
-        refit = singular
-        if not lam:
-            refit = refit | (moved & (np.abs(cand).max(axis=1) > SEPARATION_BOUND))
+        refit = singular | (moved & (lam == 0) & (np.abs(cand).max(axis=1) > SEPARATION_BOUND))
         moved &= ~refit
         rel = np.abs(obj - obj_c) / (np.abs(obj) + 0.1)
         beta = np.where(moved[:, None], cand, beta)
@@ -302,7 +306,7 @@ def _irls_batch(design, trials, successes, lam):
             out_beta[live[finished]], out_dev[live[finished]] = beta[finished], dev[finished]
             keep = ~finished
             live, beta, eta, dev, obj = live[keep], beta[keep], eta[keep], dev[keep], obj[keep]
-            xt, t, c = xt[keep], t[keep], c[keep]
+            xt, t, c, lam, ridge = xt[keep], t[keep], c[keep], lam[keep], ridge[keep]
             if not live.size:
                 break
     out_beta[live], out_dev[live] = beta, dev
@@ -337,10 +341,10 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY
 def _fit_members(design, member, cell, trials, successes, n_members, lam):
     """_irls_batch on n_members problems given entry by entry: entry e puts
     trials[e] and successes[e] on row cell[e] of the (cells, q) design in
-    member member[e], the entries sorted by member, then by cell. The
-    members with the same number of entries run as one batch. Returns beta
-    (M, q), deviance (M,), converged (M,), separated (M,) and iterations
-    (M,)."""
+    member member[e], the entries sorted by member, then by cell, and lam
+    holds one ridge weight per member. The members with the same number of
+    entries run as one batch. Returns beta (M, q), deviance (M,), converged
+    (M,), separated (M,) and iterations (M,)."""
     sizes = np.bincount(member, minlength=n_members)
     starts = np.cumsum(sizes) - sizes
     fits = (np.empty((n_members, design.shape[1])), np.empty(n_members),
@@ -350,7 +354,7 @@ def _fit_members(design, member, cell, trials, successes, n_members, lam):
         group = np.flatnonzero(sizes == m)
         idx = starts[group, None] + np.arange(m)
         for out, part in zip(fits, _irls_batch(design[cell[idx]], trials[idx],
-                                               successes[idx], lam)):
+                                               successes[idx], lam[group])):
             out[group] = part
     return fits
 
@@ -364,7 +368,7 @@ def _fit_counts(patterns, trials, cases, penalty=NO_PENALTY) -> list[FitResult]:
     design = np.column_stack([np.ones(len(patterns)), patterns])
     member, cell = np.nonzero(trials)
     fits = _fit_members(design, member, cell, trials[member, cell], cases[member, cell],
-                        len(trials), penalty.ridge_lam)
+                        len(trials), np.full(len(trials), penalty.ridge_lam))
     results = []
     for t, (beta, dev, conv, separated, it) in zip(trials, zip(*fits)):
         std = None
@@ -425,15 +429,19 @@ class PatternTable:
         self.patterns, trials, cases, inv = _pattern_counts(x, y)
         if plan.assignments.shape != inv.shape:
             raise ValidationError("x must be (n, p) with y and the folds of length n")
-        held = plan.assignments == np.arange(1, plan.n_folds + 1)[:, None]
+        f, k = plan.n_folds, len(self.patterns)
+        if np.any((plan.assignments < 0) | (plan.assignments > f)):
+            raise ValidationError(f"fold labels must lie in 0..{f}")
+        # Cell (fold, pattern) of every row; the cells of label 0 are dropped.
+        cells = plan.assignments * k + inv
+        held_n = np.bincount(cells, minlength=(f + 1) * k)[k:].reshape(f, k)
+        held_c = np.bincount(cells, weights=y, minlength=(f + 1) * k)[k:].reshape(f, k)
         # Rows 0 and 1: all trials and cases; then F rows of held-out trials
         # per fold and F of held-out cases.
-        self.counts = np.vstack([trials, cases, _pattern_sums(
-            inv, len(self.patterns), np.vstack([held, held * y]))])
-        self.n_folds, self.n_held = plan.n_folds, int(held.sum())
-        self.min_train = inv.size - int(held.sum(axis=1).max())
+        self.counts = np.vstack([trials, cases, held_n, held_c])
+        self.n_folds, self.n_held = f, int(held_n.sum())
+        self.min_train = inv.size - int(held_n.sum(axis=1).max())
         # Each column's values as dense ranks: _project's compact sort keys.
-        k = len(self.patterns)
         self.ranks = np.array([_collapse(col[:, None])[1] for col in self.patterns.T],
                               np.min_scalar_type(k)).reshape(-1, k)
 
@@ -460,32 +468,35 @@ class PatternTable:
         columns `cols`, in the order given, fit on the fold's training counts."""
         return self.subsets_fold_deviances([cols], penalty)[0]
 
-    def subsets_fold_deviances(self, subsets, penalty: PenaltySpec = NO_PENALTY):
+    def subsets_fold_deviances(self, subsets, penalty=NO_PENALTY):
         """fold_deviances of every row of an (M, s) array of column subsets."""
-        train, held, _, _ = self._fold_fits(subsets, penalty.ridge_lam)
+        train, held, _, _ = self._fold_fits(subsets, penalty)
         return [list(zip(t, h)) for t, h in zip(train.tolist(), held.tolist())]
 
-    def cv_deviances(self, subsets, penalty: PenaltySpec = NO_PENALTY):
-        """cv_deviance of every row of an (M, s) array of column subsets.
+    def cv_deviances(self, subsets, penalty=NO_PENALTY):
+        """cv_deviance of every row of an (M, s) array of column subsets,
+        under one PenaltySpec or a sequence of them, one per row.
 
         Returns the M deviances and two (M, n_folds) masks: the fold fits
         refit with FALLBACK_RIDGE, and the fold fits that converged.
         """
         if not self.n_held:
             raise ValidationError("the plan holds out no row")
-        _, held, refit, converged = self._fold_fits(subsets, penalty.ridge_lam)
+        _, held, refit, converged = self._fold_fits(subsets, penalty)
         # Summed fold by fold, as sum() adds up the fold_deviances.
         return sum(held.T) / self.n_held, refit, converged
 
-    def _fold_fits(self, subsets, lam):
+    def _fold_fits(self, subsets, penalty):
         """Fit every fold of every row of an (M, s) array of column subsets
-        on its training counts, in chunks of about BATCH_ELEMENTS fold fit x
-        pattern pairs. Returns (M, n_folds) arrays: the training deviance,
-        the held-out deviance, the refit mask and the converged mask."""
+        under its PenaltySpec (penalty: one, or one per row) on its training
+        counts, in chunks of about BATCH_ELEMENTS fold fit x pattern pairs.
+        Returns (M, n_folds) arrays: the training deviance, the held-out
+        deviance, the refit mask and the converged mask."""
         subsets = self._columns(subsets)
+        lam = np.broadcast_to([spec.ridge_lam for spec in np.atleast_1d(penalty)], len(subsets))
         chunk = max(1, BATCH_ELEMENTS // (self.n_folds * len(self.patterns)))
-        parts = [self._fit_chunk(part, lam)
-                 for part in np.array_split(subsets, -(-len(subsets) // chunk))]
+        parts = [self._fit_chunk(subsets[rows], lam[rows])
+                 for rows in np.array_split(np.arange(len(subsets)), -(-len(subsets) // chunk))]
         return tuple(np.concatenate(part) for part in zip(*parts))
 
     def _project(self, subsets):
@@ -520,7 +531,7 @@ class PatternTable:
         fold, cell = np.nonzero(train_n)
         beta, train_dev, converged, separated, _ = _fit_members(
             design, fold * n_sub + owner[cell], cell, train_n[fold, cell], train_c[fold, cell],
-            n_sub * f, lam)
+            n_sub * f, np.tile(lam, f))
 
         # Held-out deviance, summed per member in cell order.
         fold, cell = np.nonzero(held_n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from pathlib import Path
@@ -281,6 +282,7 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def _coerce(name: str, value: str, target_type: type) -> object:
+    """value as target_type; a float must be finite."""
     try:
         if target_type is bool:
             low = value.lower()
@@ -289,7 +291,10 @@ def _coerce(name: str, value: str, target_type: type) -> object:
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(value)
-        return target_type(value)
+        out = target_type(value)
+        if target_type is float and not math.isfinite(out):
+            raise ValueError(value)
+        return out
     except ValueError:
         raise ConfigurationError(f"bad value for {name}: {value!r}")
 
@@ -363,8 +368,6 @@ def load_weights(spec: str) -> ScoringWeights:
         if key not in names:
             raise ConfigurationError(f"unknown weights key {key!r}")
     try:
-        return ScoringWeights(**{name: float(mapping[name]) for name in names})
+        return ScoringWeights(**{name: _coerce(name, mapping[name], float) for name in names})
     except KeyError as exc:
         raise ConfigurationError(f"weights file must define w_tp/w_fp/w_tn/w_fn ({exc})")
-    except ValueError as exc:
-        raise ConfigurationError(f"bad weight value: {exc}")

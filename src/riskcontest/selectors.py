@@ -164,10 +164,12 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
     Cross-validates a lasso path, applies the one-standard-error rule, and
     keeps at most max_select variables (largest coefficients first). The
     fold paths and the full-data path whose one-SE coefficients are kept run
-    as one batch in PatternTable.lasso_cv_deviance. A ridge CV curve and the
-    per-variable case/control exposure comparison go into the audit trail as
-    the corroborating evidence; its last line counts the lasso fits (paths x
-    penalties) and those that did not converge, which are used as they are.
+    as one batch in PatternTable.lasso_cv_deviance. A ridge CV curve, whose
+    fold fits of all penalties run as one PatternTable.cv_deviances call,
+    and the per-variable case/control exposure comparison go into the audit
+    trail as the corroborating evidence; its last line counts the lasso fits
+    (paths x penalties) and those that did not converge, which are used as
+    they are.
     """
     rng = np.random.default_rng(spec.seed)
     n_folds = spec.n_folds if spec.n_folds is not None else 10
@@ -191,8 +193,8 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
         kept = np.sort(nonzero[order[:spec.max_select]])
 
     ridge_lams = np.geomspace(1e3, 1e-2, 11)
-    ridge_cv = [table.cv_deviance(range(data.d), PenaltySpec("ridge", lam))
-                for lam in ridge_lams]
+    ridge_cv, _, _ = table.cv_deviances(np.tile(np.arange(data.d), (ridge_lams.size, 1)),
+                                        [PenaltySpec("ridge", lam) for lam in ridge_lams])
 
     lines = [f"lasso CV over {grid.size} penalties, {n_folds} folds"]
     lines.append("lambda,mean_cv_deviance,se")

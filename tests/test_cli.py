@@ -408,3 +408,27 @@ def test_score_rejects_non_integer_truth_index(tmp_path, classroom_files, capsys
     bad.write_text(json.dumps(payload))
     assert run("score", "--truth", bad, *subs) == 2
     assert "malformed truth payload" in capsys.readouterr().err
+
+
+def test_score_rejects_a_team_submitted_twice(tmp_path, capsys):
+    """Two files of team x once printed the later file's Youden index on
+    both rows and ranked on it."""
+    truth_dir = tmp_path / "contest"
+    assert run("simulate", "--seed", 3, "--out", truth_dir) == 0
+    paths = []
+    for name, picks in (("first", (1, 2, 3)), ("second", (4,))):
+        paths.append(tmp_path / f"{name}.json")
+        write_submission(paths[-1], rc.Submission("x", picks))
+    capsys.readouterr()
+    assert run("score", "--truth", truth_dir / "truth.json", "--weights", "youden", *paths) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'x'" in captured.err
+
+
+def test_simulate_rejects_infinite_effect(tmp_path, capsys):
+    """effect_hi = inf once ended in an OverflowError traceback (exit 1)."""
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("effect_hi = inf\n")
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "bad value for effect_hi: 'inf'" in capsys.readouterr().err

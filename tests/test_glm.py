@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,32 @@ class TestCvDeviance:
         x, y = random_binary(100, 2, seed=24)
         with pytest.raises(ValidationError):
             rc.cv_deviance(x, y, (0,), rc.CvPlan(2, np.zeros(100, dtype=np.int64)))
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_fold_label_outside_the_plan_rejected(self, label):
+        x, y = random_binary(100, 2, seed=24)
+        labels = np.arange(100) % 2 + 1
+        labels[7] = label
+        with pytest.raises(ValidationError):
+            rc.PatternTable(x, y, rc.CvPlan(2, labels))
+
+    def test_held_out_counts_memory_is_linear(self):
+        """The held-out counts of 2,000 folds come from one pass over the
+        rows: peak memory stays linear in n + n_folds * k, where an
+        (n_folds, n) fold mask would take n_folds * n."""
+        config = rc.SimulationConfig(seed=424242)
+        rng = np.random.default_rng(config.seed)
+        data = rc.simulate_dataset(rc.draw_ground_truth(config, rng), config, rng)
+        plan = rc.make_folds(data.y, 2000, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            table = rc.PatternTable(data.x, data.y, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = len(table.patterns)
+        assert table.n_held == data.n
+        assert peak <= 8 * (64 * data.n + 4 * plan.n_folds * k)
 
 
 class TestBootstrap:

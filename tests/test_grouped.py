@@ -237,18 +237,22 @@ def grouped_problems(seed, members, cells, q):
 
 class TestBatchedKernel:
     @settings(max_examples=80, deadline=None)
-    @given(problems, st.sampled_from(PENALTIES))
+    @given(problems, st.sampled_from(PENALTIES + ["mixed"]))
     def test_batch_invariance(self, case, penalty):
         """Every member's beta, deviance, flags and iterations have the same
         bits alone, in the full batch, in a shuffled batch and in uneven
-        chunks."""
+        chunks; "mixed" gives each member its own ridge weight from
+        PENALTIES."""
         design, trials, successes, rng = grouped_problems(**case)
         n = len(trials)
+        if penalty == "mixed":
+            lams = rng.choice([p.ridge_lam for p in PENALTIES], n)
 
         def run(idx):
             idx = np.asarray(idx)
             own = design if len(design) == 1 else design[idx]
-            return _irls_batch(own, trials[idx], successes[idx], penalty.ridge_lam)
+            lam = lams[idx] if penalty == "mixed" else penalty.ridge_lam
+            return _irls_batch(own, trials[idx], successes[idx], lam)
 
         def same_bits(a, b):
             return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
@@ -325,6 +329,14 @@ class TestBatchedKernel:
             assert solo_singular[0] == singular[i]
         with pytest.raises(np.linalg.LinAlgError):
             _newton_steps(hess, grad, 1.0)
+        # Per-member weights: a ridge only on regular members changes
+        # nothing; a ridge on a singular member raises.
+        mixed = np.array([1.0, 0.0, 0.01, 1.0, 0.0, 0.0])
+        mixed_steps, mixed_singular = _newton_steps(hess, grad, mixed)
+        assert mixed_steps.tobytes() == steps.tobytes()
+        assert mixed_singular.tolist() == singular.tolist()
+        with pytest.raises(np.linalg.LinAlgError):
+            _newton_steps(hess, grad, np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
 
     def test_single_class_training_fold_raises(self):
         """Fold 1 holds every case, so its training counts have none."""

@@ -388,6 +388,16 @@ class TestConfigFiles:
         with pytest.raises(ConfigurationError):
             sim_config_from_mapping({"d": "ten"})
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "Infinity", "nan", "NaN"])
+    def test_non_finite_float_rejected(self, value):
+        """effect_hi = inf once overflowed in simulate, and
+        median_p_threshold = nan made team_d select nothing."""
+        with pytest.raises(ConfigurationError, match=f"bad value for effect_hi: '{value}'"):
+            sim_config_from_mapping({"effect_hi": value})
+        with pytest.raises(ConfigurationError,
+                           match=f"bad value for team_d.median_p_threshold: '{value}'"):
+            selector_spec_from_mapping("team_d", {"team_d.median_p_threshold": value})
+
 
 floats = st.floats(-1e6, 1e6, allow_nan=False)
 unit = st.floats(1e-9, 1.0, exclude_min=True, exclude_max=True)
@@ -462,6 +472,14 @@ class TestWeightsLoading:
         path = tmp_path / "w.cfg"
         path.write_text("w_tp = 5\nw_fp = -6\nw_tn = 2\nw_fn = -1\nw_fm = -9\n")
         with pytest.raises(ConfigurationError, match="'w_fm'"):
+            load_weights(str(path))
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "x"])
+    def test_bad_weight_value_rejected(self, tmp_path, value):
+        """w_tp = inf once scored every hit as inf."""
+        path = tmp_path / "w.cfg"
+        path.write_text(f"w_tp = {value}\nw_fp = -6\nw_tn = 2\nw_fn = -1\n")
+        with pytest.raises(ConfigurationError, match=f"bad value for w_tp: '{value}'"):
             load_weights(str(path))
 
     def test_incomplete_file(self, tmp_path):

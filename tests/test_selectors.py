@@ -99,6 +99,28 @@ class TestTeamB:
         sub = rc.run_selector(data, rc.SelectorSpec("team_b", seed=3, max_select=1))
         assert len(sub.selected) <= 1
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_ridge_curve_is_one_call_per_penalty(self, seed):
+        """team_b fits every penalty's fold fits of its ridge curve in one
+        batch, whose fold fits have several cell counts (some folds hold
+        the only rows of a pattern); each point equals its own cv_deviance
+        call bit for bit."""
+        data = planted_dataset(n=400, d=8, seed=6)
+        plan = make_folds(data.y, 10, np.random.default_rng(seed))
+        table = glm.PatternTable(data.x, data.y, plan)
+        train_cells = (table.counts[0] > table.counts[2:2 + plan.n_folds]).sum(axis=1)
+        assert len(set(train_cells.tolist())) > 1
+        lams = np.geomspace(1e3, 1e-2, 11)
+        penalties = [rc.PenaltySpec("ridge", lam) for lam in lams]
+        expected = np.array([table.cv_deviance(range(data.d), p) for p in penalties])
+        subsets = np.tile(np.arange(data.d), (lams.size, 1))
+        assert table.cv_deviances(subsets, penalties)[0].tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            table.cv_deviances(subsets, penalties[1:])
+        report = rc.run_selector(data, rc.SelectorSpec("team_b", seed=seed)).method_report
+        assert "ridge CV (lambda: deviance): " + " ".join(
+            f"{lam:.3g}:{dev:.4f}" for lam, dev in zip(lams, expected)) in report.splitlines()
+
     def test_report_has_cv_curve_and_counts(self):
         data = planted_dataset(n=400, d=5, seed=8)
         sub = rc.run_selector(data, rc.SelectorSpec("team_b", seed=4, n_lambdas=12))
