@@ -17,7 +17,6 @@ from .glm import (
     CvPlan,
     FitResult,
     PatternTable,
-    PenaltySpec,
     bootstrap_fits,
     bootstrap_resample,
     cv_deviance,

@@ -17,16 +17,17 @@ the members with the same number of cells as one batch. fit_logistic is a
 batch of one and bootstrap_fits fits all its resamples at once, each keeping
 exactly its patterns with trials.
 
-PatternTable._fold_fits is the one cross-validation routine: team_a's
+PatternTable.fold_fits is the one cross-validation routine: team_a's
 holdout steps, team_c's exhaustive search, the ridge CV curve and cv_deviance
-all read it. It takes one PenaltySpec or one per subset, so the ridge CV
-curve's penalties run as one batch. It projects the table's patterns onto
-each subset's columns and collapses them as _collapse would, so fold fit
-(subset, fold) keeps exactly the subset's cells with training trials, in
-_collapse order. A fold's training deviance therefore equals the
-fit_logistic fit of its training rows bit for bit, its held-out deviance is
-summed cell by cell, and cv_deviances is the held-out sum of fold_deviances
-over n_held, bit for bit.
+all read it. A ridge weight is a plain number, one for all subsets or one
+per subset, so the ridge CV curve's penalties run as one batch; _fit_members
+rejects any weight that is not finite and >= 0. fold_fits projects the
+table's patterns onto each subset's columns and collapses them as _collapse
+would, so fold fit (subset, fold) keeps exactly the subset's cells with
+training trials, in _collapse order. A fold's training deviance therefore
+equals the fit_logistic fit of its training rows bit for bit, its held-out
+deviance is summed cell by cell, and cv_deviances is the held-out sum of
+fold_fits over n_held, bit for bit.
 
 _lasso_path fits M lasso paths over one (k, p) pattern matrix at once, one
 member per row of (M, k) trial and case counts; PatternTable.lasso_cv_deviance
@@ -65,7 +66,7 @@ MAX_ITER = 100
 DEVIANCE_RTOL = 1e-10
 SEPARATION_BOUND = 15.0
 FALLBACK_RIDGE = 1e-6
-# (fold fit, pattern) pairs in one chunk of PatternTable._fold_fits; a fold
+# (fold fit, pattern) pairs in one chunk of PatternTable.fold_fits; a fold
 # fit has at most one cell per pattern.
 BATCH_ELEMENTS = 100_000
 
@@ -137,32 +138,6 @@ def log_likelihood_gradient(x: np.ndarray, y: np.ndarray, coefficients: np.ndarr
 
 
 @dataclass(frozen=True)
-class PenaltySpec:
-    """Penalty attached to a logistic fit.
-
-    kind is "none" or "ridge" (for the lasso, see fit_lasso_path); lam >= 0 is
-    the penalty weight, and lam = 0 is "none". The intercept is unpenalized.
-    """
-
-    kind: str = "none"
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "ridge"):
-            raise ValidationError(f"unknown penalty kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValidationError("penalty weight must be non-negative")
-
-    @property
-    def ridge_lam(self) -> float:
-        """The ridge weight a fit uses: lam for "ridge", 0 for "none"."""
-        return self.lam if self.kind == "ridge" else 0.0
-
-
-NO_PENALTY = PenaltySpec()
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Fitted logistic model.
 
@@ -195,6 +170,15 @@ class CvPlan:
 
     n_folds: int
     assignments: np.ndarray
+
+
+def _log_odds(trials, cases):
+    """Every member's log odds of a case, from its (M, k) trial and case
+    counts; DegenerateOutcomeError if a member has a single class."""
+    total, hits = trials.sum(axis=1), cases.sum(axis=1)
+    if np.any((hits <= 0.0) | (hits >= total)):
+        raise DegenerateOutcomeError("outcome vector contains a single class")
+    return np.array([math.log(odds) for odds in (hits / total) / (1.0 - hits / total)])
 
 
 def _newton_steps(hess, grad, lam):
@@ -232,9 +216,6 @@ def _irls_batch(design, trials, successes, lam):
     MAX_ITER for one that did not converge.
     """
     n_members, q = len(trials), design.shape[-1]
-    total, hits = trials.sum(axis=1), successes.sum(axis=1)
-    if np.any((hits <= 0.0) | (hits >= total)):
-        raise DegenerateOutcomeError("outcome vector contains a single class")
     pen = np.ones(q)
     pen[0] = 0.0
     diag = np.arange(q)
@@ -259,7 +240,7 @@ def _irls_batch(design, trials, successes, lam):
     xt = np.ascontiguousarray(design.transpose(0, 2, 1))
     live, t, c = np.arange(n_members), trials, successes
     beta = out_beta.copy()
-    beta[:, 0] = [math.log(odds) for odds in (hits / total) / (1.0 - hits / total)]
+    beta[:, 0] = _log_odds(trials, successes)
     eta, dev, obj = score(xt, beta, t, c, lam)
 
     for it in range(1, MAX_ITER + 1):
@@ -318,7 +299,7 @@ def _irls_batch(design, trials, successes, lam):
     return out_beta, out_dev, converged, separated, iterations
 
 
-def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY) -> FitResult:
+def fit_logistic(x: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> FitResult:
     """Maximum-likelihood or ridge logistic regression via IRLS on the
     distinct covariate patterns of x.
 
@@ -326,8 +307,9 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY
     ----------
     x : (n, p) binary design matrix, intercept added internally.
     y : length-n binary outcome; must contain both classes.
-    penalty : "none" or "ridge". Ridge adds lam * ||slopes||^2 to the
-        deviance objective; the intercept stays unpenalized.
+    ridge : finite weight >= 0; adds ridge * ||slopes||^2 to the deviance
+        objective, and the intercept stays unpenalized. A fit with ridge 0
+        that converged reports standard errors.
 
     Quasi-complete separation (any |coefficient| > SEPARATION_BOUND during
     iteration) and singular Newton systems are handled by refitting with a
@@ -335,16 +317,20 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, penalty: PenaltySpec = NO_PENALTY
     standard errors so Wald machinery stays usable.
     """
     patterns, trials, cases, _ = _pattern_counts(x, y)
-    return _fit_counts(patterns, trials[None], cases[None], penalty)[0]
+    return _fit_counts(patterns, trials[None], cases[None], ridge)[0]
 
 
 def _fit_members(design, member, cell, trials, successes, n_members, lam):
     """_irls_batch on n_members problems given entry by entry: entry e puts
     trials[e] and successes[e] on row cell[e] of the (cells, q) design in
-    member member[e], the entries sorted by member, then by cell, and lam
-    holds one ridge weight per member. The members with the same number of
-    entries run as one batch. Returns beta (M, q), deviance (M,), converged
-    (M,), separated (M,) and iterations (M,)."""
+    member member[e], the entries sorted by member, then by cell, and lam is
+    one ridge weight or one per member; ValidationError unless every weight
+    is finite and >= 0. The members with the same number of entries run as
+    one batch. Returns beta (M, q), deviance (M,), converged (M,), separated
+    (M,) and iterations (M,)."""
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), n_members)
+    if not np.all(np.isfinite(lam) & (lam >= 0.0)):
+        raise ValidationError("a ridge weight must be finite and non-negative")
     sizes = np.bincount(member, minlength=n_members)
     starts = np.cumsum(sizes) - sizes
     fits = (np.empty((n_members, design.shape[1])), np.empty(n_members),
@@ -359,7 +345,7 @@ def _fit_members(design, member, cell, trials, successes, n_members, lam):
     return fits
 
 
-def _fit_counts(patterns, trials, cases, penalty=NO_PENALTY) -> list[FitResult]:
+def _fit_counts(patterns, trials, cases, ridge=0.0) -> list[FitResult]:
     """fit_logistic on each row of (M, k) trial and case counts over the k
     patterns; each fit drops the patterns it has no trials on."""
     n, p = trials.sum(axis=1), patterns.shape[1]
@@ -368,11 +354,11 @@ def _fit_counts(patterns, trials, cases, penalty=NO_PENALTY) -> list[FitResult]:
     design = np.column_stack([np.ones(len(patterns)), patterns])
     member, cell = np.nonzero(trials)
     fits = _fit_members(design, member, cell, trials[member, cell], cases[member, cell],
-                        len(trials), np.full(len(trials), penalty.ridge_lam))
+                        len(trials), ridge)
     results = []
     for t, (beta, dev, conv, separated, it) in zip(trials, zip(*fits)):
         std = None
-        if penalty.kind == "none" and conv:
+        if ridge == 0.0 and conv:
             xmat, t = design[t > 0], t[t > 0]
             prob = expit(xmat @ beta)
             w = t * np.maximum(prob * (1.0 - prob), 1e-10)
@@ -419,10 +405,10 @@ class PatternTable:
     all rows and in the held-out rows of every fold of a CvPlan, built once
     to score many column subsets. Rows labelled 0 are never held out.
 
-    fold_deviances, subsets_fold_deviances and cv_deviances read _fold_fits,
-    which projects the patterns onto each subset's columns and fits every
-    fold's training counts, all rows minus the held-out ones, in batched
-    runs; lasso_cv_deviance fits every fold's path.
+    fold_fits projects the patterns onto each subset's columns and fits
+    every fold's training counts, all rows minus the held-out ones, in
+    batched runs, and cv_deviances sums its held-out deviances;
+    lasso_cv_deviance fits every fold's path.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, plan: CvPlan):
@@ -463,41 +449,36 @@ class PatternTable:
             raise ValidationError(f"need more rows than columns (n={self.min_train}, p={s})")
         return cols
 
-    def fold_deviances(self, cols, penalty: PenaltySpec = NO_PENALTY) -> list[tuple[float, float]]:
-        """(training deviance, held-out deviance) per fold of the model on the
-        columns `cols`, in the order given, fit on the fold's training counts."""
-        return self.subsets_fold_deviances([cols], penalty)[0]
-
-    def subsets_fold_deviances(self, subsets, penalty=NO_PENALTY):
-        """fold_deviances of every row of an (M, s) array of column subsets."""
-        train, held, _, _ = self._fold_fits(subsets, penalty)
-        return [list(zip(t, h)) for t, h in zip(train.tolist(), held.tolist())]
-
-    def cv_deviances(self, subsets, penalty=NO_PENALTY):
-        """cv_deviance of every row of an (M, s) array of column subsets,
-        under one PenaltySpec or a sequence of them, one per row.
-
-        Returns the M deviances and two (M, n_folds) masks: the fold fits
-        refit with FALLBACK_RIDGE, and the fold fits that converged.
-        """
-        if not self.n_held:
-            raise ValidationError("the plan holds out no row")
-        _, held, refit, converged = self._fold_fits(subsets, penalty)
-        # Summed fold by fold, as sum() adds up the fold_deviances.
-        return sum(held.T) / self.n_held, refit, converged
-
-    def _fold_fits(self, subsets, penalty):
-        """Fit every fold of every row of an (M, s) array of column subsets
-        under its PenaltySpec (penalty: one, or one per row) on its training
-        counts, in chunks of about BATCH_ELEMENTS fold fit x pattern pairs.
-        Returns (M, n_folds) arrays: the training deviance, the held-out
-        deviance, the refit mask and the converged mask."""
+    def fold_fits(self, subsets, ridge=0.0):
+        """Fit every fold of every row of an (M, s) array of column subsets,
+        its columns in the order given, on the fold's training counts, with
+        one ridge weight or one per row, in chunks of about BATCH_ELEMENTS
+        fold fit x pattern pairs. Returns (M, n_folds) arrays: the training
+        deviance, the held-out deviance, the mask of fits refit with
+        FALLBACK_RIDGE and the mask of fits that converged."""
         subsets = self._columns(subsets)
-        lam = np.broadcast_to([spec.ridge_lam for spec in np.atleast_1d(penalty)], len(subsets))
+        lam = np.asarray(ridge, dtype=float)
+        if lam.ndim > 1 or lam.size not in (1, len(subsets)):
+            raise ValidationError(f"need one ridge weight or one per subset row "
+                                  f"({len(subsets)}), not {lam.size}")
+        lam = np.broadcast_to(lam, len(subsets))
         chunk = max(1, BATCH_ELEMENTS // (self.n_folds * len(self.patterns)))
         parts = [self._fit_chunk(subsets[rows], lam[rows])
                  for rows in np.array_split(np.arange(len(subsets)), -(-len(subsets) // chunk))]
         return tuple(np.concatenate(part) for part in zip(*parts))
+
+    def cv_deviances(self, subsets, ridge=0.0):
+        """cv_deviance of every row of an (M, s) array of column subsets,
+        with one ridge weight or one per row.
+
+        Returns the M deviances and fold_fits' two (M, n_folds) masks: the
+        fold fits refit with FALLBACK_RIDGE, and those that converged.
+        """
+        if not self.n_held:
+            raise ValidationError("the plan holds out no row")
+        _, held, refit, converged = self.fold_fits(subsets, ridge)
+        # Summed fold by fold, so a deviance equals sum(held[i]) / n_held.
+        return sum(held.T) / self.n_held, refit, converged
 
     def _project(self, subsets):
         """The patterns of every row of an (M, s) array of column subsets,
@@ -517,7 +498,7 @@ class PatternTable:
         order = order.ravel()
         design = np.column_stack([np.ones(len(starts)),
                                   self.patterns[order[starts, None], subsets[owner]]])
-        counts = np.array([np.add.reduceat(row[order], starts) for row in self.counts])
+        counts = np.add.reduceat(self.counts[:, order], starts, axis=1)
         return design, owner, counts
 
     def _fit_chunk(self, subsets, lam):
@@ -540,10 +521,6 @@ class PatternTable:
         terms = held_n[fold, cell] * np.logaddexp(0.0, eta) - held_c[fold, cell] * eta
         held_dev = 2.0 * np.bincount(member, terms, n_sub * f)
         return tuple(a.reshape(f, n_sub).T for a in (train_dev, held_dev, separated, converged))
-
-    def cv_deviance(self, subset, penalty: PenaltySpec = NO_PENALTY) -> float:
-        """cv_deviance(x, y, subset, plan, penalty) on this table's x, y and plan."""
-        return float(self.cv_deviances([sorted(subset)], penalty)[0][0])
 
     def lasso_cv_deviance(self, grid):
         """Lasso paths on all columns, fit on every fold's complement and on
@@ -571,16 +548,17 @@ class PatternTable:
 
 
 def cv_deviance(x: np.ndarray, y: np.ndarray, subset, plan: CvPlan,
-                penalty: PenaltySpec = NO_PENALTY) -> float:
+                ridge: float = 0.0) -> float:
     """Mean held-out deviance of the model on the given columns of x.
 
-    For every fold the model is fit on the complement and -2 log-likelihood
-    is accumulated on the held-out rows; the total is divided by the number
-    of held-out rows, n for a make_folds plan. `subset`
-    holds 0-based column indices; an empty subset fits the intercept alone.
+    For every fold the model, with the ridge weight on its slopes, is fit on
+    the complement and -2 log-likelihood is accumulated on the held-out
+    rows; the total is divided by the number of held-out rows, n for a
+    make_folds plan. `subset` holds 0-based column indices; an empty subset
+    fits the intercept alone.
     To score many subsets on one plan, build a PatternTable once.
     """
-    return PatternTable(x, y, plan).cv_deviance(subset, penalty)
+    return float(PatternTable(x, y, plan).cv_deviances([sorted(subset)], ridge)[0][0])
 
 
 def bootstrap_resample(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -739,8 +717,8 @@ def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None, *,
     conditions of the standardized problem within kkt_tol.
     """
     patterns, trials, cases, _ = _pattern_counts(x, y)
-    if not 0.0 < cases.sum() < trials.sum():
-        raise DegenerateOutcomeError("outcome vector contains a single class")
+    # A single class raises here, not as the grid's zero lambda_max.
+    _log_odds(trials[None], cases[None])
     grid = default_lambda_grid(x, y) if lambda_grid is None else lambda_grid
     return _path_fits(_lasso_path(patterns, trials[None], cases[None], grid, kkt_tol), 0)
 
@@ -762,13 +740,10 @@ def _lasso_path(patterns, trials, cases, lambda_grid, kkt_tol=KKT_TOL):
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0 or np.any(grid < 0) or np.any(np.diff(grid) >= 0):
         raise ValidationError("lambda grid must be strictly decreasing and non-negative")
-    n, hits = trials.sum(axis=1), cases.sum(axis=1)
-    if np.any((hits <= 0.0) | (hits >= n)):
-        raise DegenerateOutcomeError("outcome vector contains a single class")
+    b0, n = _log_odds(trials, cases), trials.sum(axis=1)
 
     xs, mean, scale = _standardize(patterns, trials)
     xs = np.ascontiguousarray(xs.transpose(2, 0, 1))  # (p, M, k)
-    b0 = np.array([math.log(odds) for odds in (hits / n) / (1.0 - hits / n)])
     beta = np.zeros((patterns.shape[1], len(n)))
 
     coef = np.empty((len(n), grid.size, patterns.shape[1] + 1))

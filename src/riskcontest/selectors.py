@@ -21,7 +21,6 @@ from .errors import EnumerationBudgetError, UnsupportedFitError, ValidationError
 from .glm import (
     CvPlan,
     PatternTable,
-    PenaltySpec,
     bootstrap_fits,
     cv_deviance,
     default_lambda_grid,
@@ -85,6 +84,8 @@ class SelectorSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if not 1 <= self.size_min <= self.size_max:
             raise ValidationError("need 1 <= size_min <= size_max")
         if self.n_folds is not None and self.n_folds < 2:
@@ -142,14 +143,14 @@ def select_team_a(data: Dataset, spec: SelectorSpec) -> Submission:
     remaining = list(range(data.d))
     test_devs: dict[int, float] = {}
     while len(chosen) < spec.size_max:
-        # One fold: (training deviance, held-out deviance) per candidate.
-        devs = np.array(table.subsets_fold_deviances([chosen + [j] for j in remaining]))[:, 0]
-        i = int(np.argmin(devs[:, 0]))  # ties: lowest column index
+        # One fold: column 0 of the (candidates, 1) deviances.
+        train, held, _, _ = table.fold_fits([chosen + [j] for j in remaining])
+        i = int(np.argmin(train[:, 0]))  # ties: lowest column index
         chosen.append(remaining.pop(i))
         lines.append(f"forward step {len(chosen)}: add x{chosen[-1] + 1} "
-                     f"(train deviance {devs[i, 0]:.3f})")
+                     f"(train deviance {train[i, 0]:.3f})")
         if len(chosen) >= spec.size_min:
-            test_devs[len(chosen)] = devs[i, 1] / n_test
+            test_devs[len(chosen)] = held[i, 0] / n_test
 
     for size, test_dev in test_devs.items():
         lines.append(f"size {size}: test deviance per row {test_dev:.6f}")
@@ -164,12 +165,13 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
     Cross-validates a lasso path, applies the one-standard-error rule, and
     keeps at most max_select variables (largest coefficients first). The
     fold paths and the full-data path whose one-SE coefficients are kept run
-    as one batch in PatternTable.lasso_cv_deviance. A ridge CV curve, whose
-    fold fits of all penalties run as one PatternTable.cv_deviances call,
-    and the per-variable case/control exposure comparison go into the audit
-    trail as the corroborating evidence; its last line counts the lasso fits
-    (paths x penalties) and those that did not converge, which are used as
-    they are.
+    as one batch in PatternTable.lasso_cv_deviance. A ridge CV curve and
+    the per-variable case/control exposure comparison go into the audit
+    trail as the corroborating evidence; the curve is one
+    PatternTable.cv_deviances call with one ridge weight per row, so the
+    fold fits of all 11 weights share their batches. The report's last line
+    counts the lasso fits (paths x penalties) and those that did not
+    converge, which are used as they are.
     """
     rng = np.random.default_rng(spec.seed)
     n_folds = spec.n_folds if spec.n_folds is not None else 10
@@ -192,9 +194,9 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
         order = np.argsort(-np.abs(slopes[nonzero]), kind="stable")
         kept = np.sort(nonzero[order[:spec.max_select]])
 
-    ridge_lams = np.geomspace(1e3, 1e-2, 11)
-    ridge_cv, _, _ = table.cv_deviances(np.tile(np.arange(data.d), (ridge_lams.size, 1)),
-                                        [PenaltySpec("ridge", lam) for lam in ridge_lams])
+    ridge_weights = np.geomspace(1e3, 1e-2, 11)
+    ridge_cv, _, _ = table.cv_deviances(np.tile(np.arange(data.d), (ridge_weights.size, 1)),
+                                        ridge_weights)
 
     lines = [f"lasso CV over {grid.size} penalties, {n_folds} folds"]
     lines.append("lambda,mean_cv_deviance,se")
@@ -204,7 +206,7 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
     lines.append("nonzero at one-SE lambda: "
                  + (" ".join(f"x{j + 1}={slopes[j]:+.4f}" for j in nonzero) or "none"))
     lines.append("ridge CV (lambda: deviance): "
-                 + " ".join(f"{l:.3g}:{d:.4f}" for l, d in zip(ridge_lams, ridge_cv)))
+                 + " ".join(f"{l:.3g}:{d:.4f}" for l, d in zip(ridge_weights, ridge_cv)))
     lines.append("exposed counts, cases vs controls:")
     cases = data.y == 1
     for j in range(data.d):

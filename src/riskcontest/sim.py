@@ -61,6 +61,8 @@ class SimulationConfig:
             raise ConfigurationError("confounder_prev must be in (0, 1)")
         if self.d < 2:
             raise ConfigurationError("need at least 2 variables")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
 
     @property
     def n_total(self) -> int:

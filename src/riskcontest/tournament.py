@@ -37,6 +37,8 @@ class TournamentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ConfigurationError("need at least one replicate")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be non-negative")
         names = [spec.method for spec in self.methods]
         if not names:
             raise ConfigurationError("need at least one method")

@@ -292,6 +292,7 @@ class TestTournamentCli:
     @pytest.mark.parametrize("extra", [
         "methods = empty_baseline, empty_baseline\n",
         "methods = team_b\nlambda_min_ratio = 0\n",
+        "methods = empty_baseline\nmaster_seed = -1\n",
     ])
     def test_config_rejected_exit_2(self, tmp_path, extra):
         cfg = tmp_path / "t.cfg"
@@ -432,3 +433,19 @@ def test_simulate_rejects_infinite_effect(tmp_path, capsys):
     cfg.write_text("effect_hi = inf\n")
     assert run("simulate", "--config", cfg, "--out", tmp_path / "out") == 2
     assert "bad value for effect_hi: 'inf'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate --seed", "simulate config", "select --seed"])
+def test_negative_seed_exit_2(tmp_path, contest_dir, capsys, command):
+    """A negative seed once ended in numpy's ValueError traceback (exit 1)."""
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -4\n")
+    argv = {
+        "simulate --seed": ("simulate", "--seed", -1),
+        "simulate config": ("simulate", "--config", cfg),
+        "select --seed": ("select", "--method", "random_baseline",
+                          "--data", contest_dir / "dataset.csv", "--seed", -2),
+    }[command]
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be non-negative" in err

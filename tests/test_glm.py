@@ -17,6 +17,10 @@ from riskcontest.glm import FitResult
 from conftest import planted_dataset, two_by_two
 
 
+def four_folds(y):
+    return rc.make_folds(y, 4, np.random.default_rng(0))
+
+
 def random_binary(n, p, seed, prevalence=0.4):
     rng = np.random.default_rng(seed)
     x = (rng.random((n, p)) < prevalence).astype(float)
@@ -42,7 +46,7 @@ class TestFitLogistic:
 
     def test_ridge_dominance(self):
         x, y = two_by_two(30, 10, 20, 40)
-        fit = rc.fit_logistic(x, y, rc.PenaltySpec("ridge", 1e9))
+        fit = rc.fit_logistic(x, y, ridge=1e9)
         assert abs(fit.slopes[0]) < 1e-3
         assert fit.intercept == pytest.approx(math.log(y.mean() / (1 - y.mean())), abs=1e-3)
         assert fit.std_errors is None  # penalized fits carry no Wald machinery
@@ -57,10 +61,44 @@ class TestFitLogistic:
         with pytest.raises(ValidationError):
             rc.fit_logistic(np.zeros((4, 2)), np.array([0.0, 1.0]))
 
-    def test_lasso_kind_rejected(self):
+    def test_zero_ridge_is_unpenalized(self):
+        """ridge=0.0 is the default fit, standard errors included."""
+        x, y = random_binary(300, 4, seed=9)
+        plain, zero = rc.fit_logistic(x, y), rc.fit_logistic(x, y, ridge=0.0)
+        assert zero.std_errors is not None
+        assert zero.coefficients.tobytes() == plain.coefficients.tobytes()
+        assert zero.std_errors.tobytes() == plain.std_errors.tobytes()
+        assert (zero.deviance, zero.converged, zero.iterations, zero.separation_flag) == (
+            plain.deviance, plain.converged, plain.iterations, plain.separation_flag)
+
+    @pytest.mark.parametrize("ridge", [math.nan, math.inf, -1.0])
+    def test_bad_ridge_rejected(self, ridge):
+        """A NaN or infinite weight once gave an intercept-only fit flagged
+        converged; every fit rejects it, alone or among valid weights."""
+        x, y = random_binary(200, 3, seed=10)
         with pytest.raises(ValidationError):
-            rc.fit_logistic(np.zeros((10, 1)), np.array([0, 1] * 5),
-                            rc.PenaltySpec("lasso", 0.1))
+            rc.fit_logistic(x, y, ridge=ridge)
+        table = rc.PatternTable(x, y, four_folds(y))
+        with pytest.raises(ValidationError):
+            table.cv_deviances([[0, 1]], ridge)
+        with pytest.raises(ValidationError):
+            table.cv_deviances([[0], [1], [2]], [0.0, 1.0, ridge])
+        with pytest.raises(ValidationError):
+            rc.cv_deviance(x, y, (0,), four_folds(y), ridge)
+
+    def test_ridge_sequence_length_checked(self):
+        """One weight, or one per subset row; a single-element sequence
+        broadcasts with the bits of the scalar."""
+        x, y = random_binary(200, 3, seed=11)
+        table = rc.PatternTable(x, y, four_folds(y))
+        subsets = [[0], [1], [2]]
+        for ridge in ([0.0, 1.0], [0.0, 1.0, 2.0, 3.0], [[0.0, 1.0, 2.0]]):
+            with pytest.raises(ValidationError):
+                table.fold_fits(subsets, ridge)
+            with pytest.raises(ValidationError):
+                table.cv_deviances(subsets, ridge)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(
+            table.fold_fits(subsets, [0.5]), table.fold_fits(subsets, 0.5)))
 
     def test_deviance_non_increasing_within_fit(self, monkeypatch):
         # A fit capped at i iterations stops at the deviance of iteration i.
@@ -90,7 +128,7 @@ class TestFitLogistic:
 
     def test_ridge_shrinkage_monotone(self):
         x, y = random_binary(300, 5, seed=5)
-        norms = [np.linalg.norm(rc.fit_logistic(x, y, rc.PenaltySpec("ridge", lam)).slopes)
+        norms = [np.linalg.norm(rc.fit_logistic(x, y, ridge=lam).slopes)
                  for lam in (0.0, 1.0, 10.0, 100.0, 1000.0)]
         assert all(b <= a + 1e-10 for a, b in zip(norms, norms[1:]))
 
@@ -202,7 +240,7 @@ class TestCvDeviance:
             rc.cv_deviance(x, y, subset, plan)
         table = rc.PatternTable(x, y, plan)
         with pytest.raises(ValidationError):
-            table.fold_deviances(list(subset))
+            table.fold_fits([list(subset)])
         with pytest.raises(ValidationError):
             table.cv_deviances([list(subset)])
 

@@ -5,7 +5,7 @@ here fits the same data one row per observation, with unit trials, through
 conftest's scalar IRLS, which keeps every rule of glm's batched kernel but
 sums with matmul, so the two differ only in the order of floating-point
 sums. PatternTable.cv_deviances must equal the held-out sums of
-PatternTable.fold_deviances bit for bit, whatever the chunk boundaries.
+PatternTable.fold_fits bit for bit, whatever the chunk boundaries.
 """
 
 from itertools import combinations
@@ -17,12 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import riskcontest as rc
 from riskcontest import glm
 from riskcontest.errors import DegenerateOutcomeError
-from riskcontest.glm import (
-    FALLBACK_RIDGE,
-    NO_PENALTY,
-    _irls_batch,
-    _newton_steps,
-)
+from riskcontest.glm import FALLBACK_RIDGE, _irls_batch, _newton_steps
 
 from conftest import _grouped_deviance, _irls
 
@@ -31,16 +26,16 @@ RTOL = 1e-12
 # ill-conditioned that the rounding of the two summation orders grows to
 # about 1e-8.
 SEPARATED_RTOL = 1e-6
-PENALTIES = [NO_PENALTY, rc.PenaltySpec("ridge", 0.01), rc.PenaltySpec("ridge", 1.0)]
+PENALTIES = [0.0, 0.01, 1.0]
 
 
-def row_fit(x, y, penalty=NO_PENALTY):
+def row_fit(x, y, ridge=0.0):
     """(beta, deviance, std_errors, separated, iterations) of a row-wise fit."""
     n, p = x.shape
     xmat = np.hstack([np.ones((n, 1)), x])
-    beta, dev, conv, it, separated = _irls(xmat, np.ones(n), y, penalty.ridge_lam)
+    beta, dev, conv, it, separated = _irls(xmat, np.ones(n), y, ridge)
     std = None
-    if penalty.kind == "none" and conv:
+    if ridge == 0.0 and conv:
         prob = rc.expit(xmat @ beta)
         info = (xmat * np.clip(prob * (1 - prob), 1e-10, None)[:, None]).T @ xmat
         if separated:
@@ -49,15 +44,19 @@ def row_fit(x, y, penalty=NO_PENALTY):
     return beta, dev, std, separated, it
 
 
-def row_cv_deviance(x, y, cols, plan, penalty=NO_PENALTY):
+def row_cv_deviance(x, y, cols, plan, ridge=0.0):
     cols = sorted(cols)
     total = 0.0
     for f in range(1, plan.n_folds + 1):
         test = plan.assignments == f
-        beta, *_ = row_fit(x[~test][:, cols], y[~test], penalty)
+        beta, *_ = row_fit(x[~test][:, cols], y[~test], ridge)
         eta = beta[0] + x[test][:, cols] @ beta[1:]
         total += _grouped_deviance(eta, np.ones(int(test.sum())), y[test])
     return total / y.shape[0]
+
+
+def same_bits(a, b):
+    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 def assert_close(actual, expected, rtol):
@@ -88,10 +87,10 @@ def draw(seed, n, p, prevalence):
 class TestFitLogistic:
     @settings(max_examples=80, deadline=None)
     @given(contests, st.sampled_from(PENALTIES))
-    def test_matches_row_fit(self, case, penalty):
+    def test_matches_row_fit(self, case, ridge):
         x, y, _ = draw(**case)
-        fit = rc.fit_logistic(x, y, penalty)
-        beta, dev, std, separated, iterations = row_fit(x, y, penalty)
+        fit = rc.fit_logistic(x, y, ridge)
+        beta, dev, std, separated, iterations = row_fit(x, y, ridge)
         assert (fit.separation_flag, fit.iterations) == (separated, iterations)
         assert (fit.std_errors is None) == (std is None)
         rtol = SEPARATED_RTOL if separated else RTOL
@@ -104,14 +103,14 @@ class TestFitLogistic:
 class TestCvDeviance:
     @settings(max_examples=60, deadline=None)
     @given(contests, st.sampled_from(PENALTIES))
-    def test_matches_row_cv(self, case, penalty):
+    def test_matches_row_cv(self, case, ridge):
         x, y, rng = draw(**case)
         plan = rc.make_folds(y, 4, rng)
         cols = range(x.shape[1])
-        separates = any(row_fit(x[plan.assignments != f], y[plan.assignments != f], penalty)[3]
+        separates = any(row_fit(x[plan.assignments != f], y[plan.assignments != f], ridge)[3]
                         for f in range(1, plan.n_folds + 1))
-        assert_close(rc.cv_deviance(x, y, cols, plan, penalty),
-                     row_cv_deviance(x, y, cols, plan, penalty),
+        assert_close(rc.cv_deviance(x, y, cols, plan, ridge),
+                     row_cv_deviance(x, y, cols, plan, ridge),
                      SEPARATED_RTOL if separates else RTOL)
 
     @settings(max_examples=60, deadline=None)
@@ -129,7 +128,7 @@ class TestCvDeviance:
 class TestFoldDeviances:
     @settings(max_examples=80, deadline=None)
     @given(contests, st.sampled_from(PENALTIES), st.sampled_from([0, 2, 3, 4]))
-    def test_matches_row_fits(self, case, penalty, n_folds):
+    def test_matches_row_fits(self, case, ridge, n_folds):
         """n_folds = 0 draws a one-fold holdout plan whose rows labelled 0
         are never held out; otherwise a make_folds plan. Columns come in a
         random order, which the training fit must keep."""
@@ -144,11 +143,11 @@ class TestFoldDeviances:
             plan = rc.CvPlan(1, labels)
         p = x.shape[1]
         cols = [int(c) for c in rng.permutation(p)[:rng.integers(0, p + 1)]]
-        folds = rc.PatternTable(x, y, plan).fold_deviances(cols, penalty)
-        assert len(folds) == plan.n_folds
-        for f, (train_dev, held_dev) in enumerate(folds, 1):
+        folds = rc.PatternTable(x, y, plan).fold_fits([cols], ridge)
+        assert all(part.shape == (1, plan.n_folds) for part in folds)
+        for f, (train_dev, held_dev) in enumerate(zip(folds[0][0], folds[1][0]), 1):
             test = plan.assignments == f
-            fit = rc.fit_logistic(x[~test][:, cols], y[~test], penalty)
+            fit = rc.fit_logistic(x[~test][:, cols], y[~test], ridge)
             assert train_dev == fit.deviance
             eta = fit.intercept + x[test][:, cols] @ fit.slopes
             assert_close(held_dev, _grouped_deviance(eta, np.ones(int(test.sum())), y[test]),
@@ -157,11 +156,11 @@ class TestFoldDeviances:
         perm = rng.permutation(y.size)
         permuted = rc.PatternTable(x[perm], y[perm],
                                    rc.CvPlan(plan.n_folds, plan.assignments[perm]))
-        assert permuted.fold_deviances(cols, penalty) == folds
+        assert same_bits(permuted.fold_fits([cols], ridge), folds)
 
     @settings(max_examples=40, deadline=None)
     @given(contests, st.sampled_from(PENALTIES), st.integers(0, 6))
-    def test_subsets_match_one_at_a_time(self, case, penalty, size):
+    def test_subsets_match_one_at_a_time(self, case, ridge, size):
         """Subsets whose designs have different numbers of cells, fit in
         one batch, keep the bits of their one-subset fits."""
         x, y, rng = draw(**case)
@@ -169,8 +168,9 @@ class TestFoldDeviances:
         table = rc.PatternTable(x, y, plan)
         subsets = list(combinations(range(x.shape[1]), min(size, x.shape[1])))
         subsets = [list(rng.permutation(cols)) for cols in subsets]
-        assert table.subsets_fold_deviances(subsets, penalty) == [
-            table.fold_deviances(cols, penalty) for cols in subsets]
+        batch = table.fold_fits(subsets, ridge)
+        for i, cols in enumerate(subsets):
+            assert same_bits(table.fold_fits([cols], ridge), [part[i:i + 1] for part in batch])
 
 
 def test_wide_contest_keeps_every_column_distinct():
@@ -186,7 +186,7 @@ def test_wide_contest_keeps_every_column_distinct():
     plan = rc.make_folds(y, 4, np.random.default_rng(spec.seed))
     xf, yf = x.astype(float), y.astype(float)
     table = rc.PatternTable(xf, yf, plan)
-    assert table.cv_deviance((67,)) == pytest.approx(
+    assert table.cv_deviances([[67]])[0][0] == pytest.approx(
         row_cv_deviance(xf, yf, (67,), plan), rel=RTOL)
 
 
@@ -238,24 +238,21 @@ def grouped_problems(seed, members, cells, q):
 class TestBatchedKernel:
     @settings(max_examples=80, deadline=None)
     @given(problems, st.sampled_from(PENALTIES + ["mixed"]))
-    def test_batch_invariance(self, case, penalty):
+    def test_batch_invariance(self, case, ridge):
         """Every member's beta, deviance, flags and iterations have the same
         bits alone, in the full batch, in a shuffled batch and in uneven
         chunks; "mixed" gives each member its own ridge weight from
         PENALTIES."""
         design, trials, successes, rng = grouped_problems(**case)
         n = len(trials)
-        if penalty == "mixed":
-            lams = rng.choice([p.ridge_lam for p in PENALTIES], n)
+        if ridge == "mixed":
+            lams = rng.choice(PENALTIES, n)
 
         def run(idx):
             idx = np.asarray(idx)
             own = design if len(design) == 1 else design[idx]
-            lam = lams[idx] if penalty == "mixed" else penalty.ridge_lam
+            lam = lams[idx] if ridge == "mixed" else ridge
             return _irls_batch(own, trials[idx], successes[idx], lam)
-
-        def same_bits(a, b):
-            return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
         full = run(np.arange(n))
         for i in range(n):
@@ -271,9 +268,9 @@ class TestBatchedKernel:
     # A quasi-separated fold fit that stops by DEVIANCE_RTOL while its slope
     # still grows: summing its cells in another order moves the CV deviance
     # by about 1e-9.
-    @example({"seed": 25740, "n": 208, "p": 2, "prevalence": 0.0625}, NO_PENALTY, 1, True)
-    def test_cv_deviances_match_scalar_fold_fits(self, case, penalty, size, doubled):
-        """cv_deviances is the held-out sum of the fold_deviances fits over
+    @example({"seed": 25740, "n": 208, "p": 2, "prevalence": 0.0625}, 0.0, 1, True)
+    def test_cv_deviances_match_scalar_fold_fits(self, case, ridge, size, doubled):
+        """cv_deviances is the held-out sum of the one-subset fold_fits over
         n_held, bit for bit, on binary x and on x doubled."""
         x, y, rng = draw(**case)
         if doubled:
@@ -281,17 +278,17 @@ class TestBatchedKernel:
         plan = rc.make_folds(y, 4, rng)
         table = rc.PatternTable(x, y, plan)
         subsets = np.array(list(combinations(range(x.shape[1]), min(size, x.shape[1]))))
-        devs, refit, converged = table.cv_deviances(subsets, penalty)
+        devs, refit, converged = table.cv_deviances(subsets, ridge)
         assert devs.shape == (len(subsets),)
         assert refit.shape == converged.shape == (len(subsets), plan.n_folds)
         for cols, dev in zip(subsets, devs):
-            folds = table.fold_deviances(list(cols), penalty)
-            assert dev == sum(held for _, held in folds) / table.n_held
-            assert table.cv_deviance(cols, penalty) == dev
+            _, held, _, _ = table.fold_fits([cols], ridge)
+            assert dev == sum(held[0].tolist()) / table.n_held
+            assert rc.cv_deviance(x, y, cols, plan, ridge) == dev
 
     @settings(max_examples=30, deadline=None)
     @given(contests, st.sampled_from(PENALTIES), st.integers(1, 4), st.integers(1, 200))
-    def test_chunk_boundaries_keep_bits(self, case, penalty, size, elements):
+    def test_chunk_boundaries_keep_bits(self, case, ridge, size, elements):
         """With BATCH_ELEMENTS small, every subset's fold fits run in
         smaller chunks and keep their bits."""
         x, y, rng = draw(**case)
@@ -299,8 +296,7 @@ class TestBatchedKernel:
         subsets = np.array(list(combinations(range(x.shape[1]), min(size, x.shape[1]))))
 
         def run():
-            return (table.cv_deviances(subsets, penalty),
-                    table.subsets_fold_deviances(subsets, penalty))
+            return table.cv_deviances(subsets, ridge), table.fold_fits(subsets, ridge)
 
         (devs, refit, converged), folds = run()
         with pytest.MonkeyPatch.context() as patch:
@@ -308,7 +304,7 @@ class TestBatchedKernel:
             (c_devs, c_refit, c_converged), c_folds = run()
         assert devs.tobytes() == c_devs.tobytes()
         assert np.array_equal(refit, c_refit) and np.array_equal(converged, c_converged)
-        assert c_folds == folds
+        assert same_bits(c_folds, folds)
 
     def test_newton_steps_singular_members_keep_solo_bits(self):
         """Members 1 and 4 have exactly singular Newton systems: at lam = 0
@@ -346,4 +342,4 @@ class TestBatchedKernel:
         with pytest.raises(DegenerateOutcomeError):
             table.cv_deviances(np.array([[0], [1]]))
         with pytest.raises(DegenerateOutcomeError):
-            table.cv_deviance((0, 1))
+            table.fold_fits([[0, 1]])

@@ -103,7 +103,7 @@ class TestTeamB:
     def test_ridge_curve_is_one_call_per_penalty(self, seed):
         """team_b fits every penalty's fold fits of its ridge curve in one
         batch, whose fold fits have several cell counts (some folds hold
-        the only rows of a pattern); each point equals its own cv_deviance
+        the only rows of a pattern); each point equals its own cv_deviances
         call bit for bit."""
         data = planted_dataset(n=400, d=8, seed=6)
         plan = make_folds(data.y, 10, np.random.default_rng(seed))
@@ -111,12 +111,12 @@ class TestTeamB:
         train_cells = (table.counts[0] > table.counts[2:2 + plan.n_folds]).sum(axis=1)
         assert len(set(train_cells.tolist())) > 1
         lams = np.geomspace(1e3, 1e-2, 11)
-        penalties = [rc.PenaltySpec("ridge", lam) for lam in lams]
-        expected = np.array([table.cv_deviance(range(data.d), p) for p in penalties])
+        expected = np.array([table.cv_deviances([np.arange(data.d)], lam)[0][0]
+                             for lam in lams])
         subsets = np.tile(np.arange(data.d), (lams.size, 1))
-        assert table.cv_deviances(subsets, penalties)[0].tobytes() == expected.tobytes()
-        with pytest.raises(ValueError):
-            table.cv_deviances(subsets, penalties[1:])
+        assert table.cv_deviances(subsets, lams)[0].tobytes() == expected.tobytes()
+        with pytest.raises(ValidationError):
+            table.cv_deviances(subsets, lams[1:])
         report = rc.run_selector(data, rc.SelectorSpec("team_b", seed=seed)).method_report
         assert "ridge CV (lambda: deviance): " + " ".join(
             f"{lam:.3g}:{dev:.4f}" for lam, dev in zip(lams, expected)) in report.splitlines()
@@ -204,7 +204,7 @@ class TestTeamC:
 
 def scalar_fold_flags(table, cols):
     """(separated, converged) of the scalar _irls on each fold's training
-    counts, built as PatternTable.fold_deviances builds them."""
+    counts, built as PatternTable.fold_fits builds them."""
     sub, inv = _collapse(table.patterns[:, list(cols)])
     design = np.column_stack([np.ones(len(sub)), sub])
     all_n, all_c, *held = _pattern_sums(inv, len(sub), table.counts)
@@ -239,7 +239,7 @@ class TestTeamCBatched:
         best, leaders = None, []
         for s in range(spec.size_min, spec.size_max + 1):
             for cols in combinations(range(data.d), s):
-                dev = sum(held for _, held in table.fold_deviances(list(cols))) / table.n_held
+                dev = sum(table.fold_fits([cols])[1][0].tolist()) / table.n_held
                 if best is None or dev < best[0]:
                     best = (dev, cols)
                 if len(leaders) < 5 or dev < leaders[-1][0]:
