@@ -51,7 +51,7 @@ def _read_config(path) -> dict[str, str]:
 def cmd_simulate(args) -> int:
     config = sim_config_from_mapping(_read_config(args.config))
     if args.seed is not None:
-        config = sim_config_from_mapping({"seed": str(args.seed)}, base=config)
+        config = replace(config, seed=args.seed)
 
     rng = np.random.default_rng(config.seed)
     truth = draw_ground_truth(config, rng)

@@ -34,7 +34,7 @@ member per row of (M, k) trial and case counts; PatternTable.lasso_cv_deviance
 runs every fold's training counts and the all-rows counts as one batch, and
 fit_lasso_path is a batch of one. Each member keeps every rule of glmnet-style
 coordinate descent on its own: its own weighted standardization, the log-odds
-start, the 1e-10 weight clip, the KKT check at kkt_tol, LASSO_MAX_OUTER outer
+start, the 1e-10 weight clip, the KKT check at KKT_TOL, LASSO_MAX_OUTER outer
 iterations, up to LASSO_MAX_SWEEPS sweeps that end when nothing moved by
 LASSO_SWEEP_TOL, the skip of a column constant over its trials and the
 intercept shift. A member that is done stops changing, so it runs exactly the
@@ -628,14 +628,14 @@ def default_lambda_grid(x: np.ndarray, y: np.ndarray, n_lambdas: int = 50,
     return np.geomspace(lmax, lmax * min_ratio, n_lambdas)
 
 
-def _lasso_cd(xs, trials, cases, n, lam, b0, beta, kkt_tol):
+def _lasso_cd(xs, trials, cases, n, lam, b0, beta):
     """Solve M lasso problems at penalty lam, warm-started at (b0, beta).
 
     Member i's objective: (1/n_i) sum[-c*eta + t*log(1+exp(eta))]
     + lam * ||beta_i||_1 over its standardized patterns xs[:, i] (p, M, k),
     with t trials and c cases per pattern, n_i trials in all. The outer loop
     re-quadratizes with observation weights t*p(1-p); a member stops when
-    its exact subgradient conditions hold within kkt_tol, and its inner
+    its exact subgradient conditions hold within KKT_TOL, and its inner
     sweeps stop when no coefficient moved by LASSO_SWEEP_TOL. b0 (M,) and
     beta (p, M) are updated in place. Returns converged (M,) and the outer
     iterations (M,).
@@ -650,7 +650,7 @@ def _lasso_cd(xs, trials, cases, n, lam, b0, beta, kkt_tol):
         resid = t * prob - c
         g = np.einsum("pik,ik->pi", x, resid) / m
         viol = np.where(b != 0.0, np.abs(g + lam * np.sign(b)), np.abs(g) - lam)
-        met = np.maximum(np.abs(resid.sum(axis=1)) / m, viol.max(axis=0, initial=0.0)) <= kkt_tol
+        met = np.maximum(np.abs(resid.sum(axis=1)) / m, viol.max(axis=0, initial=0.0)) <= KKT_TOL
         converged[live[met]], iterations[live[met]] = True, outer
         if met.all():
             break
@@ -708,19 +708,18 @@ def _lasso_sweeps(x, wx, w, r, n, wx2, wx2_div, lam, b0, beta):
     return out_b0, out_beta
 
 
-def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None, *,
-                   kkt_tol: float = KKT_TOL) -> list[FitResult]:
+def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None) -> list[FitResult]:
     """Lasso solutions along a decreasing penalty grid, warm-started.
 
     Returns one FitResult per grid point with coefficients on the original
     0/1 scale. Every solution satisfies the subgradient optimality
-    conditions of the standardized problem within kkt_tol.
+    conditions of the standardized problem within KKT_TOL.
     """
     patterns, trials, cases, _ = _pattern_counts(x, y)
     # A single class raises here, not as the grid's zero lambda_max.
     _log_odds(trials[None], cases[None])
     grid = default_lambda_grid(x, y) if lambda_grid is None else lambda_grid
-    return _path_fits(_lasso_path(patterns, trials[None], cases[None], grid, kkt_tol), 0)
+    return _path_fits(_lasso_path(patterns, trials[None], cases[None], grid), 0)
 
 
 def _path_fits(paths, i) -> list[FitResult]:
@@ -730,7 +729,7 @@ def _path_fits(paths, i) -> list[FitResult]:
             for l in range(coef.shape[1])]
 
 
-def _lasso_path(patterns, trials, cases, lambda_grid, kkt_tol=KKT_TOL):
+def _lasso_path(patterns, trials, cases, lambda_grid):
     """fit_lasso_path on M sets of counts over the k patterns (p columns) at
     once: trials and cases are (M, k), and a pattern may have no trials.
 
@@ -751,7 +750,7 @@ def _lasso_path(patterns, trials, cases, lambda_grid, kkt_tol=KKT_TOL):
     iterations = np.empty((len(n), grid.size), dtype=int)
     for l, lam in enumerate(grid):
         converged[:, l], iterations[:, l] = _lasso_cd(
-            xs, trials, cases, n, float(lam), b0, beta, kkt_tol)
+            xs, trials, cases, n, float(lam), b0, beta)
         coef[:, l, 1:] = beta.T / scale
         coef[:, l, 0] = b0 - (beta.T * mean / scale).sum(axis=1)
     eta = coef[..., :1] + np.einsum("kp,ilp->ilk", patterns, coef[..., 1:])

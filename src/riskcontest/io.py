@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 from dataclasses import fields as dataclass_fields
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -339,11 +338,9 @@ def config_values(cls, names, mapping: dict[str, str], prefix: str = "") -> dict
     return values
 
 
-def sim_config_from_mapping(mapping: dict[str, str],
-                            base: SimulationConfig | None = None) -> SimulationConfig:
+def sim_config_from_mapping(mapping: dict[str, str]) -> SimulationConfig:
     """Build a SimulationConfig from the matching keys of a parsed config."""
-    values = config_values(SimulationConfig, SIM_FIELDS, mapping)
-    return replace(base or SimulationConfig(), **values)
+    return SimulationConfig(**config_values(SimulationConfig, SIM_FIELDS, mapping))
 
 
 def selector_spec_from_mapping(method: str, mapping: dict[str, str]) -> SelectorSpec:

@@ -123,9 +123,12 @@ def _holdout_plan(y, fraction, rng) -> CvPlan:
     """One-fold plan: each class shuffled, its first `fraction` kept for
     training (label 0) and the rest held out (label 1)."""
     labels = np.zeros(y.size, dtype=np.int64)
-    for cls in (1, 0):
+    for cls, name in ((1, "case"), (0, "control")):
         idx = rng.permutation(np.flatnonzero(y == cls))
-        labels[idx[int(round(fraction * idx.size)):]] = 1
+        n_train = int(round(fraction * idx.size))
+        if idx.size and not n_train:
+            raise ValidationError(f"train_fraction {fraction} leaves no {name} to train on")
+        labels[idx[n_train:]] = 1
     if not labels.any():
         raise ValidationError(f"train_fraction {fraction} holds out no row")
     return CvPlan(1, labels)

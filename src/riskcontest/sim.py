@@ -77,7 +77,10 @@ class SimulationConfig:
 class Confounder:
     """Latent binary confounder: its own effect on the outcome plus a list of
     linked risk factors whose conditional prevalence it multiplies by 10
-    (capped at 0.5) while active."""
+    while active. The inflated prevalence is capped at 0.5, or at the
+    factor's own prevalence when that is higher: a factor drawn at p is
+    drawn at min(p * 10**a, max(p, 0.5)), with a the number of active
+    confounders linked to it."""
 
     log_or: float
     linked: tuple[int, ...]  # 1-based risk-factor indices
@@ -193,11 +196,6 @@ def draw_ground_truth(config: SimulationConfig, rng: np.random.Generator) -> Gro
                        tuple(confounders), tuple(float(p) for p in prev))
 
 
-def _check_consistent(truth: GroundTruth, config: SimulationConfig) -> None:
-    if truth.d != config.d:
-        raise ValidationError(f"truth has {truth.d} prevalences, config expects {config.d}")
-
-
 def simulate_dataset(truth: GroundTruth, config: SimulationConfig,
                      rng: np.random.Generator, *, return_confounders: bool = False):
     """Draw one case-control dataset from a ground truth.
@@ -213,62 +211,48 @@ def simulate_dataset(truth: GroundTruth, config: SimulationConfig,
     contestant dataset). Raises SimulationBudgetError if the pools cannot be
     filled within config.max_draws population records.
     """
-    _check_consistent(truth, config)
     d = config.d
+    if truth.d != d:
+        raise ValidationError(f"truth has {truth.d} prevalences, config expects {d}")
     prev = np.asarray(truth.prevalences, dtype=float)
 
     beta = np.zeros(d)
     for j, e in truth.effects.items():
         beta[j - 1] = e
-    n_conf = len(truth.confounders)
     conf_prev = np.array([c.prevalence for c in truth.confounders], dtype=float)
     conf_eff = np.array([c.log_or for c in truth.confounders], dtype=float)
-    links = np.zeros((n_conf, d))
+    links = np.zeros((len(truth.confounders), d))
     for i, c in enumerate(truth.confounders):
         for j in c.linked:
             links[i, j - 1] = 1.0
 
-    need_cases, need_controls = config.n_cases, config.n_controls
-    case_x, case_c = [], []
-    control_x, control_c = [], []
-    got_cases = got_controls = 0
+    need = [config.n_cases, config.n_controls]
+    pools = [[], []]  # (x, confounder) blocks of the cases, then of the controls
     draws = 0
 
-    while got_cases < need_cases or got_controls < need_controls:
+    while (got := [sum(len(xs) for xs, _ in pool) for pool in pools]) != need:
         if draws >= config.max_draws:
             raise SimulationBudgetError(
-                f"exhausted {draws} population draws with {got_cases}/{need_cases} cases "
-                f"and {got_controls}/{need_controls} controls; the intercept may be too "
+                f"exhausted {draws} population draws with {got[0]}/{need[0]} cases "
+                f"and {got[1]}/{need[1]} controls; the intercept may be too "
                 f"extreme for the requested pool sizes")
         b = min(_BATCH, config.max_draws - draws)
         draws += b
 
-        if n_conf:
-            conf = (rng.random((b, n_conf)) < conf_prev).astype(float)
-            inflation = 10.0 ** (conf @ links)
-            p_eff = np.minimum(prev * inflation, 0.5)
-        else:
-            conf = np.zeros((b, 0))
-            p_eff = np.broadcast_to(prev, (b, d))
+        conf = (rng.random((b, conf_prev.size)) < conf_prev).astype(float)
+        inflation = 10.0 ** (conf @ links)
+        p_eff = np.minimum(prev * inflation, np.maximum(prev, 0.5))
         x = (rng.random((b, d)) < p_eff).astype(np.int8)
         eta = config.baseline_intercept + x @ beta + conf @ conf_eff
         y = rng.random(b) < expit(eta)
 
-        if got_cases < need_cases:
-            take = np.flatnonzero(y)[:need_cases - got_cases]
-            case_x.append(x[take])
-            case_c.append(conf[take])
-            got_cases += take.size
-        if got_controls < need_controls:
-            take = np.flatnonzero(~y)[:need_controls - got_controls]
-            control_x.append(x[take])
-            control_c.append(conf[take])
-            got_controls += take.size
+        for pool, rows, have, want in zip(pools, (y, ~y), got, need):
+            take = np.flatnonzero(rows)[:want - have]
+            pool.append((x[take], conf[take]))
 
-    x_all = np.vstack(case_x + control_x)
-    conf_all = np.vstack(case_c + control_c).astype(np.int8)
-    y_all = np.concatenate([np.ones(need_cases, dtype=np.int8),
-                            np.zeros(need_controls, dtype=np.int8)])
+    x_all = np.vstack([xs for pool in pools for xs, _ in pool])
+    conf_all = np.vstack([cs for pool in pools for _, cs in pool]).astype(np.int8)
+    y_all = np.repeat(np.array([1, 0], dtype=np.int8), need)
     perm = rng.permutation(config.n_total)
     dataset = Dataset(x_all[perm], y_all[perm])
     if return_confounders:

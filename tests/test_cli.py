@@ -55,6 +55,15 @@ class TestSimulate:
         run("simulate", "--config", sim_config, "--seed", 77, "--out", out2)
         assert (out1 / "dataset.csv").read_bytes() != (out2 / "dataset.csv").read_bytes()
 
+    def test_seed_flag_overrides_config_seed(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("d = 8\nn_cases = 200\nn_controls = 200\nseed = 31\n")
+        out = tmp_path / "o"
+        assert run("simulate", "--config", cfg, "--seed", 77, "--out", out) == 0
+        data = read_dataset_csv(out / "dataset.csv")
+        assert (data.n, data.d) == (400, 8)
+        assert json.loads((out / "truth.json").read_text())["seed"] == 77
+
     def test_export_confounders(self, tmp_path, sim_config):
         out = tmp_path / "o"
         run("simulate", "--config", sim_config, "--out", out, "--export-confounders")
@@ -154,6 +163,18 @@ class TestSelect:
                    "--out", tmp_path / "s.json")
         assert code == 2
         assert "holds out no row" in capsys.readouterr().err
+
+    def test_team_a_holdout_without_training_rows_exit_2(self, tmp_path, capsys):
+        # round(0.01 * 20) = 0: each class of 20 keeps no row for training.
+        data = tmp_path / "small.csv"
+        data.write_text("id,x1,x2,x3,y\n" + "".join(
+            f"{i},{i % 2},{i // 2 % 2},{i // 4 % 2},{int(i > 20)}\n" for i in range(1, 41)))
+        cfg = tmp_path / "sel.cfg"
+        cfg.write_text("train_fraction = 0.01\nsize_min = 1\nsize_max = 2\n")
+        code = run("select", "--method", "team_a", "--data", data, "--config", cfg,
+                   "--out", tmp_path / "s.json")
+        assert code == 2
+        assert "train_fraction 0.01 leaves no case to train on" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-0.5", "1"])
     def test_team_b_lambda_min_ratio_outside_unit_interval_exit_2(

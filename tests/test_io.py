@@ -372,12 +372,6 @@ class TestConfigFiles:
         assert config.seed == 42
         assert config.n_controls == 2000  # untouched default
 
-    def test_base_override(self):
-        base = rc.SimulationConfig(seed=1, d=10, k_max=5)
-        config = sim_config_from_mapping({"seed": "9"}, base=base)
-        assert config.seed == 9
-        assert config.d == 10
-
     def test_missing_equals_sign(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("d 10\n")

@@ -53,11 +53,12 @@ class TestLambdaMax:
 
 
 class TestPath:
-    def test_zero_penalty_matches_mle(self):
+    def test_zero_penalty_matches_mle(self, monkeypatch):
+        monkeypatch.setattr(glm, "KKT_TOL", 1e-9)
         x, y = lasso_data(seed=3)
         lmax = rc.lasso_lambda_max(x, y)
         grid = np.concatenate([np.geomspace(lmax, lmax / 100, 10), [0.0]])
-        path = rc.fit_lasso_path(x, y, grid, kkt_tol=1e-9)
+        path = rc.fit_lasso_path(x, y, grid)
         mle = rc.fit_logistic(x, y)
         assert np.max(np.abs(path[-1].coefficients - mle.coefficients)) < 1e-6
 

@@ -81,6 +81,20 @@ class TestTeamA:
         sub = rc.run_selector(data, rc.SelectorSpec("team_a", seed=2, size_max=4))
         assert "train" in sub.method_report and "test deviance" in sub.method_report
 
+    @pytest.mark.parametrize("n_cases, n_controls, fraction, name", [
+        (30, 30, 1e-9, "case"), (30, 30, 0.01, "case"), (30, 3000, 0.01, "case"),
+        (3000, 30, 0.01, "control")])
+    def test_split_without_training_rows_names_train_fraction(
+            self, n_cases, n_controls, fraction, name):
+        # round(0.01 * 30) = 0: the smaller class keeps no row for training.
+        rng = np.random.default_rng(6)
+        y = np.repeat(np.array([1, 0], dtype=np.int8), [n_cases, n_controls])
+        data = rc.Dataset((rng.random((y.size, 4)) < 0.5).astype(np.int8), y)
+        spec = rc.SelectorSpec("team_a", train_fraction=fraction, size_min=1, size_max=2)
+        with pytest.raises(ValidationError,
+                           match=f"train_fraction {fraction} leaves no {name} to train on"):
+            rc.run_selector(data, spec)
+
 
 class TestTeamB:
     def test_cap_is_enforced_on_null_data(self):

@@ -164,16 +164,19 @@ class TestSimulateDataset:
 
     def test_confounder_linkage_inflates_prevalence(self):
         # An always-active confounder multiplies a linked column's prevalence
-        # by 10 (capped at 0.5) without touching the others.
-        prev = (0.03, 0.08, 0.02)
-        truth = rc.GroundTruth((), {}, (rc.Confounder(0.0, (1, 2), 1.0 - 1e-12),), prev)
-        config = rc.SimulationConfig(d=3, n_cases=3000, n_controls=3000,
+        # by 10 (capped at 0.5) without touching the others. A prevalence
+        # already above 0.5 is kept, linked (column 5) or not (column 4).
+        prev = (0.03, 0.08, 0.02, 0.7, 0.6)
+        truth = rc.GroundTruth((), {}, (rc.Confounder(0.0, (1, 2, 5), 1.0 - 1e-12),), prev)
+        config = rc.SimulationConfig(d=5, n_cases=3000, n_controls=3000,
                                      k_min=1, k_max=1)
         data = rc.simulate_dataset(truth, config, np.random.default_rng(3))
         freq = data.x.mean(axis=0)
         assert freq[0] == pytest.approx(0.3, abs=0.02)
         assert freq[1] == pytest.approx(0.5, abs=0.02)  # 0.8 capped at 0.5
         assert freq[2] == pytest.approx(0.02, abs=0.01)
+        assert freq[3] == pytest.approx(0.7, abs=0.02)
+        assert freq[4] == pytest.approx(0.6, abs=0.02)
 
     def test_budget_error(self):
         config = rc.SimulationConfig(n_cases=50, n_controls=50,
