@@ -39,20 +39,26 @@ def write_csv(path, header, rows) -> None:
 
 def _write_binary_csv(path, header, cells) -> None:
     """Write the header, then per row of the 0/1 matrix `cells` its 1-based
-    id and its cells, in write_csv's dialect and with the same bytes. One
-    uint8 block holds every row's ',c' pairs and newline, so only the ids
-    are formatted one by one."""
+    id and its cells, in write_csv's dialect and with the same bytes. The
+    rows whose ids have the same number of digits (1-9, 10-99, ...) are one
+    uint8 block: each line is the id's digits, the ',c' pairs and the
+    newline, so no row is formatted on its own."""
     cells = np.asarray(cells)
-    if not np.isin(cells, (0, 1)).all():
+    if not ((cells == 0) | (cells == 1)).all():
         raise ValidationError("binary CSV cells must be 0/1")
-    block = np.empty((cells.shape[0], 2 * cells.shape[1] + 1), dtype=np.uint8)
-    block[:, 0:-1:2] = ord(",")
-    block[:, 1:-1:2] = cells.astype(np.uint8) + ord("0")
-    block[:, -1] = ord("\n")
-    body, width = block.tobytes(), block.shape[1]
-    lines = (b"%d" % i + body[start:start + width]
-             for i, start in enumerate(range(0, len(body), width), start=1))
-    Path(path).write_bytes(",".join(header).encode() + b"\n" + b"".join(lines))
+    tail = np.empty((cells.shape[0], 2 * cells.shape[1] + 1), dtype=np.uint8)
+    tail[:, 0:-1:2] = ord(",")
+    tail[:, 1:-1:2] = cells.astype(np.uint8) + ord("0")
+    tail[:, -1] = ord("\n")
+    blocks = [",".join(header).encode() + b"\n"]
+    for width in range(1, len(str(len(tail))) + 1):
+        lo, hi = 10 ** (width - 1), min(10 ** width, len(tail) + 1)
+        block = np.empty((hi - lo, width + tail.shape[1]), dtype=np.uint8)
+        block[:, :width] = (np.arange(lo, hi)[:, None] // 10 ** np.arange(width - 1, -1, -1)
+                            % 10 + ord("0"))
+        block[:, width:] = tail[lo - 1:hi - 1]
+        blocks.append(block.tobytes())
+    Path(path).write_bytes(b"".join(blocks))
 
 
 def write_dataset_csv(path, dataset: Dataset) -> None:

@@ -136,7 +136,10 @@ def _holdout_plan(y, fraction, rng) -> CvPlan:
 
 def select_team_a(data: Dataset, spec: SelectorSpec) -> Submission:
     """Holdout best subset: greedy forward selection per size on a stratified
-    75/25 split, keeping the candidate size with the lowest test deviance."""
+    75/25 split, keeping the candidate size with the lowest test deviance.
+    The report's last line counts the fold fits of all forward steps, those
+    refit with the separation ridge and those that did not converge, as
+    team_c's does; the steps use the fits as they are."""
     plan = _holdout_plan(data.y, spec.train_fraction, np.random.default_rng(spec.seed))
     table = PatternTable(data.x, data.y, plan)
     n_test = table.n_held
@@ -145,9 +148,13 @@ def select_team_a(data: Dataset, spec: SelectorSpec) -> Submission:
     chosen: list[int] = []
     remaining = list(range(data.d))
     test_devs: dict[int, float] = {}
+    fits = separated = unconverged = 0
     while len(chosen) < spec.size_max:
         # One fold: column 0 of the (candidates, 1) deviances.
-        train, held, _, _ = table.fold_fits([chosen + [j] for j in remaining])
+        train, held, refit, converged = table.fold_fits([chosen + [j] for j in remaining])
+        fits += refit.size
+        separated += int(refit.sum())
+        unconverged += int(refit.size - converged.sum())
         i = int(np.argmin(train[:, 0]))  # ties: lowest column index
         chosen.append(remaining.pop(i))
         lines.append(f"forward step {len(chosen)}: add x{chosen[-1] + 1} "
@@ -159,6 +166,8 @@ def select_team_a(data: Dataset, spec: SelectorSpec) -> Submission:
         lines.append(f"size {size}: test deviance per row {test_dev:.6f}")
     best = min(test_devs, key=test_devs.get)  # ties: the smaller size
     lines.append(f"picked size {best} with test deviance {test_devs[best]:.6f}")
+    lines.append(f"fold fits: {fits} run, {separated} refit with the separation ridge, "
+                 f"{unconverged} not converged")
     return Submission("team_a", _to_1based(chosen[:best]), "\n".join(lines))
 
 

@@ -129,7 +129,7 @@ class Dataset:
     def __post_init__(self):
         if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
             raise ValidationError("x must be (n, d) with y of length n")
-        if not np.isin(self.x, (0, 1)).all() or not np.isin(self.y, (0, 1)).all():
+        if not all(((a == 0) | (a == 1)).all() for a in (self.x, self.y)):
             raise ValidationError("dataset entries must be 0/1")
 
     @property
@@ -205,6 +205,9 @@ def simulate_dataset(truth: GroundTruth, config: SimulationConfig,
     then a Bernoulli outcome from the logistic model. Records fill the case
     and control pools until both reach their targets; the pools are
     concatenated and shuffled, and confounder columns are dropped.
+    The inflated prevalences are computed only for rows with an active
+    confounder: in any other row the inflation is exactly 1.0, so the
+    capped prevalence min(p * 1.0, max(p, 0.5)) is p itself, bit for bit.
 
     With return_confounders=True also returns the latent confounder matrix
     aligned to the emitted rows (instructor diagnostics; never part of the
@@ -240,9 +243,12 @@ def simulate_dataset(truth: GroundTruth, config: SimulationConfig,
         draws += b
 
         conf = (rng.random((b, conf_prev.size)) < conf_prev).astype(float)
-        inflation = 10.0 ** (conf @ links)
-        p_eff = np.minimum(prev * inflation, np.maximum(prev, 0.5))
-        x = (rng.random((b, d)) < p_eff).astype(np.int8)
+        u = rng.random((b, d))
+        x = u < prev
+        hit = np.flatnonzero(conf.any(axis=1))
+        x[hit] = u[hit] < np.minimum(prev * 10.0 ** (conf[hit] @ links),
+                                     np.maximum(prev, 0.5))
+        x = x.astype(np.int8)
         eta = config.baseline_intercept + x @ beta + conf @ conf_eff
         y = rng.random(b) < expit(eta)
 

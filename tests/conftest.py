@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import riskcontest as rc
-from riskcontest.errors import DegenerateOutcomeError
+from riskcontest.errors import DegenerateOutcomeError, SimulationBudgetError
 from riskcontest.glm import (
     DEVIANCE_RTOL,
     FALLBACK_RIDGE,
@@ -78,6 +78,53 @@ def null_dataset(n=400, d=6, prevalence=0.3, seed=0) -> rc.Dataset:
     y[: n // 2] = 1
     rng.shuffle(y)
     return rc.Dataset(x, y)
+
+
+def reference_simulate(truth, config, rng):
+    """simulate_dataset's draw with the confounder inflation computed over
+    every cell of each batch, as 10.0 ** (conf @ links): the reference that
+    sim.simulate_dataset, which computes it only on rows with an active
+    confounder, must equal byte for byte. Returns (x, y, confounders)."""
+    d = config.d
+    prev = np.asarray(truth.prevalences, dtype=float)
+    beta = np.zeros(d)
+    for j, e in truth.effects.items():
+        beta[j - 1] = e
+    conf_prev = np.array([c.prevalence for c in truth.confounders], dtype=float)
+    conf_eff = np.array([c.log_or for c in truth.confounders], dtype=float)
+    links = np.zeros((len(truth.confounders), d))
+    for i, c in enumerate(truth.confounders):
+        for j in c.linked:
+            links[i, j - 1] = 1.0
+
+    need = [config.n_cases, config.n_controls]
+    pools = [[], []]
+    draws = 0
+    while (got := [sum(len(xs) for xs, _ in pool) for pool in pools]) != need:
+        if draws >= config.max_draws:
+            raise SimulationBudgetError(
+                f"exhausted {draws} population draws with {got[0]}/{need[0]} cases "
+                f"and {got[1]}/{need[1]} controls; the intercept may be too "
+                f"extreme for the requested pool sizes")
+        b = min(rc.sim._BATCH, config.max_draws - draws)
+        draws += b
+
+        conf = (rng.random((b, conf_prev.size)) < conf_prev).astype(float)
+        inflation = 10.0 ** (conf @ links)
+        p_eff = np.minimum(prev * inflation, np.maximum(prev, 0.5))
+        x = (rng.random((b, d)) < p_eff).astype(np.int8)
+        eta = config.baseline_intercept + x @ beta + conf @ conf_eff
+        y = rng.random(b) < expit(eta)
+
+        for pool, rows, have, want in zip(pools, (y, ~y), got, need):
+            take = np.flatnonzero(rows)[:want - have]
+            pool.append((x[take], conf[take]))
+
+    x_all = np.vstack([xs for pool in pools for xs, _ in pool])
+    conf_all = np.vstack([cs for pool in pools for _, cs in pool]).astype(np.int8)
+    y_all = np.repeat(np.array([1, 0], dtype=np.int8), need)
+    perm = rng.permutation(config.n_total)
+    return x_all[perm], y_all[perm], conf_all[perm]
 
 
 def _grouped_deviance(eta, trials, successes) -> float:

@@ -28,6 +28,7 @@ from riskcontest.io import (
     truth_from_dict,
     truth_to_dict,
     _parse_written_layout,
+    _write_binary_csv,
     verify_commitment,
     write_confounders_csv,
     write_csv,
@@ -126,9 +127,33 @@ class TestDatasetCsv:
                       ([i, *row] for i, row in enumerate(conf.astype(int).tolist(), 1)))
             assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10_000, 10_001])
+    def test_binary_writer_at_id_width_boundaries(self, tmp_path, n):
+        """_write_binary_csv writes the rows of each id width as one block;
+        around every width change its bytes equal write_csv's."""
+        rng = np.random.default_rng(n)
+        for d in (1, 2, 20):
+            header = ["id", *(f"c{j}" for j in range(1, d + 1))]
+            bits = rng.random((n, d)) < 0.5
+            write_csv(tmp_path / "rows.csv", header,
+                      ([i, *row] for i, row in enumerate(bits.astype(int).tolist(), 1)))
+            for cells in (bits.astype(np.int8), bits, bits.astype(float)):
+                _write_binary_csv(tmp_path / "fast.csv", header, cells)
+                assert (tmp_path / "fast.csv").read_bytes() == \
+                    (tmp_path / "rows.csv").read_bytes(), (d, cells.dtype)
+
     def test_writer_rejects_non_binary_cells(self, tmp_path):
         with pytest.raises(ValidationError):
             write_confounders_csv(tmp_path / "c.csv", np.array([[0.0, 2.0]]))
+        for bad in (2, -1, 0.5, np.nan):
+            cells = np.zeros((12, 3))
+            cells[10, 2] = bad
+            with pytest.raises(ValidationError, match="^binary CSV cells must be 0/1$"):
+                _write_binary_csv(tmp_path / "c.csv", ["id", "a", "b", "c"], cells)
+            with pytest.raises(ValidationError, match="^dataset entries must be 0/1$"):
+                rc.Dataset(cells, np.zeros(12))
+            with pytest.raises(ValidationError, match="^dataset entries must be 0/1$"):
+                rc.Dataset(np.zeros((12, 3)), cells[:, 2])
 
 
 def reference_read_dataset_csv(path) -> rc.Dataset:

@@ -37,6 +37,7 @@ def sha256(path: Path) -> str:
 
 @pytest.mark.parametrize("pool, config, item", [
     *(("instructor", "", item) for item in range(1001, 1006)),
+    *(("held-out-instructor", "", item) for item in range(1201, 1204)),
     *(("tiny-instructor", "d = 8\nn_cases = 200\nn_controls = 200\n", item)
       for item in range(1, 4))])
 def test_simulate_matches_benchmark_reference(tmp_path, capsys, pool, config, item):

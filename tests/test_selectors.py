@@ -81,6 +81,32 @@ class TestTeamA:
         sub = rc.run_selector(data, rc.SelectorSpec("team_a", seed=2, size_max=4))
         assert "train" in sub.method_report and "test deviance" in sub.method_report
 
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_report_counts_fold_fits_of_every_step(self, seed):
+        """The last line sums fold_fits' refit and converged masks over the
+        forward steps; with seed 3 some steps' fits separate."""
+        rng = np.random.default_rng(34)
+        x = (rng.random((300, 8)) < 0.12).astype(np.int8)
+        x[:, 7] = rng.random(300) < 0.02
+        y = (rng.random(300) < rc.expit(-1.0 + 1.5 * x[:, 0])).astype(np.int8)
+        spec = rc.SelectorSpec("team_a", seed=seed, size_min=1, size_max=8)
+        lines = rc.run_selector(rc.Dataset(x, y), spec).method_report.splitlines()
+        path = [int(line.split(" add x")[1].split()[0]) - 1
+                for line in lines if line.startswith("forward step")]
+        plan = selectors._holdout_plan(y, spec.train_fraction, np.random.default_rng(seed))
+        table = rc.PatternTable(x, y, plan)
+        refits, converged = [], []
+        for step in range(len(path)):
+            _, _, refit, conv = table.fold_fits(
+                [path[:step] + [j] for j in range(8) if j not in path[:step]])
+            refits.append(refit.ravel())
+            converged.append(conv.ravel())
+        refits, converged = np.concatenate(refits), np.concatenate(converged)
+        assert len(path) == 8 and refits.size == 36
+        assert (seed == 3) == bool(refits.any())
+        assert lines[-1] == (f"fold fits: {refits.size} run, {int(refits.sum())} refit with "
+                             f"the separation ridge, {int((~converged).sum())} not converged")
+
     @pytest.mark.parametrize("n_cases, n_controls, fraction, name", [
         (30, 30, 1e-9, "case"), (30, 30, 0.01, "case"), (30, 3000, 0.01, "case"),
         (3000, 30, 0.01, "control")])

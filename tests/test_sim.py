@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import riskcontest as rc
 from riskcontest.errors import ConfigurationError, SimulationBudgetError, ValidationError
+
+from conftest import reference_simulate
+
 
 class TestPrevalenceGrid:
     def test_endpoints(self):
@@ -201,6 +205,49 @@ class TestSimulateDataset:
         config = rc.SimulationConfig(d=10, k_min=1, k_max=3)
         with pytest.raises(ValidationError):
             rc.simulate_dataset(_null_truth(20), config, np.random.default_rng(0))
+
+
+@st.composite
+def sim_configs(draw):
+    """Configs with 0-5 confounders active up to half the time, prevalences
+    up to 0.9 (so caps and prevalences above 0.5 occur), small pools and,
+    now and then, a draw budget that ends inside a batch or runs out."""
+    d = draw(st.integers(2, 24))
+    prev_max = draw(st.floats(0.005, 0.9))
+    return rc.SimulationConfig(
+        d=d, n_cases=draw(st.integers(1, 80)), n_controls=draw(st.integers(1, 80)),
+        prev_max=prev_max, prev_min=prev_max * draw(st.floats(0.01, 0.99)),
+        k_min=1, k_max=draw(st.integers(1, d)),
+        n_confounders=draw(st.integers(0, 5)),
+        confounder_prev=draw(st.floats(0.001, 0.5)),
+        baseline_intercept=draw(st.floats(-4.0, 1.0)),
+        jitter_prevalences=draw(st.booleans()),
+        draw_budget=draw(st.none() | st.integers(1, 40_000)),
+        seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sim_configs())
+def test_simulate_matches_all_cells_reference(config):
+    """x, y, the confounder matrix and the generator state after the draw
+    equal the all-cells inflation loop byte for byte; a budget error has
+    the same text."""
+    def current(truth, config, rng):
+        data, conf = rc.simulate_dataset(truth, config, rng, return_confounders=True)
+        return data.x, data.y, conf
+
+    outs = []
+    for simulate in (current, reference_simulate):
+        rng = np.random.default_rng(config.seed)
+        truth = rc.draw_ground_truth(config, rng)
+        try:
+            arrays = simulate(truth, config, rng)
+        except SimulationBudgetError as exc:
+            outs.append(str(exc))
+        else:
+            outs.append(([a.dtype.str for a in arrays], [a.tobytes() for a in arrays],
+                         rng.bit_generator.state))
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("field,value", [
