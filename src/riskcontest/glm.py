@@ -37,20 +37,27 @@ coordinate descent on its own: its own weighted standardization, the log-odds
 start, the 1e-10 weight clip, the KKT check at KKT_TOL, LASSO_MAX_OUTER outer
 iterations, up to LASSO_MAX_SWEEPS sweeps that end when nothing moved by
 LASSO_SWEEP_TOL, the skip of a column constant over its trials and the
-intercept shift. A member that is done stops changing, so it runs exactly the
-iterations it would run alone, and the Python loop runs once per coordinate
-per sweep for the whole batch. A pattern with no trials in a member has zero
-weight and zero working residual, so it adds exactly nothing to that member's
-sums. The kernel sums with np.einsum and .sum(axis=...), so a member's
-coefficients, deviance, converged flag and iterations have the same bits
-whatever the batch size or the member's place in it. The paths agree with the
-one-path scalar descent they replaced to 1e-12 relative (tests/test_lasso.py).
+intercept shift. Between sweeps a member whose signs held takes one exact
+solve of its active set's stationarity equations, so most subproblems end
+after one or two sweeps instead of dozens (_lasso_sweeps). A member that is
+done stops changing, so it runs exactly the iterations it would run alone,
+and the Python loop runs once per coordinate per sweep for the whole batch.
+A pattern with no trials in a member has zero weight and zero working
+residual, so it adds exactly nothing to that member's sums. The kernel sums
+with np.einsum and .sum(axis=...) and solves each member's system on its
+own, so a member's coefficients, deviance, converged flag, iterations,
+sweeps and solves have the same bits whatever the batch size or the member's
+place in it. The paths agree to 1e-12 relative with a one-path scalar
+reference that takes the same steps, and with plain coordinate descent run
+to a 1e-14 sweep tolerance as far as the KKT_TOL stop allows
+(tests/test_lasso.py).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -528,8 +535,8 @@ class PatternTable:
 
         Returns the (n_folds, len(grid)) held-out deviance per held-out row
         of every fold's path, the all-rows path as one FitResult per
-        penalty, and the (n_folds + 1, len(grid)) converged mask, the
-        all-rows path last.
+        penalty, and the (n_folds + 1, len(grid)) converged mask, coordinate
+        sweeps and accepted active-set solves, the all-rows path last.
         """
         all_n, all_c = self.counts[:2]
         held_n, held_c = np.split(self.counts[2:], 2)
@@ -544,7 +551,8 @@ class PatternTable:
         coef = paths[0][:-1]
         eta = coef[..., :1] + np.einsum("kp,flp->flk", self.patterns, coef[..., 1:])
         curve = _deviances(eta, held_n[:, None], held_c[:, None])
-        return curve / held_rows[:, None], _path_fits(paths, -1), paths[2]
+        converged, _, sweeps, solves = paths[2:]
+        return curve / held_rows[:, None], _path_fits(paths, -1), (converged, sweeps, solves)
 
 
 def cv_deviance(x: np.ndarray, y: np.ndarray, subset, plan: CvPlan,
@@ -585,6 +593,8 @@ def bootstrap_fits(x: np.ndarray, y: np.ndarray, n_resamples: int,
 # ---------------------------------------------------------------------------
 # Lasso path: cyclic coordinate descent on the quadratic approximation with
 # warm starts, glmnet-style (Friedman, Hastie & Tibshirani 2010, JSS 33(1)).
+# Once a sweep leaves a member's signs as they were, the quadratic on its
+# active set is solved exactly, and the next sweep checks the result.
 # Columns are standardized internally and the coefficients reported back on
 # the original 0/1 scale. _lasso_path runs M paths over one pattern matrix
 # at once: each coordinate update acts on every member still sweeping.
@@ -634,15 +644,17 @@ def _lasso_cd(xs, trials, cases, n, lam, b0, beta):
     Member i's objective: (1/n_i) sum[-c*eta + t*log(1+exp(eta))]
     + lam * ||beta_i||_1 over its standardized patterns xs[:, i] (p, M, k),
     with t trials and c cases per pattern, n_i trials in all. The outer loop
-    re-quadratizes with observation weights t*p(1-p); a member stops when
-    its exact subgradient conditions hold within KKT_TOL, and its inner
-    sweeps stop when no coefficient moved by LASSO_SWEEP_TOL. b0 (M,) and
-    beta (p, M) are updated in place. Returns converged (M,) and the outer
-    iterations (M,).
+    re-quadratizes with observation weights t*p(1-p) and minimizes each
+    quadratic with _lasso_sweeps; a member stops when its exact subgradient
+    conditions hold within KKT_TOL. b0 (M,) and beta (p, M) are updated in
+    place. Returns converged, outer iterations, coordinate sweeps and
+    accepted active-set solves, each (M,).
     """
     n_members = len(n)
     converged = np.zeros(n_members, dtype=bool)
     iterations = np.full(n_members, LASSO_MAX_OUTER)
+    sweeps = np.zeros(n_members, dtype=int)
+    solves = np.zeros(n_members, dtype=int)
     live = np.arange(n_members)
     for outer in range(1, LASSO_MAX_OUTER + 1):
         x, t, c, m, b, b_0 = xs[:, live], trials[live], cases[live], n[live], beta[:, live], b0[live]
@@ -661,26 +673,65 @@ def _lasso_cd(xs, trials, cases, n, lam, b0, beta):
         w = t * np.maximum(prob * (1.0 - prob), 1e-10)
         # A pattern with no trials has w = 0 and r = -0, so it adds nothing.
         r = -resid / np.where(t > 0.0, w, 1.0)
-        wx = x * w
-        wx2 = np.einsum("pik,pik->pi", wx, x) / m
-        # A coordinate with wx2 = 0 is constant over the member's trials and
-        # stays at 0: dividing by inf keeps every update of it at 0.
-        wx2_div = np.where(wx2 == 0.0, np.inf, wx2)
-        b_0, b = _lasso_sweeps(x, wx, w, r, m, wx2, wx2_div, lam, b_0, b)
+        z = np.concatenate([np.ones_like(w)[None], x])
+        b_0, b, swept, solved = _lasso_sweeps(z, z * w, r, m, lam, b_0, b)
         b0[live], beta[:, live] = b_0, b
-    return converged, iterations
+        sweeps[live] += swept
+        solves[live] += solved
+    return converged, iterations, sweeps, solves
 
 
-def _lasso_sweeps(x, wx, w, r, n, wx2, wx2_div, lam, b0, beta):
-    """Cyclic coordinate sweeps on the members' weighted least-squares
-    problems, at most LASSO_MAX_SWEEPS each; a member leaves once no
-    coordinate or intercept moved by LASSO_SWEEP_TOL in a sweep. Returns
-    the updated (b0, beta)."""
+def _lasso_sweeps(z, zw, r, n, lam, b0, beta):
+    """Minimize every member's weighted least-squares lasso problem
+    (1/2n) sum_k w_k (r_k - z_k'delta)^2 + lam * ||beta + delta_slopes||_1
+    over steps delta from (b0, beta). z (p + 1, M, k) is a row of ones over
+    the members' standardized patterns, zw is z times the weights w, and
+    r (M, k) is the working residual, updated in place.
+
+    Cyclic coordinate sweeps, at most LASSO_MAX_SWEEPS per member; a member
+    leaves once no coordinate or intercept moved by LASSO_SWEEP_TOL in a
+    sweep, and a coordinate constant over its trials stays at 0. Before the
+    first sweep, on the warm start's signs, and after every sweep that moved
+    a member without changing a sign, a member with a nonzero slope takes
+    the exact step of _active_set_steps unless the step changes the sign of
+    an active coefficient or sets one to zero. A member whose system on a
+    set of nonzero slopes is singular gets no step on that set again in
+    this call. The next sweep checks a step like any other point. Returns
+    the updated (b0, beta) and, per member, the sweeps run and the
+    active-set solves accepted.
+    """
+    n_members = len(n)
     out_b0, out_beta = np.empty_like(b0), np.empty_like(beta)
-    sweeping = np.arange(len(n))
+    sweeps = np.full(n_members, LASSO_MAX_SWEEPS)
+    solves = np.zeros(n_members, dtype=int)
+    sweeping = np.arange(n_members)
+    w, x, wx = zw[0], z[1:], zw[1:]
+    wx2 = np.einsum("pik,pik->pi", wx, x) / n
+    # A coordinate with wx2 = 0 is constant over the member's trials and
+    # stays at 0: dividing by inf keeps every update of it at 0.
+    wx2_div = np.where(wx2 == 0.0, np.inf, wx2)
     wsum = w.sum(axis=1)
-    einsum, maximum, minimum = np.einsum, np.maximum, np.minimum
-    for _ in range(LASSO_MAX_SWEEPS):
+    gram = np.einsum("aik,bik->iab", zw, z) / n[:, None, None]
+    singular_sets = set()
+    einsum, maximum, minimum, sign = np.einsum, np.maximum, np.minimum, np.sign
+    settled = beta.any(axis=0)
+    for sweep in range(1, LASSO_MAX_SWEEPS + 1):
+        held = np.flatnonzero(settled)
+        keys = [(i, (b != 0.0).tobytes()) for i, b in zip(sweeping[held], beta[:, held].T)]
+        fresh = [key not in singular_sets for key in keys]
+        held, keys = held[fresh], list(compress(keys, fresh))
+        if held.size:
+            step, singular = _active_set_steps(gram[held], zw[:, held], r[held], n[held],
+                                               lam, beta[:, held])
+            singular_sets.update(compress(keys, singular))
+            new = beta[:, held] + step[:, 1:].T
+            take = ~singular & (sign(new) == sign(beta[:, held])).all(axis=0)
+            held, step = held[take], step[take]
+            b0[held] += step[:, 0]
+            beta[:, held] = new[:, take]
+            r[held] -= einsum("aik,ia->ik", z[:, held], step)
+            solves[sweeping[held]] += 1
+
         start = beta.copy()
         for j, (x_j, wx_j, wx2_j, div_j) in enumerate(zip(x, wx, wx2, wx2_div)):
             old = beta[j]
@@ -695,17 +746,45 @@ def _lasso_sweeps(x, wx, w, r, n, wx2, wx2_div, lam, b0, beta):
         # Each coordinate moved once, by its final minus its starting value.
         moved = np.abs(beta - start).max(axis=0, initial=0.0)
         moving = maximum(moved, np.abs(shift)) >= LASSO_SWEEP_TOL
+        settled = moving & beta.any(axis=0) & (sign(beta) == sign(start)).all(axis=0)
+
         if not moving.all():
             done = ~moving
+            sweeps[sweeping[done]] = sweep
             out_b0[sweeping[done]], out_beta[:, sweeping[done]] = b0[done], beta[:, done]
             sweeping = sweeping[moving]
             if not sweeping.size:
-                return out_b0, out_beta
-            x, wx, w, r, n = x[:, moving], wx[:, moving], w[moving], r[moving], n[moving]
+                return out_b0, out_beta, sweeps, solves
+            z, zw, r, n, gram = z[:, moving], zw[:, moving], r[moving], n[moving], gram[moving]
+            w, x, wx = zw[0], z[1:], zw[1:]
             wx2, wx2_div, wsum = wx2[:, moving], wx2_div[:, moving], wsum[moving]
-            b0, beta = b0[moving], beta[:, moving]
+            b0, beta, settled = b0[moving], beta[:, moving], settled[moving]
     out_b0[sweeping], out_beta[:, sweeping] = b0, beta
-    return out_b0, out_beta
+    return out_b0, out_beta, sweeps, solves
+
+
+def _active_set_steps(gram, zw, r, n, lam, beta):
+    """Every member's exact step to the stationary point of its weighted
+    least-squares lasso problem on its active set A with the signs s held:
+    H_AA delta = z_A' W r / n - lam * s_A, where H = z' W z / n is the
+    intercept-first Gram (M, p + 1, p + 1) and A holds the intercept, with
+    s = 0, and the nonzero slopes. Slope j is the twin of an earlier column
+    i when H_ij = H_ii = H_jj, as for columns equal over the member's
+    trials; an active twin of an active column keeps its value, which keeps
+    such a pair from making H_AA singular. Rows and columns outside A are
+    the identity's with a zero right-hand side, so their step is 0. Returns
+    the steps (M, p + 1) and the singular mask (M,) of _newton_steps with
+    lam = 0, which gives a singular member a zero step.
+    """
+    q = gram.shape[-1]
+    active = np.vstack([np.ones(len(n), dtype=bool), beta != 0.0]).T
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    twins = (gram == diag[:, :, None]) & (gram == diag[:, None, :]) & np.tri(q, k=-1, dtype=bool)
+    active &= ~(twins & active[:, None, :]).any(axis=-1)
+    hess = np.where(active[:, :, None] & active[:, None, :], gram, np.eye(q))
+    grad = np.einsum("aik,ik->ia", zw, r) / n[:, None]
+    grad[:, 1:] -= lam * np.sign(beta.T)
+    return _newton_steps(hess, np.where(active, grad, 0.0), 0.0)
 
 
 def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None) -> list[FitResult]:
@@ -724,7 +803,7 @@ def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None) -> list[FitRe
 
 def _path_fits(paths, i) -> list[FitResult]:
     """Member i of _lasso_path's output as one FitResult per penalty."""
-    coef, dev, conv, iters = paths
+    coef, dev, conv, iters = paths[:4]
     return [FitResult(coef[i, l], None, float(dev[i, l]), bool(conv[i, l]), int(iters[i, l]))
             for l in range(coef.shape[1])]
 
@@ -733,8 +812,9 @@ def _lasso_path(patterns, trials, cases, lambda_grid):
     """fit_lasso_path on M sets of counts over the k patterns (p columns) at
     once: trials and cases are (M, k), and a pattern may have no trials.
 
-    Returns coefficients (M, L, p + 1) on the 0/1 scale, deviance (M, L),
-    converged (M, L) and outer iterations (M, L) for the L grid points.
+    Returns coefficients (M, L, p + 1) on the 0/1 scale, and deviance,
+    converged, outer iterations, coordinate sweeps and accepted active-set
+    solves, each (M, L), for the L grid points.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0 or np.any(grid < 0) or np.any(np.diff(grid) >= 0):
@@ -747,11 +827,12 @@ def _lasso_path(patterns, trials, cases, lambda_grid):
 
     coef = np.empty((len(n), grid.size, patterns.shape[1] + 1))
     converged = np.empty((len(n), grid.size), dtype=bool)
-    iterations = np.empty((len(n), grid.size), dtype=int)
+    iterations, sweeps, solves = (np.empty((len(n), grid.size), dtype=int) for _ in range(3))
     for l, lam in enumerate(grid):
-        converged[:, l], iterations[:, l] = _lasso_cd(
+        converged[:, l], iterations[:, l], sweeps[:, l], solves[:, l] = _lasso_cd(
             xs, trials, cases, n, float(lam), b0, beta)
         coef[:, l, 1:] = beta.T / scale
         coef[:, l, 0] = b0 - (beta.T * mean / scale).sum(axis=1)
     eta = coef[..., :1] + np.einsum("kp,ilp->ilk", patterns, coef[..., 1:])
-    return coef, _deviances(eta, trials[:, None], cases[:, None]), converged, iterations
+    dev = _deviances(eta, trials[:, None], cases[:, None])
+    return coef, dev, converged, iterations, sweeps, solves

@@ -245,7 +245,7 @@ def simulate_dataset(truth: GroundTruth, config: SimulationConfig,
         conf = (rng.random((b, conf_prev.size)) < conf_prev).astype(float)
         u = rng.random((b, d))
         x = u < prev
-        hit = np.flatnonzero(conf.any(axis=1))
+        hit = np.flatnonzero(conf @ np.ones(conf.shape[1]))
         x[hit] = u[hit] < np.minimum(prev * 10.0 ** (conf[hit] @ links),
                                      np.maximum(prev, 0.5))
         x = x.astype(np.int8)

@@ -23,6 +23,7 @@ def cases(d):
     yield "team_a", dict(size_min=1, size_max=d)
     for fraction in (1e-9, 0.01, 0.99, 1 - 1e-9):
         yield "team_a", dict(size_min=1, size_max=d, train_fraction=fraction)
+    yield "team_b", {}
     yield "team_b", dict(n_folds=30)
     yield "team_c", small
     yield "team_c", dict(small, n_folds=30)
@@ -41,17 +42,13 @@ def test_extreme_config_answers_within_memory(d, method, options):
     rng = np.random.default_rng(config.seed)
     data = rc.simulate_dataset(rc.draw_ground_truth(config, rng), config, rng)
     spec = rc.SelectorSpec(method, seed=1, **options)
-    # tracemalloc slows team_b's lasso about sixfold, so its bound is
-    # checked at d = 2 only.
-    traced = method != "team_b" or d == 2
-    if traced:
-        tracemalloc.start()
+    tracemalloc.start()
     try:
         result = rc.run_selector(data, spec)
     except rc.ContestError:
         result = None
     finally:
-        peak = tracemalloc.get_traced_memory()[1]  # 0 when not tracing
+        peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert result is None or isinstance(result, rc.Submission)
     assert peak <= PEAK_BOUND
