@@ -35,15 +35,12 @@ from .scoring import (
     WEIGHT_PRESETS,
     ScoreReport,
     ScoringWeights,
-    brier_score,
     confusion_counts,
     contest_score,
-    log_score,
     rank_leaderboard,
     youden_index,
 )
 from .selectors import (
-    BASELINES,
     METHODS,
     SelectorSpec,
     Submission,

@@ -9,13 +9,15 @@ with the separation ridge (tests/test_grouped.py).
 
 Every IRLS fit runs on one batched kernel, _irls_batch: Newton/IRLS with
 step halving on M grouped-binomial problems at once, each with its own ridge
-weight, which the kernel carries as data and never branches on. Its sums run
-through np.einsum and .sum(axis=...), never matmul, so a member's result has
-the same bits whatever the batch size, the member's place in it or the chunk
-boundaries. _fit_members takes the fits as (member, cell) entries and runs
-the members with the same number of cells as one batch. fit_logistic is a
-batch of one and bootstrap_fits fits all its resamples at once, each keeping
-exactly its patterns with trials.
+weight, which the kernel carries as data and never branches on. A member
+that separates restarts in the same loop with FALLBACK_RIDGE as its weight
+and MAX_ITER fresh iterations, so its refit has the bits of a solo ridge
+fit. The kernel's sums run through np.einsum and .sum(axis=...), never
+matmul, so a member's result has the same bits whatever the batch size, the
+member's place in it or the chunk boundaries. _fit_members takes the fits
+as (member, cell) entries and runs the members with the same number of
+cells as one batch. fit_logistic is a batch of one and bootstrap_fits fits
+all its resamples at once, each keeping exactly its patterns with trials.
 
 PatternTable.fold_fits is the one cross-validation routine: team_a's
 holdout steps, team_c's exhaustive search, the ridge CV curve and cv_deviance
@@ -214,20 +216,21 @@ def _irls_batch(design, trials, successes, lam):
     its log-odds intercept, clips its weights per trial, takes the first of
     30 halved Newton steps that does not raise its objective (none: it is at
     its optimum) and converges when the objective moves by less than
-    DEVIANCE_RTOL relative. A member with lam = 0 that moves any
-    |coefficient| past SEPARATION_BOUND or meets a singular Newton system is
-    refit with FALLBACK_RIDGE, so every member gets an estimate; a singular
-    system under lam > 0 raises LinAlgError. A member leaves the batch when
-    it finishes. Returns beta (M, q), deviance (M,), converged (M,),
-    separated (M,) and iterations (M,): the refit's for a separated member,
-    MAX_ITER for one that did not converge.
+    DEVIANCE_RTOL relative, within MAX_ITER iterations. A member with lam = 0
+    that moves any |coefficient| past SEPARATION_BOUND or meets a singular
+    Newton system restarts in the same loop: back at its log-odds start,
+    with FALLBACK_RIDGE and MAX_ITER fresh iterations, so every member gets
+    an estimate and a refit has the bits of a FALLBACK_RIDGE fit of that
+    member alone; a singular system under lam > 0 raises LinAlgError. A
+    member leaves the batch when it finishes. Returns beta (M, q), deviance
+    (M,), converged (M,), separated (M,) and iterations (M,): the refit's
+    for a separated member, MAX_ITER for one that did not converge.
     """
     n_members, q = len(trials), design.shape[-1]
     pen = np.ones(q)
     pen[0] = 0.0
     diag = np.arange(q)
     lam = np.broadcast_to(lam, n_members)
-    ridge = lam[:, None] * pen
 
     def score(xt, beta, t, c, lam):
         # Linear predictor, deviance and penalized objective at beta.
@@ -238,19 +241,23 @@ def _irls_batch(design, trials, successes, lam):
     def accepted(obj_c, obj):
         return obj_c <= obj * (1.0 + 1e-14) + 1e-14
 
-    out_beta = np.zeros((n_members, q))
-    out_dev = np.empty(n_members)
     converged = np.zeros(n_members, dtype=bool)
     separated = np.zeros(n_members, dtype=bool)
-    iterations = np.full(n_members, MAX_ITER)
+    iterations = np.zeros(n_members, dtype=int)
     # The design is kept as (M, q, m), so every sum runs over cells.
     xt = np.ascontiguousarray(design.transpose(0, 2, 1))
     live, t, c = np.arange(n_members), trials, successes
-    beta = out_beta.copy()
-    beta[:, 0] = _log_odds(trials, successes)
+    start = _log_odds(trials, successes)
+    beta = np.zeros((n_members, q))
+    beta[:, 0] = start
     eta, dev, obj = score(xt, beta, t, c, lam)
+    out_beta, out_dev = beta.copy(), dev.copy()
+    # Iterations of every live member's current pass, each at most MAX_ITER.
+    age = np.zeros(n_members, dtype=int)
 
-    for it in range(1, MAX_ITER + 1):
+    for _ in range(2 * MAX_ITER):
+        age += 1
+        ridge = lam[:, None] * pen
         p = expit(eta)
         w = t * np.maximum(p * (1.0 - p), 1e-10)
         grad = np.einsum("...k,...qk->...q", c - t * p, xt)
@@ -285,24 +292,29 @@ def _irls_batch(design, trials, successes, lam):
         eta = np.where(moved[:, None], eta_c, eta)
         dev, obj = np.where(moved, dev_c, dev), np.where(moved, obj_c, obj)
 
+        if refit.any():
+            # The refit: a fresh pass from the start with the fallback ridge.
+            redo = np.flatnonzero(refit)
+            separated[live[redo]] = True
+            lam = np.where(refit, FALLBACK_RIDGE, lam)
+            beta[redo] = 0.0
+            beta[redo, 0] = start[live[redo]]
+            eta[redo], dev[redo], obj[redo] = score(xt[redo], beta[redo], t[redo], c[redo],
+                                                    lam[redo])
+            age[redo] = 0
+
         done = optimal | (moved & (rel < DEVIANCE_RTOL))
-        finished = done | refit
+        finished = done | (age == MAX_ITER)
         if finished.any():
             converged[live[done]] = True
-            separated[live[refit]] = True
-            iterations[live[finished]] = it
+            iterations[live[finished]] = age[finished]
             out_beta[live[finished]], out_dev[live[finished]] = beta[finished], dev[finished]
             keep = ~finished
-            live, beta, eta, dev, obj = live[keep], beta[keep], eta[keep], dev[keep], obj[keep]
-            xt, t, c, lam, ridge = xt[keep], t[keep], c[keep], lam[keep], ridge[keep]
+            live, beta, eta, dev, obj, age = (live[keep], beta[keep], eta[keep], dev[keep],
+                                              obj[keep], age[keep])
+            xt, t, c, lam = xt[keep], t[keep], c[keep], lam[keep]
             if not live.size:
                 break
-    out_beta[live], out_dev[live] = beta, dev
-
-    if separated.any():
-        redo = np.flatnonzero(separated)
-        out_beta[redo], out_dev[redo], converged[redo], _, iterations[redo] = _irls_batch(
-            design[redo], trials[redo], successes[redo], FALLBACK_RIDGE)
     return out_beta, out_dev, converged, separated, iterations
 
 
@@ -534,9 +546,10 @@ class PatternTable:
         all rows as one batch of n_folds + 1 members.
 
         Returns the (n_folds, len(grid)) held-out deviance per held-out row
-        of every fold's path, the all-rows path as one FitResult per
-        penalty, and the (n_folds + 1, len(grid)) converged mask, coordinate
-        sweeps and accepted active-set solves, the all-rows path last.
+        of every fold's path, the all-rows path's (len(grid), p + 1)
+        coefficients, intercept first, and the (n_folds + 1, len(grid))
+        converged mask, coordinate sweeps and accepted active-set solves, the
+        all-rows path last.
         """
         all_n, all_c = self.counts[:2]
         held_n, held_c = np.split(self.counts[2:], 2)
@@ -546,13 +559,12 @@ class PatternTable:
                 raise ValidationError(f"fold {f} holds out no row")
             if rows == all_n.sum():
                 raise ValidationError(f"fold {f} leaves no training row")
-        paths = _lasso_path(self.patterns, np.vstack([all_n - held_n, all_n]),
-                            np.vstack([all_c - held_c, all_c]), grid)
-        coef = paths[0][:-1]
-        eta = coef[..., :1] + np.einsum("kp,flp->flk", self.patterns, coef[..., 1:])
+        coef, _, converged, _, sweeps, solves = _lasso_path(
+            self.patterns, np.vstack([all_n - held_n, all_n]), np.vstack([all_c - held_c, all_c]),
+            grid)
+        eta = coef[:-1, :, :1] + np.einsum("kp,flp->flk", self.patterns, coef[:-1, :, 1:])
         curve = _deviances(eta, held_n[:, None], held_c[:, None])
-        converged, _, sweeps, solves = paths[2:]
-        return curve / held_rows[:, None], _path_fits(paths, -1), (converged, sweeps, solves)
+        return curve / held_rows[:, None], coef[-1], (converged, sweeps, solves)
 
 
 def cv_deviance(x: np.ndarray, y: np.ndarray, subset, plan: CvPlan,
@@ -798,14 +810,9 @@ def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None) -> list[FitRe
     # A single class raises here, not as the grid's zero lambda_max.
     _log_odds(trials[None], cases[None])
     grid = default_lambda_grid(x, y) if lambda_grid is None else lambda_grid
-    return _path_fits(_lasso_path(patterns, trials[None], cases[None], grid), 0)
-
-
-def _path_fits(paths, i) -> list[FitResult]:
-    """Member i of _lasso_path's output as one FitResult per penalty."""
-    coef, dev, conv, iters = paths[:4]
-    return [FitResult(coef[i, l], None, float(dev[i, l]), bool(conv[i, l]), int(iters[i, l]))
-            for l in range(coef.shape[1])]
+    coef, dev, conv, iters, _, _ = _lasso_path(patterns, trials[None], cases[None], grid)
+    return [FitResult(b, None, float(d), bool(c), int(i))
+            for b, d, c, i in zip(coef[0], dev[0], conv[0], iters[0])]
 
 
 def _lasso_path(patterns, trials, cases, lambda_grid):

@@ -1,13 +1,10 @@
-"""Scoring: contest rule on confusion counts, Youden's index, and proper
-scoring rules for predicted probabilities."""
+"""Scoring: contest rule on confusion counts and Youden's index."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .errors import UndefinedRateError, ValidationError
 
@@ -66,14 +63,6 @@ class ScoreReport:
         return self.tp + self.fn
 
     @property
-    def tpr(self) -> float:
-        return self.tp / self.k
-
-    @property
-    def tnr(self) -> float:
-        return self.tn / (self.fp + self.tn)
-
-    @property
     def tpr_pct(self) -> int:
         return _pct(self.tp, self.k)
 
@@ -120,27 +109,6 @@ def youden_index(submission, truth, d: int) -> float:
     if k == 0 or k == d:
         raise UndefinedRateError("Youden's index needs 0 < k < d")
     return tp / k + tn / (d - k) - 1.0
-
-
-def brier_score(probs, y) -> float:
-    """Mean squared error of probability forecasts for binary outcomes."""
-    probs = np.asarray(probs, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if probs.shape != y.shape:
-        raise ValidationError("probs and y must have the same length")
-    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-        raise ValidationError("probabilities must lie in [0, 1]")
-    return float(np.mean((probs - y) ** 2))
-
-
-def log_score(probs, y, eps: float = 1e-12) -> float:
-    """Mean negative log-likelihood of probability forecasts."""
-    probs = np.asarray(probs, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if probs.shape != y.shape:
-        raise ValidationError("probs and y must have the same length")
-    p = np.clip(probs, eps, 1.0 - eps)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
 def rank_leaderboard(reports: Iterable[ScoreReport]) -> list[ScoreReport]:

@@ -41,8 +41,6 @@ METHODS = (
     "empty_baseline",
 )
 
-BASELINES = ("random_baseline", "full_baseline", "empty_baseline")
-
 
 @dataclass(frozen=True)
 class Submission:
@@ -192,7 +190,7 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
 
     table = PatternTable(data.x, data.y, plan)
     grid = default_lambda_grid(data.x, data.y, spec.n_lambdas, spec.lambda_min_ratio)
-    curve, path, (converged, sweeps, solves) = table.lasso_cv_deviance(grid)
+    curve, coef, (converged, sweeps, solves) = table.lasso_cv_deviance(grid)
     mean = curve.mean(axis=0)
     se = curve.std(axis=0, ddof=1) / math.sqrt(n_folds)
     i_min = int(np.argmin(mean))
@@ -200,7 +198,7 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
     # is the most conservative admissible penalty.
     i_1se = int(np.flatnonzero(mean <= mean[i_min] + se[i_min])[0])
 
-    slopes = path[i_1se].slopes
+    slopes = coef[i_1se, 1:]
     nonzero = np.flatnonzero(slopes != 0.0)
     kept = nonzero
     if nonzero.size > spec.max_select:

@@ -263,6 +263,25 @@ class TestBatchedKernel:
         chunks = [run(np.arange(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
         assert same_bits([np.concatenate(parts) for parts in zip(*chunks)], full)
 
+    @settings(max_examples=80, deadline=None)
+    @given(problems, st.sampled_from([0.0, "mixed"]))
+    def test_refit_is_a_solo_ridge_fit(self, case, ridge):
+        """A separated member restarts inside the batch with its own MAX_ITER
+        budget: its beta, deviance, converged flag and iterations have the
+        bits of a FALLBACK_RIDGE fit of that member alone, at every cap."""
+        design, trials, successes, rng = grouped_problems(**case)
+        lam = rng.choice(PENALTIES, len(trials)) if ridge == "mixed" else ridge
+        for cap in (1, 2, 3, 5, glm.MAX_ITER):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(glm, "MAX_ITER", cap)
+                fits = _irls_batch(design, trials, successes, lam)
+                for i in np.flatnonzero(fits[3]):
+                    own = [part[i:i + 1] for part in fits]
+                    solo = _irls_batch(design[i:i + 1], trials[i:i + 1], successes[i:i + 1],
+                                       FALLBACK_RIDGE)
+                    # All but the separated flag, which the solo ridge fit clears.
+                    assert same_bits(own[:3] + own[4:], solo[:3] + solo[4:])
+
     @settings(max_examples=60, deadline=None)
     @given(contests, st.sampled_from(PENALTIES), st.integers(0, 6), st.booleans())
     # A quasi-separated fold fit that stops by DEVIANCE_RTOL while its slope

@@ -297,12 +297,16 @@ class TestBatchedPath:
             alone = glm._lasso_path(table.patterns, trials[i:i + 1], cases[i:i + 1], grid)
             assert member_bytes(alone, 0) == member_bytes(full, i)
             assert member_bytes(shuffled, place) == member_bytes(full, i)
-        # fit_lasso_path is the one-member batch of the all-rows counts.
-        _, path, _ = table.lasso_cv_deviance(grid)
-        for fit, fit_b in zip(rc.fit_lasso_path(x, y, grid), path):
-            assert fit.coefficients.tobytes() == fit_b.coefficients.tobytes()
+        # fit_lasso_path is the one-member batch of the all-rows counts,
+        # whose coefficients lasso_cv_deviance returns.
+        coef, dev, converged, iterations = (part[-1] for part in full[:4])
+        assert table.lasso_cv_deviance(grid)[1].tobytes() == coef.tobytes()
+        fits = rc.fit_lasso_path(x, y, grid)
+        assert len(fits) == len(coef)
+        for l, fit in enumerate(fits):
+            assert fit.coefficients.tobytes() == coef[l].tobytes()
             assert (fit.deviance, fit.converged, fit.iterations) == \
-                (fit_b.deviance, fit_b.converged, fit_b.iterations)
+                (dev[l], converged[l], iterations[l])
 
     # The stopping rules are thresholds: in a rare draw a sum rounded the
     # other way can let one side run one more sweep, and the paths then differ

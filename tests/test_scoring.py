@@ -1,7 +1,5 @@
-import math
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -143,35 +141,6 @@ class TestYouden:
             rc.youden_index(submission(1), set(), 5)
         with pytest.raises(UndefinedRateError):
             rc.youden_index(submission(1), {1, 2, 3, 4, 5}, 5)
-
-
-class TestProperScores:
-    def test_brier_exact_cases(self):
-        y = np.array([0.0, 1.0, 1.0, 0.0])
-        assert rc.brier_score(y, y) == 0.0
-        assert rc.brier_score(np.full(4, 0.5), y) == 0.25
-
-    def test_log_exact_cases(self):
-        y = np.array([0.0, 1.0, 1.0, 0.0])
-        assert rc.log_score(y, y) <= 1e-11
-        assert rc.log_score(np.full(4, 0.5), y) == pytest.approx(math.log(2), abs=1e-12)
-
-    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
-    def test_propriety_on_a_grid(self, q):
-        # Expected score under truth q is minimized at forecast q.
-        grid = np.round(np.arange(0.05, 1.0, 0.05), 2)
-        exp_brier = {f: q * (f - 1) ** 2 + (1 - q) * f**2 for f in grid}
-        exp_log = {f: -q * math.log(f) - (1 - q) * math.log(1 - f) for f in grid}
-        assert min(exp_brier, key=exp_brier.get) == pytest.approx(q)
-        assert min(exp_log, key=exp_log.get) == pytest.approx(q)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            rc.brier_score(np.array([0.5]), np.array([0.0, 1.0]))
-        with pytest.raises(ValidationError):
-            rc.brier_score(np.array([1.5, 0.0]), np.array([0.0, 1.0]))
-        with pytest.raises(ValidationError):
-            rc.log_score(np.array([0.5]), np.array([0.0, 1.0]))
 
 
 class TestLeaderboard:
