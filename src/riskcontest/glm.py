@@ -10,14 +10,18 @@ with the separation ridge (tests/test_grouped.py).
 Every IRLS fit runs on one batched kernel, _irls_batch: Newton/IRLS with
 step halving on M grouped-binomial problems at once, each with its own ridge
 weight, which the kernel carries as data and never branches on. A member
-that separates restarts in the same loop with FALLBACK_RIDGE as its weight
-and MAX_ITER fresh iterations, so its refit has the bits of a solo ridge
-fit. The kernel's sums run through np.einsum and .sum(axis=...), never
-matmul, so a member's result has the same bits whatever the batch size, the
-member's place in it or the chunk boundaries. _fit_members takes the fits
-as (member, cell) entries and runs the members with the same number of
-cells as one batch. fit_logistic is a batch of one and bootstrap_fits fits
-all its resamples at once, each keeping exactly its patterns with trials.
+that separates continues from where it stands in the same loop, with
+FALLBACK_RIDGE as its weight and MAX_ITER fresh iterations, until its
+Newton step is negligible, so its refit ends at the ridge optimum whatever
+path led there. The kernel's sums run through np.einsum and .sum(axis=...),
+never matmul, so a member's result has the same bits whatever the batch
+size, the member's place in it or the chunk boundaries. _fit_members takes
+the fits as (member, cell) entries and runs each width class as one batch:
+a member's width is its cell count rounded up to three leading binary
+digits, and the cells it lacks are zero-trial cells, which add exact zeros.
+A member's width depends on its own cells alone. fit_logistic is a batch of
+one and bootstrap_fits fits all its resamples at once, each keeping exactly
+its patterns with trials.
 
 PatternTable.fold_fits is the one cross-validation routine: team_a's
 holdout steps, team_c's exhaustive search, the ridge CV curve and cv_deviance
@@ -218,13 +222,15 @@ def _irls_batch(design, trials, successes, lam):
     its optimum) and converges when the objective moves by less than
     DEVIANCE_RTOL relative, within MAX_ITER iterations. A member with lam = 0
     that moves any |coefficient| past SEPARATION_BOUND or meets a singular
-    Newton system restarts in the same loop: back at its log-odds start,
-    with FALLBACK_RIDGE and MAX_ITER fresh iterations, so every member gets
-    an estimate and a refit has the bits of a FALLBACK_RIDGE fit of that
-    member alone; a singular system under lam > 0 raises LinAlgError. A
-    member leaves the batch when it finishes. Returns beta (M, q), deviance
-    (M,), converged (M,), separated (M,) and iterations (M,): the refit's
-    for a separated member, MAX_ITER for one that did not converge.
+    Newton system continues in the same loop from its last accepted beta,
+    with FALLBACK_RIDGE and MAX_ITER fresh iterations, and converges when
+    its full Newton step is below 1e-9 (1 + max |beta|); so every member
+    gets an estimate, and a refit's is the ridge optimum, not a point where
+    a flat objective stopped moving. A singular system under lam > 0 raises
+    LinAlgError. A member leaves the batch when it finishes. Returns beta
+    (M, q), deviance (M,), converged (M,), separated (M,) and iterations
+    (M,): the ridge pass's for a separated member, MAX_ITER for one that
+    did not converge.
     """
     n_members, q = len(trials), design.shape[-1]
     pen = np.ones(q)
@@ -247,9 +253,8 @@ def _irls_batch(design, trials, successes, lam):
     # The design is kept as (M, q, m), so every sum runs over cells.
     xt = np.ascontiguousarray(design.transpose(0, 2, 1))
     live, t, c = np.arange(n_members), trials, successes
-    start = _log_odds(trials, successes)
     beta = np.zeros((n_members, q))
-    beta[:, 0] = start
+    beta[:, 0] = _log_odds(trials, successes)
     eta, dev, obj = score(xt, beta, t, c, lam)
     out_beta, out_dev = beta.copy(), dev.copy()
     # Iterations of every live member's current pass, each at most MAX_ITER.
@@ -287,23 +292,23 @@ def _irls_batch(design, trials, successes, lam):
         moved = ~(singular | optimal)
         refit = singular | (moved & (lam == 0) & (np.abs(cand).max(axis=1) > SEPARATION_BOUND))
         moved &= ~refit
-        rel = np.abs(obj - obj_c) / (np.abs(obj) + 0.1)
+        # A ridge pass stops on its Newton step, any other on its objective.
+        stop = np.where(separated[live],
+                        np.abs(step).max(axis=1) <= 1e-9 * (1.0 + np.abs(beta).max(axis=1)),
+                        np.abs(obj - obj_c) / (np.abs(obj) + 0.1) < DEVIANCE_RTOL)
         beta = np.where(moved[:, None], cand, beta)
         eta = np.where(moved[:, None], eta_c, eta)
         dev, obj = np.where(moved, dev_c, dev), np.where(moved, obj_c, obj)
 
         if refit.any():
-            # The refit: a fresh pass from the start with the fallback ridge.
+            # The ridge pass continues from the last accepted beta.
             redo = np.flatnonzero(refit)
             separated[live[redo]] = True
             lam = np.where(refit, FALLBACK_RIDGE, lam)
-            beta[redo] = 0.0
-            beta[redo, 0] = start[live[redo]]
-            eta[redo], dev[redo], obj[redo] = score(xt[redo], beta[redo], t[redo], c[redo],
-                                                    lam[redo])
+            obj[redo] = score(xt[redo], beta[redo], t[redo], c[redo], lam[redo])[2]
             age[redo] = 0
 
-        done = optimal | (moved & (rel < DEVIANCE_RTOL))
+        done = optimal | (moved & stop)
         finished = done | (age == MAX_ITER)
         if finished.any():
             converged[live[done]] = True
@@ -331,9 +336,11 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> FitResult:
         that converged reports standard errors.
 
     Quasi-complete separation (any |coefficient| > SEPARATION_BOUND during
-    iteration) and singular Newton systems are handled by refitting with a
-    tiny ridge; such fits carry separation_flag = True but still report
-    standard errors so Wald machinery stays usable.
+    iteration) and singular Newton systems are handled by a fit that
+    continues from where it stands to the optimum of a tiny ridge
+    (FALLBACK_RIDGE); such fits carry separation_flag = True but still report standard errors
+    so Wald machinery stays usable. The fit is a batch of one in its width
+    class.
     """
     patterns, trials, cases, _ = _pattern_counts(x, y)
     return _fit_counts(patterns, trials[None], cases[None], ridge)[0]
@@ -344,24 +351,39 @@ def _fit_members(design, member, cell, trials, successes, n_members, lam):
     trials[e] and successes[e] on row cell[e] of the (cells, q) design in
     member member[e], the entries sorted by member, then by cell, and lam is
     one ridge weight or one per member; ValidationError unless every weight
-    is finite and >= 0. The members with the same number of entries run as
-    one batch. Returns beta (M, q), deviance (M,), converged (M,), separated
-    (M,) and iterations (M,)."""
+    is finite and >= 0. The members of one width class (_widths) run as one
+    batch, each padded to the width with zero-trial cells. Returns beta
+    (M, q), deviance (M,), converged (M,), separated (M,) and iterations
+    (M,)."""
     lam = np.broadcast_to(np.asarray(lam, dtype=float), n_members)
     if not np.all(np.isfinite(lam) & (lam >= 0.0)):
         raise ValidationError("a ridge weight must be finite and non-negative")
     sizes = np.bincount(member, minlength=n_members)
     starts = np.cumsum(sizes) - sizes
+    widths = _widths(sizes)
     fits = (np.empty((n_members, design.shape[1])), np.empty(n_members),
             np.empty(n_members, dtype=bool), np.empty(n_members, dtype=bool),
             np.empty(n_members, dtype=int))
-    for m in np.flatnonzero(np.bincount(sizes)):
-        group = np.flatnonzero(sizes == m)
-        idx = starts[group, None] + np.arange(m)
-        for out, part in zip(fits, _irls_batch(design[cell[idx]], trials[idx],
-                                               successes[idx], lam[group])):
+    for width in np.flatnonzero(np.bincount(widths)):
+        group = np.flatnonzero(widths == width)
+        pos = np.arange(width)
+        # Padding repeats a member's last cell with no trials, which adds
+        # exact zeros to every sum of its fit.
+        idx = starts[group, None] + np.minimum(pos, sizes[group, None] - 1)
+        pad = pos >= sizes[group, None]
+        t, s = trials[idx], successes[idx]
+        t[pad] = s[pad] = 0.0
+        for out, part in zip(fits, _irls_batch(design[cell[idx]], t, s, lam[group])):
             out[group] = part
     return fits
+
+
+def _widths(sizes):
+    """Every cell count rounded up to its three leading binary digits, a
+    multiple of 2^max(0, bit_length - 3): exact up to 8, and less than 25%
+    more above."""
+    step = 2 ** np.maximum(np.frexp(sizes)[1] - 3, 0)
+    return -(-sizes // step) * step
 
 
 def _fit_counts(patterns, trials, cases, ridge=0.0) -> list[FitResult]:

@@ -133,14 +133,16 @@ def _grouped_deviance(eta, trials, successes) -> float:
     return float(_deviances(eta, trials, successes))
 
 
-def _irls(xmat, trials, successes, lam):
+def _irls(xmat, trials, successes, lam, start=None):
     """Newton/IRLS with step halving on the ridge-penalized deviance, one
     problem at a time with matmul sums: the reference for glm._irls_batch.
 
     xmat includes the intercept column, which the ridge leaves unpenalized.
     An unpenalized fit (lam = 0) that moves any |coefficient| past
     SEPARATION_BOUND or meets a singular Newton system is refit with
-    FALLBACK_RIDGE, so every caller gets an estimate.
+    FALLBACK_RIDGE, so every caller gets an estimate: the ridge pass goes on
+    from the last accepted beta (`start`) and stops once its full Newton
+    step is negligible.
     Returns (beta, deviance, converged, iterations, separated).
     """
     m, q = xmat.shape
@@ -152,9 +154,12 @@ def _irls(xmat, trials, successes, lam):
     pen = np.ones(q)
     pen[0] = 0.0
 
-    beta = np.zeros(q)
-    ybar = hits / total
-    beta[0] = math.log(ybar / (1.0 - ybar))
+    if start is None:
+        beta = np.zeros(q)
+        ybar = hits / total
+        beta[0] = math.log(ybar / (1.0 - ybar))
+    else:
+        beta = start
     eta = xmat @ beta
     dev = _grouped_deviance(eta, trials, successes)
     obj = dev + lam * float(np.sum(pen * beta**2))
@@ -173,6 +178,7 @@ def _irls(xmat, trials, successes, lam):
             if lam:
                 raise
             break
+        small = float(np.max(np.abs(step))) <= 1e-9 * (1.0 + float(np.max(np.abs(beta))))
 
         # Step halving: accept the first candidate that does not increase the
         # objective; if even the tiniest step fails we are at the optimum.
@@ -193,10 +199,10 @@ def _irls(xmat, trials, successes, lam):
 
         rel = abs(obj - obj_c) / (abs(obj) + 0.1)
         beta, eta, dev, obj = cand, eta_c, dev_c, obj_c
-        if rel < DEVIANCE_RTOL:
+        if (small if start is not None else rel < DEVIANCE_RTOL):
             return beta, dev, True, it, False
     else:
         return beta, dev, False, MAX_ITER, False
     # Separated or singular: only an unpenalized fit breaks out of the loop.
-    *fit, _ = _irls(xmat, trials, successes, FALLBACK_RIDGE)
+    *fit, _ = _irls(xmat, trials, successes, FALLBACK_RIDGE, beta)
     return (*fit, True)

@@ -14,7 +14,10 @@ from riskcontest import glm
 # At n = 60 one chunk of fold fits sets the peak: about BATCH_ELEMENTS
 # (fold fit, pattern) cells, each with a design row of up to 8 floats,
 # which _irls_batch holds twice (team_a's wider rows come in far fewer
-# cells). The rest is O(n + n_folds * k), under 4 MB here.
+# cells). Cells count as padded to each fit's width class: none are added
+# at 8 cells or fewer and under 25% above, and the largest case here,
+# team_c at d = 20 with 30 folds, peaks near 9 MB. The rest is
+# O(n + n_folds * k), under 4 MB here.
 PEAK_BOUND = 2 * 8 * 8 * glm.BATCH_ELEMENTS + 4_000_000
 
 

@@ -387,8 +387,19 @@ class TestTeamD:
         medians = np.median([rc.wald_pvalues(f) for i, f in enumerate(fits) if i != 4], axis=0)
         assert lines[1] == "median p per variable: " + " ".join(
             f"x{j + 1}={m:.4f}" for j, m in enumerate(medians))
-        assert lines[0] == full[0] and lines[2:4] == full[2:4]
-        assert all(line.count(",") == 8 for line in lines[4:-1])
+        assert lines[0] == full[0] and lines[2:5] == full[2:5]
+        assert all(line.count(",") == 8 for line in lines[5:-1])
+
+    def test_report_counts_separation_refits(self):
+        data = planted_dataset(n=300, d=5, prevalence=0.05, seed=18)
+        spec = rc.SelectorSpec("team_d", seed=15, n_resamples=20)
+        fits = rc.bootstrap_fits(data.x, data.y, 20, np.random.default_rng(spec.seed))
+        refits = sum(fit.separation_flag for fit in fits)
+        assert 0 < refits < 20
+        lines = rc.run_selector(data, spec).method_report.splitlines()
+        assert lines[2].startswith("threshold ")
+        assert lines[3] == f"{refits} of 20 resamples refit with the separation ridge"
+        assert lines[4].startswith("p-value table")
 
     def test_no_fit_with_standard_errors_raises(self, monkeypatch):
         data = planted_dataset(n=300, d=5, seed=17)
