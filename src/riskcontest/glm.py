@@ -43,19 +43,21 @@ coordinate descent on its own: its own weighted standardization, the log-odds
 start, the 1e-10 weight clip, the KKT check at KKT_TOL, LASSO_MAX_OUTER outer
 iterations, up to LASSO_MAX_SWEEPS sweeps that end when nothing moved by
 LASSO_SWEEP_TOL, the skip of a column constant over its trials and the
-intercept shift. Between sweeps a member whose signs held takes one exact
-solve of its active set's stationarity equations, so most subproblems end
-after one or two sweeps instead of dozens (_lasso_sweeps). A member that is
-done stops changing, so it runs exactly the iterations it would run alone,
-and the Python loop runs once per coordinate per sweep for the whole batch.
-A pattern with no trials in a member has zero weight and zero working
-residual, so it adds exactly nothing to that member's sums. The kernel sums
-with np.einsum and .sum(axis=...) and solves each member's system on its
-own, so a member's coefficients, deviance, converged flag, iterations,
-sweeps and solves have the same bits whatever the batch size or the member's
-place in it. The paths agree to 1e-12 relative with a one-path scalar
-reference that takes the same steps, and with plain coordinate descent run
-to a 1e-14 sweep tolerance as far as the KKT_TOL stop allows
+intercept shift. Each quadratic subproblem is carried as its Gram and
+gradient alone (glmnet's covariance updates), so the sweeps hold no
+pattern-length array. Between sweeps a member whose signs held takes one
+exact solve of its active set's stationarity equations, so most subproblems
+end after one or two sweeps instead of dozens (_lasso_sweeps). A member that
+is done stops changing, so it runs exactly the iterations it would run
+alone, and the Python loop runs once per coordinate per sweep for the whole
+batch. A pattern with no trials in a member has zero weight and zero
+residual, so it adds exactly nothing to that member's Gram and gradient.
+The kernel sums with np.einsum and .sum(axis=...) and solves each member's
+system on its own, so a member's coefficients, deviance, converged flag,
+iterations, sweeps and solves have the same bits whatever the batch size or
+the member's place in it. The paths agree to 1e-12 relative with a one-path
+scalar reference that takes the same steps, and with plain coordinate
+descent run to a 1e-14 sweep tolerance as far as the KKT_TOL stop allows
 (tests/test_lasso.py).
 """
 
@@ -627,6 +629,7 @@ def bootstrap_fits(x: np.ndarray, y: np.ndarray, n_resamples: int,
 # ---------------------------------------------------------------------------
 # Lasso path: cyclic coordinate descent on the quadratic approximation with
 # warm starts, glmnet-style (Friedman, Hastie & Tibshirani 2010, JSS 33(1)).
+# Each quadratic is carried as its Gram and gradient (their section 2.2).
 # Once a sweep leaves a member's signs as they were, the quadratic on its
 # active set is solved exactly, and the next sweep checks the result.
 # Columns are standardized internally and the coefficients reported back on
@@ -678,11 +681,11 @@ def _lasso_cd(xs, trials, cases, n, lam, b0, beta):
     Member i's objective: (1/n_i) sum[-c*eta + t*log(1+exp(eta))]
     + lam * ||beta_i||_1 over its standardized patterns xs[:, i] (p, M, k),
     with t trials and c cases per pattern, n_i trials in all. The outer loop
-    re-quadratizes with observation weights t*p(1-p) and minimizes each
-    quadratic with _lasso_sweeps; a member stops when its exact subgradient
-    conditions hold within KKT_TOL. b0 (M,) and beta (p, M) are updated in
-    place. Returns converged, outer iterations, coordinate sweeps and
-    accepted active-set solves, each (M,).
+    re-quadratizes with observation weights t*p(1-p) into the subproblem's
+    Gram and gradient and minimizes each quadratic with _lasso_sweeps; a
+    member stops when its exact subgradient conditions hold within KKT_TOL.
+    b0 (M,) and beta (p, M) are updated in place. Returns converged, outer
+    iterations, coordinate sweeps and accepted active-set solves, each (M,).
     """
     n_members = len(n)
     converged = np.zeros(n_members, dtype=bool)
@@ -694,60 +697,57 @@ def _lasso_cd(xs, trials, cases, n, lam, b0, beta):
         x, t, c, m, b, b_0 = xs[:, live], trials[live], cases[live], n[live], beta[:, live], b0[live]
         prob = expit(b_0[:, None] + np.einsum("pik,pi->ik", x, b))
         resid = t * prob - c
-        g = np.einsum("pik,ik->pi", x, resid) / m
-        viol = np.where(b != 0.0, np.abs(g + lam * np.sign(b)), np.abs(g) - lam)
-        met = np.maximum(np.abs(resid.sum(axis=1)) / m, viol.max(axis=0, initial=0.0)) <= KKT_TOL
+        # Minus the gradient of the mean negative log-likelihood, (p + 1, M).
+        grad = -np.vstack([resid.sum(axis=1), np.einsum("pik,ik->pi", x, resid)]) / m
+        viol = np.where(b != 0.0, np.abs(grad[1:] - lam * np.sign(b)), np.abs(grad[1:]) - lam)
+        met = np.maximum(np.abs(grad[0]), viol.max(axis=0, initial=0.0)) <= KKT_TOL
         converged[live[met]], iterations[live[met]] = True, outer
         if met.all():
             break
         go = ~met
         live, x, t, m, b, b_0 = live[go], x[:, go], t[go], m[go], b[:, go], b_0[go]
-        prob, resid = prob[go], resid[go]
+        prob, grad = prob[go], grad[:, go]
 
+        # A pattern with no trials has w = 0 and resid = 0: it adds nothing.
         w = t * np.maximum(prob * (1.0 - prob), 1e-10)
-        # A pattern with no trials has w = 0 and r = -0, so it adds nothing.
-        r = -resid / np.where(t > 0.0, w, 1.0)
         z = np.concatenate([np.ones_like(w)[None], x])
-        b_0, b, swept, solved = _lasso_sweeps(z, z * w, r, m, lam, b_0, b)
+        gram = np.einsum("aik,bik->iab", z * w, z) / m[:, None, None]
+        b_0, b, swept, solved = _lasso_sweeps(gram, grad, lam, b_0, b)
         b0[live], beta[:, live] = b_0, b
         sweeps[live] += swept
         solves[live] += solved
     return converged, iterations, sweeps, solves
 
 
-def _lasso_sweeps(z, zw, r, n, lam, b0, beta):
+def _lasso_sweeps(gram, grad, lam, b0, beta):
     """Minimize every member's weighted least-squares lasso problem
-    (1/2n) sum_k w_k (r_k - z_k'delta)^2 + lam * ||beta + delta_slopes||_1
-    over steps delta from (b0, beta). z (p + 1, M, k) is a row of ones over
-    the members' standardized patterns, zw is z times the weights w, and
-    r (M, k) is the working residual, updated in place.
+    delta'H delta / 2 - g'delta + lam * ||beta + delta_slopes||_1 over steps
+    delta from (b0, beta), carried as its Gram H (M, p + 1, p + 1) and
+    gradient g (p + 1, M) alone, as _lasso_cd builds them; every move delta
+    updates g -= H delta, so the sweeps hold no pattern-length array.
 
     Cyclic coordinate sweeps, at most LASSO_MAX_SWEEPS per member; a member
     leaves once no coordinate or intercept moved by LASSO_SWEEP_TOL in a
-    sweep, and a coordinate constant over its trials stays at 0. Before the
-    first sweep, on the warm start's signs, and after every sweep that moved
-    a member without changing a sign, a member with a nonzero slope takes
-    the exact step of _active_set_steps unless the step changes the sign of
-    an active coefficient or sets one to zero. A member whose system on a
-    set of nonzero slopes is singular gets no step on that set again in
-    this call. The next sweep checks a step like any other point. Returns
-    the updated (b0, beta) and, per member, the sweeps run and the
-    active-set solves accepted.
+    sweep, and a coordinate constant over its trials (H_jj = 0) stays at 0.
+    Before the first sweep, on the warm start's signs, and after every
+    sweep that moved a member without changing a sign, a member with a
+    nonzero slope takes the exact step of _active_set_steps unless the step
+    changes the sign of an active coefficient or sets one to zero. A member
+    whose system on a set of nonzero slopes is singular gets no step on that
+    set again in this call. The next sweep checks a step like any other
+    point. Returns the updated (b0, beta) and, per member, the sweeps run
+    and the active-set solves accepted.
     """
-    n_members = len(n)
+    n_members = len(b0)
     out_b0, out_beta = np.empty_like(b0), np.empty_like(beta)
     sweeps = np.full(n_members, LASSO_MAX_SWEEPS)
     solves = np.zeros(n_members, dtype=int)
     sweeping = np.arange(n_members)
-    w, x, wx = zw[0], z[1:], zw[1:]
-    wx2 = np.einsum("pik,pik->pi", wx, x) / n
-    # A coordinate with wx2 = 0 is constant over the member's trials and
-    # stays at 0: dividing by inf keeps every update of it at 0.
-    wx2_div = np.where(wx2 == 0.0, np.inf, wx2)
-    wsum = w.sum(axis=1)
-    gram = np.einsum("aik,bik->iab", zw, z) / n[:, None, None]
+    diag = np.diagonal(gram, axis1=1, axis2=2).T
+    # Dividing by inf keeps a coordinate with H_jj = 0 at 0.
+    div = np.where(diag == 0.0, np.inf, diag)
     singular_sets = set()
-    einsum, maximum, minimum, sign = np.einsum, np.maximum, np.minimum, np.sign
+    maximum, minimum, sign = np.maximum, np.minimum, np.sign
     settled = beta.any(axis=0)
     for sweep in range(1, LASSO_MAX_SWEEPS + 1):
         held = np.flatnonzero(settled)
@@ -755,28 +755,27 @@ def _lasso_sweeps(z, zw, r, n, lam, b0, beta):
         fresh = [key not in singular_sets for key in keys]
         held, keys = held[fresh], list(compress(keys, fresh))
         if held.size:
-            step, singular = _active_set_steps(gram[held], zw[:, held], r[held], n[held],
-                                               lam, beta[:, held])
+            step, singular = _active_set_steps(gram[held], grad[:, held].T, lam, beta[:, held])
             singular_sets.update(compress(keys, singular))
             new = beta[:, held] + step[:, 1:].T
             take = ~singular & (sign(new) == sign(beta[:, held])).all(axis=0)
             held, step = held[take], step[take]
             b0[held] += step[:, 0]
             beta[:, held] = new[:, take]
-            r[held] -= einsum("aik,ia->ik", z[:, held], step)
+            grad[:, held] -= np.einsum("iab,ib->ai", gram[held], step)
             solves[sweeping[held]] += 1
 
         start = beta.copy()
-        for j, (x_j, wx_j, wx2_j, div_j) in enumerate(zip(x, wx, wx2, wx2_div)):
+        for j, (col_j, h_j, div_j) in enumerate(zip(gram.T[1:], diag[1:], div[1:])):
             old = beta[j]
-            rho = einsum("ik,ik->i", wx_j, r) / n + wx2_j * old
+            rho = grad[j + 1] + h_j * old
             new = (rho - minimum(maximum(rho, -lam), lam)) / div_j
-            # An unmoved coordinate subtracts zeros from r.
-            r -= (new - old)[:, None] * x_j
+            # An unmoved coordinate subtracts zeros from g.
+            grad -= col_j * (new - old)
             beta[j] = new
-        shift = einsum("ik,ik->i", w, r) / wsum
+        shift = grad[0] / diag[0]
         b0 += shift
-        r -= shift[:, None]
+        grad -= gram.T[0] * shift
         # Each coordinate moved once, by its final minus its starting value.
         moved = np.abs(beta - start).max(axis=0, initial=0.0)
         moving = maximum(moved, np.abs(shift)) >= LASSO_SWEEP_TOL
@@ -789,20 +788,18 @@ def _lasso_sweeps(z, zw, r, n, lam, b0, beta):
             sweeping = sweeping[moving]
             if not sweeping.size:
                 return out_b0, out_beta, sweeps, solves
-            z, zw, r, n, gram = z[:, moving], zw[:, moving], r[moving], n[moving], gram[moving]
-            w, x, wx = zw[0], z[1:], zw[1:]
-            wx2, wx2_div, wsum = wx2[:, moving], wx2_div[:, moving], wsum[moving]
+            gram, grad, diag, div = gram[moving], grad[:, moving], diag[:, moving], div[:, moving]
             b0, beta, settled = b0[moving], beta[:, moving], settled[moving]
     out_b0[sweeping], out_beta[:, sweeping] = b0, beta
     return out_b0, out_beta, sweeps, solves
 
 
-def _active_set_steps(gram, zw, r, n, lam, beta):
-    """Every member's exact step to the stationary point of its weighted
-    least-squares lasso problem on its active set A with the signs s held:
-    H_AA delta = z_A' W r / n - lam * s_A, where H = z' W z / n is the
-    intercept-first Gram (M, p + 1, p + 1) and A holds the intercept, with
-    s = 0, and the nonzero slopes. Slope j is the twin of an earlier column
+def _active_set_steps(gram, grad, lam, beta):
+    """Every member's exact step to the stationary point of its lasso
+    subproblem of _lasso_sweeps on its active set A with the signs s held:
+    H_AA delta = g_A - lam * s_A, for the Gram H (M, p + 1, p + 1) and the
+    gradient g (M, p + 1), where A holds the intercept, with s = 0, and the
+    nonzero slopes of beta (p, M). Slope j is the twin of an earlier column
     i when H_ij = H_ii = H_jj, as for columns equal over the member's
     trials; an active twin of an active column keeps its value, which keeps
     such a pair from making H_AA singular. Rows and columns outside A are
@@ -811,14 +808,13 @@ def _active_set_steps(gram, zw, r, n, lam, beta):
     lam = 0, which gives a singular member a zero step.
     """
     q = gram.shape[-1]
-    active = np.vstack([np.ones(len(n), dtype=bool), beta != 0.0]).T
+    active = np.vstack([np.ones(len(gram), dtype=bool), beta != 0.0]).T
     diag = np.diagonal(gram, axis1=1, axis2=2)
     twins = (gram == diag[:, :, None]) & (gram == diag[:, None, :]) & np.tri(q, k=-1, dtype=bool)
     active &= ~(twins & active[:, None, :]).any(axis=-1)
     hess = np.where(active[:, :, None] & active[:, None, :], gram, np.eye(q))
-    grad = np.einsum("aik,ik->ia", zw, r) / n[:, None]
-    grad[:, 1:] -= lam * np.sign(beta.T)
-    return _newton_steps(hess, np.where(active, grad, 0.0), 0.0)
+    signs = np.vstack([np.zeros(len(gram)), np.sign(beta)]).T
+    return _newton_steps(hess, np.where(active, grad - lam * signs, 0.0), 0.0)
 
 
 def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None) -> list[FitResult]:

@@ -132,6 +132,13 @@ def _holdout_plan(y, fraction, rng) -> CvPlan:
     return CvPlan(1, labels)
 
 
+def _fold_fit_line(masks) -> str:
+    """The report line counting the fold fits of fold_fits' (refit, converged) masks."""
+    refit, converged = (np.concatenate([m.ravel() for m in ms]) for ms in zip(*masks))
+    return (f"fold fits: {refit.size} run, {int(refit.sum())} refit with the separation "
+            f"ridge, {refit.size - int(converged.sum())} not converged")
+
+
 def select_team_a(data: Dataset, spec: SelectorSpec) -> Submission:
     """Holdout best subset: greedy forward selection per size on a stratified
     75/25 split, keeping the candidate size with the lowest test deviance.
@@ -146,13 +153,11 @@ def select_team_a(data: Dataset, spec: SelectorSpec) -> Submission:
     chosen: list[int] = []
     remaining = list(range(data.d))
     test_devs: dict[int, float] = {}
-    fits = separated = unconverged = 0
+    masks = []
     while len(chosen) < spec.size_max:
         # One fold: column 0 of the (candidates, 1) deviances.
         train, held, refit, converged = table.fold_fits([chosen + [j] for j in remaining])
-        fits += refit.size
-        separated += int(refit.sum())
-        unconverged += int(refit.size - converged.sum())
+        masks.append((refit, converged))
         i = int(np.argmin(train[:, 0]))  # ties: lowest column index
         chosen.append(remaining.pop(i))
         lines.append(f"forward step {len(chosen)}: add x{chosen[-1] + 1} "
@@ -164,8 +169,7 @@ def select_team_a(data: Dataset, spec: SelectorSpec) -> Submission:
         lines.append(f"size {size}: test deviance per row {test_dev:.6f}")
     best = min(test_devs, key=test_devs.get)  # ties: the smaller size
     lines.append(f"picked size {best} with test deviance {test_devs[best]:.6f}")
-    lines.append(f"fold fits: {fits} run, {separated} refit with the separation ridge, "
-                 f"{unconverged} not converged")
+    lines.append(_fold_fit_line(masks))
     return Submission("team_a", _to_1based(chosen[:best]), "\n".join(lines))
 
 
@@ -256,14 +260,12 @@ def select_team_c(data: Dataset, spec: SelectorSpec) -> Submission:
     table = PatternTable(data.x, data.y, plan)
 
     leaders: list[tuple[float, tuple[int, ...]]] = []
-    fits = separated = unconverged = 0
+    masks = []
     for s in range(spec.size_min, spec.size_max + 1):
         subsets = np.fromiter(chain.from_iterable(combinations(range(data.d), s)),
                               dtype=np.intp, count=math.comb(data.d, s) * s).reshape(-1, s)
         devs, refit, converged = table.cv_deviances(subsets)
-        fits += refit.size
-        separated += int(refit.sum())
-        unconverged += int(refit.size - converged.sum())
+        masks.append((refit, converged))
         # Five best of this size, ties in enumeration order; sorted() is
         # stable too, so ties across sizes go to the smaller size.
         leaders += [(float(devs[i]), tuple(int(c) for c in subsets[i]))
@@ -275,8 +277,7 @@ def select_team_c(data: Dataset, spec: SelectorSpec) -> Submission:
     lines.append("top candidates (cv deviance per row):")
     lines.extend(f"  {dev:.6f}  {{{' '.join(f'x{c + 1}' for c in cols)}}}"
                  for dev, cols in leaders)
-    lines.append(f"fold fits: {fits} run, {separated} refit with the separation ridge, "
-                 f"{unconverged} not converged")
+    lines.append(_fold_fit_line(masks))
     return Submission("team_c", _to_1based(leaders[0][1]), "\n".join(lines))
 
 

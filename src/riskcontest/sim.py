@@ -27,7 +27,7 @@ class SimulationConfig:
     prev_max and prev_min (strictly decreasing in j). Effects are log odds
     ratios with magnitude in [effect_lo, effect_hi] and random sign. The
     draw budget caps how many population records rejection sampling may
-    consume before giving up (None means 500 per requested row).
+    consume before giving up (positive; None means 500 per requested row).
     """
 
     d: int = 20
@@ -63,6 +63,8 @@ class SimulationConfig:
             raise ConfigurationError("need at least 2 variables")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
+        if self.draw_budget is not None and self.draw_budget <= 0:
+            raise ConfigurationError("draw_budget must be positive")
 
     @property
     def n_total(self) -> int:

@@ -90,6 +90,12 @@ class TestSimulate:
                        "baseline_intercept = -14\ndraw_budget = 2000\n")
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 4
 
+    def test_nonpositive_draw_budget_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("draw_budget = 0\n")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "draw_budget must be positive" in capsys.readouterr().err
+
 
 class TestVerifyTruth:
     def test_roundtrip(self, contest_dir):

@@ -144,10 +144,12 @@ class TestPatternPath:
 def scalar_cd(xs, trials, cases, lam, b0, beta, kkt_tol, solve=True,
               sweep_tol=glm.LASSO_SWEEP_TOL):
     """The one-problem twin of the batched kernel: every rule of
-    _lasso_cd and _lasso_sweeps, one member at a time. With solve=False it
-    is the plain coordinate descent the kernel replaced, which takes no
-    active-set step. Returns (b0, beta, converged, outer iterations, sweeps,
-    accepted active-set solves)."""
+    _lasso_cd and _lasso_sweeps, one member at a time. It keeps the working
+    residual over the patterns, where the kernel carries each quadratic as
+    its Gram and gradient, so it is an independent reference for the same
+    rules. With solve=False it is the plain coordinate descent the kernel
+    replaced, which takes no active-set step. Returns (b0, beta, converged,
+    outer iterations, sweeps, accepted active-set solves)."""
     n, p = trials.sum(), xs.shape[1]
     sweeps = steps = 0
     z = np.vstack([np.ones(len(trials)), xs.T])
@@ -391,8 +393,9 @@ class TestBatchedPath:
 class TestActiveSetSteps:
     """_lasso_cd from warm starts that make the active-set step matter: a
     slope started with the wrong sign, two active columns equal over a
-    member's trials, and two active columns that mirror each other, which
-    makes the member's system exactly singular, next to a plain member."""
+    member's trials, two active columns that mirror each other, which
+    makes the member's system exactly singular, and a column constant over
+    a member's trials, whose Gram diagonal is 0, next to a plain member."""
 
     LAM = 0.02
 
@@ -407,15 +410,21 @@ class TestActiveSetSteps:
         trials[2, col[1] != col[2]] = 0.0
         trials[3] = np.where(col[3] == col[0], 0.0, 10.0)
         prob = rc.expit(-0.3 - 1.2 * col[0] + 0.9 * col[1])
-        self.trials, self.cases = trials, rng.binomial(trials.astype(int), prob).astype(float)
+        cases = rng.binomial(trials.astype(int), prob)
+        # Member 4 has trials only where column 2 is 1, so column 2 is
+        # constant over its trials alone.
+        trials = np.vstack([trials, np.where(col[2] == 1.0, rng.integers(5, 20, size=16), 0.0)])
+        cases = np.vstack([cases, rng.binomial(trials[4].astype(int), prob)])
+        self.trials, self.cases = trials, cases.astype(float)
         xs, _, _ = glm._standardize(self.patterns, trials)
         self.xs = np.ascontiguousarray(xs.transpose(2, 0, 1))
         # Column 0 lowers the odds, so member 1 starts it with the wrong
         # sign; member 3's two slopes push the same way.
-        self.beta = np.zeros((4, 4))
+        self.beta = np.zeros((4, 5))
         self.beta[0, 1] = 0.5
         self.beta[1:3, 2] = 0.3
         self.beta[[0, 3], 3] = -0.3, 0.3
+        self.beta[[0, 1, 3], 4] = -0.6, 0.4, 0.2
         self.b0 = glm._log_odds(trials, self.cases)
 
     def run(self, members):
@@ -439,11 +448,13 @@ class TestActiveSetSteps:
 
         monkeypatch.setattr(glm, "_lasso_sweeps", recording_sweeps)
         monkeypatch.setattr(glm, "_newton_steps", recording_steps)
-        batch = self.run(np.arange(4))
+        batch = self.run(np.arange(5))
         # Member 3's system was singular, and never twice on one set.
         assert any(singular_calls)
         assert all(len(set(found)) == len(found) for found in singular_calls)
-        for i in range(4):
+        # Member 4's constant column stays at exactly 0.
+        assert batch[1][2, 4] == 0.0
+        for i in range(5):
             solo = self.run(np.array([i]))
             assert [a.tobytes() for a in solo] == [a[..., i:i + 1].tobytes() for a in batch]
             live = self.trials[i] > 0
@@ -458,17 +469,20 @@ class TestActiveSetSteps:
     def test_matches_scalar_twin(self):
         # Member 3's mirrored columns tie exactly, so which of its optimal
         # splits a descent ends at is up to rounding; it is left out here.
-        batch = self.run(np.arange(3))
-        for i in range(3):
+        members = np.array([0, 1, 2, 4])
+        batch = self.run(members)
+        for pos, i in enumerate(members):
             live = self.trials[i] > 0
             b0, beta, conv, outer, sweeps, steps = scalar_cd(
                 self.xs[:, i, live].T, self.trials[i, live], self.cases[i, live], self.LAM,
                 float(self.b0[i]), self.beta[:, i].copy(), glm.KKT_TOL)
-            coef, ref = np.append(batch[0][i], batch[1][:, i]), np.append(b0, beta)
+            coef, ref = np.append(batch[0][pos], batch[1][:, pos]), np.append(b0, beta)
             assert np.all(np.abs(coef - ref) <= 1e-12 * np.abs(ref).max())
-            assert (batch[2][i], batch[3][i], batch[4][i], batch[5][i]) == \
+            assert (batch[2][pos], batch[3][pos], batch[4][pos], batch[5][pos]) == \
                 (conv, outer, sweeps, steps)
         assert batch[5][2] > 0
+        # Member 4, the last one run, keeps its constant column at 0 in both.
+        assert batch[1][2, 3] == beta[2] == 0.0
 
 
 class TestLassoCvPlans:

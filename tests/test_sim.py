@@ -252,7 +252,7 @@ def test_simulate_matches_all_cells_reference(config):
 
 @pytest.mark.parametrize("field,value", [
     ("prev_min", 0.0), ("prev_max", 1.0), ("k_min", 0), ("k_max", 25),
-    ("effect_lo", 0.0), ("n_cases", 0), ("d", 1),
+    ("effect_lo", 0.0), ("n_cases", 0), ("d", 1), ("draw_budget", 0), ("draw_budget", -5),
 ])
 def test_config_validation(field, value):
     with pytest.raises(ConfigurationError):
