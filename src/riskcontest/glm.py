@@ -47,11 +47,12 @@ intercept shift. Each quadratic subproblem is carried as its Gram and
 gradient alone (glmnet's covariance updates), so the sweeps hold no
 pattern-length array. Between sweeps a member whose signs held takes one
 exact solve of its active set's stationarity equations, so most subproblems
-end after one or two sweeps instead of dozens (_lasso_sweeps). A member that
-is done stops changing, so it runs exactly the iterations it would run
-alone, and the Python loop runs once per coordinate per sweep for the whole
-batch. A pattern with no trials in a member has zero weight and zero
-residual, so it adds exactly nothing to that member's Gram and gradient.
+end after one or two sweeps instead of dozens (_lasso_sweeps); a member
+whose active-set system is singular gets a zero step and keeps its point.
+A member that is done stops changing, so it runs exactly the iterations it
+would run alone, and the Python loop runs once per coordinate per sweep for
+the whole batch. A pattern with no trials in a member has zero weight and
+zero residual, so it adds exactly nothing to that member's Gram and gradient.
 The kernel sums with np.einsum and .sum(axis=...) and solves each member's
 system on its own, so a member's coefficients, deviance, converged flag,
 iterations, sweeps and solves have the same bits whatever the batch size or
@@ -65,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -733,10 +733,10 @@ def _lasso_sweeps(gram, grad, lam, b0, beta):
     sweep that moved a member without changing a sign, a member with a
     nonzero slope takes the exact step of _active_set_steps unless the step
     changes the sign of an active coefficient or sets one to zero. A member
-    whose system on a set of nonzero slopes is singular gets no step on that
-    set again in this call. The next sweep checks a step like any other
-    point. Returns the updated (b0, beta) and, per member, the sweeps run
-    and the active-set solves accepted.
+    whose active-set system is singular gets no step, and since the Gram is
+    fixed in one call, none on that set later either. The next sweep checks
+    a step like any other point. Returns the updated (b0, beta) and, per
+    member, the sweeps run and the active-set solves accepted.
     """
     n_members = len(b0)
     out_b0, out_beta = np.empty_like(b0), np.empty_like(beta)
@@ -746,17 +746,12 @@ def _lasso_sweeps(gram, grad, lam, b0, beta):
     diag = np.diagonal(gram, axis1=1, axis2=2).T
     # Dividing by inf keeps a coordinate with H_jj = 0 at 0.
     div = np.where(diag == 0.0, np.inf, diag)
-    singular_sets = set()
     maximum, minimum, sign = np.maximum, np.minimum, np.sign
     settled = beta.any(axis=0)
     for sweep in range(1, LASSO_MAX_SWEEPS + 1):
         held = np.flatnonzero(settled)
-        keys = [(i, (b != 0.0).tobytes()) for i, b in zip(sweeping[held], beta[:, held].T)]
-        fresh = [key not in singular_sets for key in keys]
-        held, keys = held[fresh], list(compress(keys, fresh))
         if held.size:
             step, singular = _active_set_steps(gram[held], grad[:, held].T, lam, beta[:, held])
-            singular_sets.update(compress(keys, singular))
             new = beta[:, held] + step[:, 1:].T
             take = ~singular & (sign(new) == sign(beta[:, held])).all(axis=0)
             held, step = held[take], step[take]

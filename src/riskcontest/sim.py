@@ -49,8 +49,9 @@ class SimulationConfig:
     def __post_init__(self):
         if not 0.0 < self.prev_min < self.prev_max < 1.0:
             raise ConfigurationError("need 0 < prev_min < prev_max < 1")
-        if not 1 <= self.k_min <= self.k_max <= self.d:
-            raise ConfigurationError("need 1 <= k_min <= k_max <= d")
+        # k < d: Youden's index needs a variable that is not relevant.
+        if not 1 <= self.k_min <= self.k_max < self.d:
+            raise ConfigurationError("need 1 <= k_min <= k_max < d")
         if not 0.0 < self.effect_lo <= self.effect_hi:
             raise ConfigurationError("need 0 < effect_lo <= effect_hi")
         if self.n_cases <= 0 or self.n_controls <= 0:

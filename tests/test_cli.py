@@ -96,6 +96,13 @@ class TestSimulate:
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "draw_budget must be positive" in capsys.readouterr().err
 
+    def test_k_max_equal_to_d_exit_2(self, tmp_path, capsys):
+        # A contest with k = d has no Youden index to score.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("d = 2\nk_min = 2\nk_max = 2\nn_cases = 50\nn_controls = 50\n")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "k_max < d" in capsys.readouterr().err
+
 
 class TestVerifyTruth:
     def test_roundtrip(self, contest_dir):
@@ -320,6 +327,7 @@ class TestTournamentCli:
         "methods = empty_baseline, empty_baseline\n",
         "methods = team_b\nlambda_min_ratio = 0\n",
         "methods = empty_baseline\nmaster_seed = -1\n",
+        "methods = empty_baseline\nd = 2\nk_min = 2\nk_max = 2\n",
     ])
     def test_config_rejected_exit_2(self, tmp_path, extra):
         cfg = tmp_path / "t.cfg"

@@ -1,7 +1,8 @@
 """Cheap extremes of what the validators accept: a 60-row contest (30 cases,
-30 controls) with d = 2 and d = 20, n_folds equal to the smaller class,
-train_fraction close to 0 and to 1, size_max = d and one resample. Each
-case ends in a Submission or a ContestError, within a tracemalloc bound."""
+30 controls) with d = 2 and d = 20, and with d = 70 for team_a, n_folds
+equal to the smaller class, train_fraction close to 0 and to 1,
+size_max = d and one resample. Each case ends in a Submission or a
+ContestError, within a tracemalloc bound."""
 
 import tracemalloc
 
@@ -35,13 +36,15 @@ def cases(d):
 
 
 CASES = [(d, method, options) for d in (2, 20) for method, options in cases(d)]
+CASES += [(70, method, options) for method, options in cases(70) if method == "team_a"]
 
 
 @pytest.mark.parametrize("d, method, options", CASES,
                          ids=[f"d{d}-{m}" + "".join(f"-{k}={v}" for k, v in o.items())
                               for d, m, o in CASES])
 def test_extreme_config_answers_within_memory(d, method, options):
-    config = rc.SimulationConfig(d=d, n_cases=30, n_controls=30, k_min=1, k_max=2, seed=60)
+    config = rc.SimulationConfig(d=d, n_cases=30, n_controls=30, k_min=1,
+                                 k_max=min(2, d - 1), seed=60)
     rng = np.random.default_rng(config.seed)
     data = rc.simulate_dataset(rc.draw_ground_truth(config, rng), config, rng)
     spec = rc.SelectorSpec(method, seed=1, **options)

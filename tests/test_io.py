@@ -425,7 +425,7 @@ unit = st.floats(1e-9, 1.0, exclude_min=True, exclude_max=True)
 @st.composite
 def sim_configs(draw):
     d = draw(st.integers(2, 60))
-    k_max = draw(st.integers(1, d))
+    k_max = draw(st.integers(1, d - 1))
     prev_min, prev_max = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
     effect_lo, effect_hi = sorted(draw(st.lists(st.floats(1e-6, 10), min_size=2, max_size=2)))
     kw = dict(d=d, n_cases=draw(st.integers(1, 10**6)), n_controls=draw(st.integers(1, 10**6)),

@@ -10,6 +10,19 @@ from riskcontest import glm
 from riskcontest.errors import DegenerateOutcomeError, ValidationError
 
 
+@pytest.fixture(autouse=True)
+def small_caps(request, monkeypatch):
+    """Caps the kernel's outer iterations and sweeps far below
+    production's 250 and 1000 per penalty, so a kernel that never settles
+    fails in seconds instead of minutes. Every member in these tests
+    converges within 5 outer iterations of at most 9 sweeps. The plain
+    coordinate descent of test_matches_tight_coordinate_descent needs the
+    production caps."""
+    if request.function.__name__ != "test_matches_tight_coordinate_descent":
+        monkeypatch.setattr(glm, "LASSO_MAX_OUTER", 30)
+        monkeypatch.setattr(glm, "LASSO_MAX_SWEEPS", 60)
+
+
 def lasso_data(n=500, p=8, seed=0):
     rng = np.random.default_rng(seed)
     x = (rng.random((n, p)) < 0.35).astype(float)
@@ -168,12 +181,10 @@ def scalar_cd(xs, trials, cases, lam, b0, beta, kkt_tol, solve=True,
         wsum = float(w.sum())
         # Correctly rounded sums, so equal columns give equal entries.
         gram = np.array([[math.fsum(w * a * b) for b in z] for a in z]) / n if solve else None
-        singular = set()
         settled = bool(np.any(beta != 0.0))
         for _ in range(glm.LASSO_MAX_SWEEPS):
-            support = tuple(beta != 0.0)
-            if solve and settled and support not in singular:
-                active = [0] + [j + 1 for j in range(p) if support[j]]
+            if solve and settled:
+                active = [0] + [j + 1 for j in range(p) if beta[j] != 0.0]
                 # An active column equal over the trials to an earlier
                 # active one keeps its value.
                 solved = [a for a in active if not any(
@@ -183,7 +194,7 @@ def scalar_cd(xs, trials, cases, lam, b0, beta, kkt_tol, solve=True,
                 try:
                     step = np.linalg.solve(gram[np.ix_(solved, solved)], rhs)
                 except np.linalg.LinAlgError:
-                    singular.add(support)
+                    pass  # a singular system gets no step
                 else:
                     new = beta.copy()
                     new[np.array(solved[1:], dtype=int) - 1] += step[1:]
@@ -434,24 +445,18 @@ class TestActiveSetSteps:
         return (b0, beta) + out
 
     def test_members_keep_solo_bits_and_meet_kkt(self, monkeypatch):
-        singular_calls = []
-        newton_steps, sweeps = glm._newton_steps, glm._lasso_sweeps
-
-        def recording_sweeps(*args):
-            singular_calls.append([])
-            return sweeps(*args)
+        singular_found = []
+        newton_steps = glm._newton_steps
 
         def recording_steps(hess, grad, lam):
             steps, singular = newton_steps(hess, grad, lam)
-            singular_calls[-1].extend(h.tobytes() for h in hess[singular])
+            singular_found.append(singular.any())
             return steps, singular
 
-        monkeypatch.setattr(glm, "_lasso_sweeps", recording_sweeps)
         monkeypatch.setattr(glm, "_newton_steps", recording_steps)
         batch = self.run(np.arange(5))
-        # Member 3's system was singular, and never twice on one set.
-        assert any(singular_calls)
-        assert all(len(set(found)) == len(found) for found in singular_calls)
+        # Member 3's system was singular.
+        assert any(singular_found)
         # Member 4's constant column stays at exactly 0.
         assert batch[1][2, 4] == 0.0
         for i in range(5):

@@ -217,7 +217,7 @@ def sim_configs(draw):
     return rc.SimulationConfig(
         d=d, n_cases=draw(st.integers(1, 80)), n_controls=draw(st.integers(1, 80)),
         prev_max=prev_max, prev_min=prev_max * draw(st.floats(0.01, 0.99)),
-        k_min=1, k_max=draw(st.integers(1, d)),
+        k_min=1, k_max=draw(st.integers(1, d - 1)),
         n_confounders=draw(st.integers(0, 5)),
         confounder_prev=draw(st.floats(0.001, 0.5)),
         baseline_intercept=draw(st.floats(-4.0, 1.0)),
@@ -251,7 +251,7 @@ def test_simulate_matches_all_cells_reference(config):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("prev_min", 0.0), ("prev_max", 1.0), ("k_min", 0), ("k_max", 25),
+    ("prev_min", 0.0), ("prev_max", 1.0), ("k_min", 0), ("k_max", 20), ("k_max", 25),
     ("effect_lo", 0.0), ("n_cases", 0), ("d", 1), ("draw_budget", 0), ("draw_budget", -5),
 ])
 def test_config_validation(field, value):
