@@ -9,19 +9,23 @@ with the separation ridge (tests/test_grouped.py).
 
 Every IRLS fit runs on one batched kernel, _irls_batch: Newton/IRLS with
 step halving on M grouped-binomial problems at once, each with its own ridge
-weight, which the kernel carries as data and never branches on. A member
-that separates continues from where it stands in the same loop, with
-FALLBACK_RIDGE as its weight and MAX_ITER fresh iterations, until its
-Newton step is negligible, so its refit ends at the ridge optimum whatever
-path led there. The kernel's sums run through np.einsum and .sum(axis=...),
-never matmul, so a member's result has the same bits whatever the batch
-size, the member's place in it or the chunk boundaries. _fit_members takes
-the fits as (member, cell) entries and runs each width class as one batch:
-a member's width is its cell count rounded up to three leading binary
-digits, and the cells it lacks are zero-trial cells, which add exact zeros.
-A member's width depends on its own cells alone. fit_logistic is a batch of
-one and bootstrap_fits fits all its resamples at once, each keeping exactly
-its patterns with trials.
+weight, which the kernel carries as data and never branches on. Separation
+is read from the counts first: an unpenalized member with a 0/1 column
+whose trials with a 1 are all cases or all controls is quasi-completely
+separated, and it starts at once in the ridge pass, with FALLBACK_RIDGE as
+its weight, near that pass's optimum. The walk covers the rest: any other
+member that separates continues from where it stands in the same loop, with
+FALLBACK_RIDGE as its weight and MAX_ITER fresh iterations. A ridge pass
+runs until its Newton step is negligible, so a refit ends at the ridge
+optimum whatever path led there. The kernel's sums run through np.einsum
+and .sum(axis=...), never matmul, so a member's result has the same bits
+whatever the batch size, the member's place in it or the chunk
+boundaries. _fit_members takes the fits as (member, cell) entries and runs
+each width class as one batch: a member's width is its cell count rounded
+up to three leading binary digits, and the cells it lacks are zero-trial
+cells, which add exact zeros. A member's width depends on its own cells
+alone. fit_logistic is a batch of one and bootstrap_fits fits all its
+resamples at once, each keeping exactly its patterns with trials.
 
 PatternTable.fold_fits is the one cross-validation routine: team_a's
 holdout steps, team_c's exhaustive search, the ridge CV curve and cv_deviance
@@ -159,7 +163,10 @@ class FitResult:
     coefficients holds the intercept followed by one log odds ratio per
     column of x. std_errors is present only for converged unpenalized fits;
     separation_flag marks fits that were stabilized with a tiny ridge after
-    quasi-complete separation or a singular information matrix.
+    quasi-complete separation or a singular information matrix, whether read
+    from the counts at the start or met on the way. iterations counts the
+    whole fit for a fit whose separation was read from the counts, and only
+    the ridge pass for one whose separation was met on the way.
     """
 
     coefficients: np.ndarray
@@ -212,6 +219,22 @@ def _newton_steps(hess, grad, lam):
     return steps, singular
 
 
+def _one_class_columns(xt, trials, successes):
+    """(M, q) signs of the 0/1 columns whose trials with a 1 are all cases
+    (+1) or all controls (-1), 0 elsewhere and on the intercept, for xt the
+    (M, q, m) transposed design and (M, m) counts; a cell with no trials is
+    ignored. Such a column separates its member quasi-completely (Albert &
+    Anderson 1984): the deviance falls without bound along it. The exposed
+    cases and controls are sums of whole numbers, so the signs do not depend
+    on the order of the sums."""
+    binary = ((xt == 0.0) | (xt == 1.0) | (trials[:, None] == 0.0)).all(axis=2)
+    cases = np.einsum("...qk,...k->...q", xt, successes)
+    controls = np.einsum("...qk,...k->...q", xt, trials - successes)
+    signs = np.where(binary, (controls == 0.0).astype(int) - (cases == 0.0), 0)
+    signs[:, 0] = 0
+    return signs
+
+
 def _irls_batch(design, trials, successes, lam):
     """Newton/IRLS with step halving on the ridge-penalized deviance of M
     grouped-binomial problems at once, each with its own ridge weight.
@@ -222,17 +245,35 @@ def _irls_batch(design, trials, successes, lam):
     its log-odds intercept, clips its weights per trial, takes the first of
     30 halved Newton steps that does not raise its objective (none: it is at
     its optimum) and converges when the objective moves by less than
-    DEVIANCE_RTOL relative, within MAX_ITER iterations. A member with lam = 0
-    that moves any |coefficient| past SEPARATION_BOUND or meets a singular
-    Newton system continues in the same loop from its last accepted beta,
-    with FALLBACK_RIDGE and MAX_ITER fresh iterations, and converges when
-    its full Newton step is below 1e-9 (1 + max |beta|); so every member
-    gets an estimate, and a refit's is the ridge optimum, not a point where
-    a flat objective stopped moving. A singular system under lam > 0 raises
-    LinAlgError. A member leaves the batch when it finishes. Returns beta
-    (M, q), deviance (M,), converged (M,), separated (M,) and iterations
-    (M,): the ridge pass's for a separated member, MAX_ITER for one that
-    did not converge.
+    DEVIANCE_RTOL relative, within MAX_ITER iterations.
+
+    A member with lam = 0 is separated, and refit with FALLBACK_RIDGE, in
+    one of two ways. Separation is read from the counts first: a member
+    with a one-class 0/1 column (_one_class_columns) starts at once in the
+    ridge pass, from its log-odds intercept with each such column at
+    SEPARATION_BOUND - 3 toward its class. The walk covers the rest: a
+    member that moves any |coefficient| past SEPARATION_BOUND or meets a
+    singular Newton system continues in the same loop from its last
+    accepted beta, with MAX_ITER fresh iterations. A ridge pass converges
+    when its full Newton step is below 1e-9 (1 + max |beta|); so every
+    member gets an estimate, and a refit's is the ridge optimum, not a point
+    where a flat objective stopped moving. That holds too for a member read
+    from the counts whose walk would have stopped on the DEVIANCE_RTOL flat
+    objective short of SEPARATION_BOUND, unflagged.
+
+    The start along a caught column sets the ridge pass's length. The
+    deviance pulls a one-class slope up by about 2 T exp(-eta) for T
+    exposed trials, the ridge back by 2 FALLBACK_RIDGE beta, so for a few
+    exposed trials the optimum lies near 11-13, just inside
+    SEPARATION_BOUND. On the benchmark's contests separated fits took
+    5.1-6.0 iterations on average from 12, 5.7-7.0 from 11 or 13, about 11
+    from 15 and 14-17 from slope 0.
+
+    A singular system under lam > 0 raises LinAlgError. A member leaves the
+    batch when it finishes. Returns beta (M, q), deviance (M,), converged
+    (M,), separated (M,) and iterations (M,): the whole fit's for a member
+    read from the counts, the ridge pass's for one the walk refit, MAX_ITER
+    for one that did not converge.
     """
     n_members, q = len(trials), design.shape[-1]
     pen = np.ones(q)
@@ -250,13 +291,18 @@ def _irls_batch(design, trials, successes, lam):
         return obj_c <= obj * (1.0 + 1e-14) + 1e-14
 
     converged = np.zeros(n_members, dtype=bool)
-    separated = np.zeros(n_members, dtype=bool)
     iterations = np.zeros(n_members, dtype=int)
     # The design is kept as (M, q, m), so every sum runs over cells.
     xt = np.ascontiguousarray(design.transpose(0, 2, 1))
     live, t, c = np.arange(n_members), trials, successes
     beta = np.zeros((n_members, q))
     beta[:, 0] = _log_odds(trials, successes)
+    # A lam = 0 member with a one-class 0/1 column starts in the ridge pass,
+    # each such column SEPARATION_BOUND - 3 toward its class.
+    signs = _one_class_columns(xt, trials, successes) * (lam == 0)[:, None]
+    separated = signs.any(axis=1)
+    beta += (SEPARATION_BOUND - 3.0) * signs
+    lam = np.where(separated, FALLBACK_RIDGE, lam)
     eta, dev, obj = score(xt, beta, t, c, lam)
     out_beta, out_dev = beta.copy(), dev.copy()
     # Iterations of every live member's current pass, each at most MAX_ITER.
@@ -337,12 +383,14 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> FitResult:
         objective, and the intercept stays unpenalized. A fit with ridge 0
         that converged reports standard errors.
 
-    Quasi-complete separation (any |coefficient| > SEPARATION_BOUND during
-    iteration) and singular Newton systems are handled by a fit that
-    continues from where it stands to the optimum of a tiny ridge
-    (FALLBACK_RIDGE); such fits carry separation_flag = True but still report standard errors
-    so Wald machinery stays usable. The fit is a batch of one in its width
-    class.
+    Quasi-complete separation and singular Newton systems are handled by a
+    fit to the optimum of a tiny ridge (FALLBACK_RIDGE). A 0/1 column whose
+    rows with a 1 are all cases or all controls is read from the counts, and
+    the fit starts in the ridge pass at once; any other separation is met
+    when a |coefficient| passes SEPARATION_BOUND, and the fit continues from
+    where it stands. Such fits carry separation_flag = True but still report
+    standard errors so Wald machinery stays usable. The fit is a batch of
+    one in its width class.
     """
     patterns, trials, cases, _ = _pattern_counts(x, y)
     return _fit_counts(patterns, trials[None], cases[None], ridge)[0]

@@ -138,11 +138,14 @@ def _irls(xmat, trials, successes, lam, start=None):
     problem at a time with matmul sums: the reference for glm._irls_batch.
 
     xmat includes the intercept column, which the ridge leaves unpenalized.
-    An unpenalized fit (lam = 0) that moves any |coefficient| past
-    SEPARATION_BOUND or meets a singular Newton system is refit with
-    FALLBACK_RIDGE, so every caller gets an estimate: the ridge pass goes on
-    from the last accepted beta (`start`) and stops once its full Newton
-    step is negligible.
+    An unpenalized fit (lam = 0) with a 0/1 column whose trials with a 1 are
+    all cases or all controls starts at once in the FALLBACK_RIDGE pass,
+    from the log-odds start with each such column SEPARATION_BOUND - 3
+    toward its class. Any other unpenalized fit that moves any
+    |coefficient| past SEPARATION_BOUND or meets a singular Newton system is
+    refit with FALLBACK_RIDGE, so every caller gets an estimate: the ridge
+    pass goes on from the last accepted beta (`start`) and stops once its
+    full Newton step is negligible.
     Returns (beta, deviance, converged, iterations, separated).
     """
     m, q = xmat.shape
@@ -158,6 +161,19 @@ def _irls(xmat, trials, successes, lam, start=None):
         beta = np.zeros(q)
         ybar = hits / total
         beta[0] = math.log(ybar / (1.0 - ybar))
+        if not lam:
+            seen = trials > 0
+            signs = np.zeros(q)
+            for j in range(1, q):
+                if np.isin(xmat[seen, j], (0.0, 1.0)).all():
+                    exposed = seen & (xmat[:, j] == 1.0)
+                    cases = float(successes[exposed].sum())
+                    controls = float((trials - successes)[exposed].sum())
+                    signs[j] = (controls == 0.0) - (cases == 0.0)
+            if signs.any():
+                beta = beta + (SEPARATION_BOUND - 3.0) * signs
+                *fit, _ = _irls(xmat, trials, successes, FALLBACK_RIDGE, beta)
+                return (*fit, True)
     else:
         beta = start
     eta = xmat @ beta

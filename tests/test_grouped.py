@@ -128,6 +128,54 @@ class TestFitLogistic:
             assert_close(fit.std_errors, std, rtol)
 
 
+def walk_only(monkeypatch):
+    """Turn off the kernel's reading of separation from the counts, so every
+    separated fit walks out to SEPARATION_BOUND first."""
+    monkeypatch.setattr(glm, "_one_class_columns",
+                        lambda xt, trials, successes: np.zeros(xt.shape[:2], dtype=int))
+
+
+class TestSeparationFromCounts:
+    """Column 0 is exposed on five rows, all of them cases: a quasi-complete
+    separation that the kernel reads from the counts."""
+
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(11)
+        x = (rng.random((200, 2)) < 0.3).astype(float)
+        y = (rng.random(200) < 0.4).astype(float)
+        x[:, 0] = 0.0
+        x[np.flatnonzero(y)[:5], 0] = 1.0
+        return x, y
+
+    def test_one_class_column_starts_in_the_ridge_pass(self, monkeypatch):
+        """Under a cap of 10 iterations the fit is flagged and reaches the
+        ridge optimum; the walk alone has not even met the separation after
+        13."""
+        x, y = self.data()
+        monkeypatch.setattr(glm, "MAX_ITER", 10)
+        fit = rc.fit_logistic(x, y)
+        assert fit.separation_flag and fit.converged
+        assert_close(fit.coefficients, ridge_optimum(x, y), 1e-9)
+        walk_only(monkeypatch)
+        monkeypatch.setattr(glm, "MAX_ITER", 13)
+        walk = rc.fit_logistic(x, y)
+        assert not (walk.separation_flag or walk.converged)
+
+    def test_doubled_column_keeps_the_walk(self, monkeypatch):
+        """With x doubled no column is 0/1, so the fit takes the walk, bit
+        for bit; here the walk stops on the flat objective before its slope
+        passes SEPARATION_BOUND."""
+        x, y = self.data()
+        fit = rc.fit_logistic(2.0 * x, y)
+        walk_only(monkeypatch)
+        walk = rc.fit_logistic(2.0 * x, y)
+        assert fit.converged and not fit.separation_flag
+        assert (fit.deviance, fit.iterations) == (walk.deviance, walk.iterations)
+        assert same_bits([fit.coefficients, fit.std_errors],
+                         [walk.coefficients, walk.std_errors])
+
+
 class TestCvDeviance:
     @settings(max_examples=60, deadline=None)
     @given(contests, st.sampled_from(PENALTIES))

@@ -55,3 +55,38 @@ def test_simulate_matches_benchmark_reference(tmp_path, capsys, pool, config, it
     assert digest == expected["digest"]
     assert sha256(out / "dataset.csv") == expected["dataset.csv"]
     assert sha256(out / "truth.json") == expected["truth.json"]
+
+
+def reference(pool: str) -> dict:
+    return json.loads((PERFBENCH / "reference.json").read_text())[pool]
+
+
+@pytest.mark.parametrize("contest", range(101, 106))
+def test_team_c_matches_benchmark_reference(tmp_path, contest):
+    """select --method team_c at size 3 with select seed 1, as the
+    benchmark's exhaustive workload runs it, selects the set recorded in
+    perfbench/reference.json, so a fitting change that moves an answer fails
+    here and not only in a benchmark run."""
+    (tmp_path / "sim.cfg").write_text("")
+    (tmp_path / "select.cfg").write_text("size_min = 3\nsize_max = 3\n")
+    out = tmp_path / "contest"
+    assert main(["simulate", "--config", str(tmp_path / "sim.cfg"), "--seed", str(contest),
+                 "--out", str(out)]) == 0
+    assert main(["select", "--method", "team_c", "--seed", "1",
+                 "--data", str(out / "dataset.csv"), "--config", str(tmp_path / "select.cfg"),
+                 "--out", str(out / "team_c.json")]) == 0
+    selected = json.loads((out / "team_c.json").read_text())["selected"]
+    assert selected == reference("exhaustive")[f"{contest}/1"]["selected"]
+
+
+def test_tournament_matches_benchmark_reference(tmp_path):
+    """Replicate 1 of the benchmark's tournament writes the results.csv lines
+    and the leaderboard.csv recorded in perfbench/reference.json."""
+    expected = reference("tournament")["1"]
+    cfg = tmp_path / "tournament.cfg"
+    cfg.write_text("methods = team_a, team_b, team_d, random_baseline\n"
+                   "master_seed = 2018\nreplicates = 5\n")
+    out = tmp_path / "r1"
+    assert main(["tournament", "--config", str(cfg), "--replicate", "1", "--out", str(out)]) == 0
+    assert (out / "results.csv").read_text().splitlines() == expected["results.csv"]
+    assert sha256(out / "leaderboard.csv") == expected["leaderboard.csv"]
