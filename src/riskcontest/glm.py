@@ -17,20 +17,21 @@ its weight, near that pass's optimum. The walk covers the rest: any other
 member that separates continues from where it stands in the same loop, with
 FALLBACK_RIDGE as its weight and MAX_ITER fresh iterations. A ridge pass
 runs until its Newton step is negligible, so a refit ends at the ridge
-optimum whatever path led there. The kernel's sums run through np.einsum
-and .sum(axis=...), never matmul, so a member's result has the same bits
-whatever the batch size, the member's place in it or the chunk
-boundaries. _fit_members takes the fits as (member, cell) entries and runs
-each width class as one batch: a member's width is its cell count rounded
-up to three leading binary digits, and the cells it lacks are zero-trial
-cells, which add exact zeros. A member's width depends on its own cells
-alone. fit_logistic is a batch of one and bootstrap_fits fits all its
-resamples at once, each keeping exactly its patterns with trials.
+optimum whatever path led there. The kernel takes the fits as (member,
+cell) entries and works on each entry's nonzero columns and pairs of
+nonzero columns (_Fits): the linear predictor, gradient, Hessian, deviance
+and exposed counts are each one np.bincount, which sums a member's entries
+left to right in cell order, and a cell with no trials adds exact zeros. So
+a member's result has the same bits whatever the batch size, the member's
+place in it, the chunk boundaries or the other members' cell counts, and
+every batch runs as one. fit_logistic is a batch of one and bootstrap_fits
+fits all its resamples at once, each keeping exactly its patterns with
+trials.
 
 PatternTable.fold_fits is the one cross-validation routine: team_a's
 holdout steps, team_c's exhaustive search, the ridge CV curve and cv_deviance
 all read it. A ridge weight is a plain number, one for all subsets or one
-per subset, so the ridge CV curve's penalties run as one batch; _fit_members
+per subset, so the ridge CV curve's penalties run as one batch; _irls_batch
 rejects any weight that is not finite and >= 0. fold_fits projects the
 table's patterns onto each subset's columns and collapses them as _collapse
 would, so fold fit (subset, fold) keeps exactly the subset's cells with
@@ -68,6 +69,7 @@ descent run to a 1e-14 sweep tolerance as far as the KKT_TOL stop allows
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,58 +196,189 @@ class CvPlan:
     assignments: np.ndarray
 
 
-def _log_odds(trials, cases):
-    """Every member's log odds of a case, from its (M, k) trial and case
-    counts; DegenerateOutcomeError if a member has a single class."""
-    total, hits = trials.sum(axis=1), cases.sum(axis=1)
+def _log_odds(total, hits):
+    """Every member's log odds of a case, from its (M,) trials and cases in
+    all; DegenerateOutcomeError if a member has a single class."""
     if np.any((hits <= 0.0) | (hits >= total)):
         raise DegenerateOutcomeError("outcome vector contains a single class")
     return np.array([math.log(odds) for odds in (hits / total) / (1.0 - hits / total)])
+
+
+def _solve(a, b):
+    """np.linalg.solve on a stack of systems a (M, q, q) and b (M, q, r). A
+    singular system gets a zero solution and a True in the returned mask;
+    every other member's solution has the bits of its solo solve."""
+    try:
+        return np.linalg.solve(a, b), np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        # Sign 0 marks a zero LU pivot, the condition on which solve raises.
+        singular = np.linalg.slogdet(a)[0] == 0.0
+    out = np.zeros(b.shape)
+    out[~singular] = np.linalg.solve(a[~singular], b[~singular])
+    return out, singular
 
 
 def _newton_steps(hess, grad, lam):
     """Solve every member's Newton system, with lam a scalar or one ridge
     weight per member. A singular member with lam = 0 gets a zero step and a
     True in the returned mask; one with lam > 0 raises LinAlgError."""
-    try:
-        return np.linalg.solve(hess, grad[..., None])[..., 0], np.zeros(len(grad), dtype=bool)
-    except np.linalg.LinAlgError:
-        # Sign 0 marks a zero LU pivot, the condition on which solve raises.
-        singular = np.linalg.slogdet(hess)[0] == 0.0
-        if np.any(singular & (lam > 0)):
-            raise
-    steps = np.zeros_like(grad)
-    steps[~singular] = np.linalg.solve(hess[~singular], grad[~singular, :, None])[..., 0]
-    return steps, singular
+    steps, singular = _solve(hess, grad[..., None])
+    if np.any(singular & (lam > 0)):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return steps[..., 0], singular
 
 
-def _one_class_columns(xt, trials, successes):
+def _largest(a):
+    """Every row's largest |value| of the (M, q) array a, one column at a
+    time: for a few columns that is many times faster than .max(axis=1)."""
+    return functools.reduce(np.maximum, np.abs(a.T))
+
+
+def _ranges(starts, lengths):
+    """The ranges arange(s, s + n) for every s and n, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts + lengths - np.cumsum(lengths), lengths)
+
+
+class _Fits:
+    """M grouped-binomial fits held as the nonzeros of their designs.
+
+    Fit i has sizes[i] entries, the fits' entries one after another, each a
+    design row with its trials and successes; an entry may have no trials.
+    Every entry keeps its nonzero columns (nz_count of them: nz_col, nz_val)
+    and its pairs of nonzero columns a <= b (pair_count of them: pair_slot
+    a * q + b and pair_val, the product of the two values), in column order.
+    Every sum over a fit's entries is one np.bincount over these lists, and
+    bincount adds each bin's weights in input order: a sum runs left to
+    right in entry order, and an entry with no trials adds an exact zero. So
+    a fit's sums depend on its own entries alone, not on the other fits.
+    """
+
+    def __init__(self, q, sizes, trials, successes, nz_count, nz_col, nz_val,
+                 pair_count, pair_slot, pair_val):
+        self.q, self.sizes, self.trials, self.successes = q, sizes, trials, successes
+        self.nz_count, self.nz_col, self.nz_val = nz_count, nz_col, nz_val
+        self.pair_count, self.pair_slot, self.pair_val = pair_count, pair_slot, pair_val
+
+    @classmethod
+    def from_entries(cls, design, member, cell, trials, successes, n_members):
+        """The fits whose entry e is row cell[e] of the (cells, q) design in
+        fit member[e], with trials[e] and successes[e]; the entries come
+        sorted by member, each member's in the order its sums run."""
+        q = design.shape[1]
+        rows, cols = np.nonzero(design)
+        vals = design[rows, cols]
+        count = np.bincount(rows, minlength=len(design))
+        start = np.cumsum(count) - count
+        # Every design row's pairs: each nonzero with itself and each later one.
+        reach = np.repeat(start + count, count) - np.arange(cols.size)
+        first = np.repeat(np.arange(cols.size), reach)
+        second = _ranges(np.arange(cols.size), reach)
+        slot = (cols[first] * q + cols[second]).astype(np.min_scalar_type(q * q))
+        product = vals[first] * vals[second]
+        pair_count = count * (count + 1) // 2
+        nz = _ranges(start[cell], count[cell])
+        pairs = _ranges((np.cumsum(pair_count) - pair_count)[cell], pair_count[cell])
+        return cls(q, np.bincount(member, minlength=n_members), trials, successes,
+                   count[cell], cols[nz].astype(np.min_scalar_type(q)), vals[nz],
+                   pair_count[cell], slot[pairs], product[pairs])
+
+    def take(self, keep):
+        """The fits where the (M,) mask keep is True, and their entries' mask."""
+        entries = np.repeat(keep, self.sizes)
+        nz, pairs = np.repeat(entries, self.nz_count), np.repeat(entries, self.pair_count)
+        return _Fits(self.q, self.sizes[keep], self.trials[entries], self.successes[entries],
+                     self.nz_count[entries], self.nz_col[nz], self.nz_val[nz],
+                     self.pair_count[entries], self.pair_slot[pairs],
+                     self.pair_val[pairs]), entries
+
+    @functools.cached_property
+    def fit(self):
+        """Every entry's fit."""
+        return np.repeat(np.arange(len(self.sizes)), self.sizes)
+
+    @functools.cached_property
+    def nz_bin(self):
+        """Every nonzero's bin fit * q + column."""
+        bins = np.repeat(self.fit * self.q, self.nz_count)
+        bins += self.nz_col
+        return bins
+
+    def sums(self, values):
+        """(M,) sums over every fit's entries of one value per entry."""
+        return np.bincount(self.fit, values, len(self.sizes))
+
+    def column_sums(self, weights):
+        """(M, q) sums X'w over every fit's entries, one weight per entry."""
+        n, q = len(self.sizes), self.q
+        terms = np.repeat(weights, self.nz_count)
+        terms *= self.nz_val
+        return np.bincount(self.nz_bin, terms, n * q).reshape(n, q)
+
+    def gram(self, weights, diagonal):
+        """(M, q, q) weighted Grams X'WX + diag(diagonal), for one weight per
+        entry and an (M, q) diagonal: the upper triangle summed, mirrored,
+        then the diagonal added."""
+        n, q = len(self.sizes), self.q
+        bins = np.repeat(self.fit * (q * q), self.pair_count)
+        bins += self.pair_slot
+        terms = np.repeat(weights, self.pair_count)
+        terms *= self.pair_val
+        gram = np.bincount(bins, terms, n * q * q).reshape(n, q, q)
+        upper, lower = np.triu_indices(q, 1)
+        gram[:, lower, upper] = gram[:, upper, lower]
+        gram[:, np.arange(q), np.arange(q)] += diagonal
+        return gram
+
+    def predictor(self, beta):
+        """Every entry's linear predictor at the fits' (M, q) beta."""
+        n = len(self.nz_count)
+        terms = beta.ravel()[self.nz_bin]
+        terms *= self.nz_val
+        return np.bincount(np.repeat(np.arange(n), self.nz_count), terms, n)
+
+    def deviances(self, eta):
+        """(M,) deviances at the entries' linear predictors eta."""
+        return 2.0 * self.sums(self.trials * np.logaddexp(0.0, eta) - self.successes * eta)
+
+
+def _one_class_columns(fits):
     """(M, q) signs of the 0/1 columns whose trials with a 1 are all cases
-    (+1) or all controls (-1), 0 elsewhere and on the intercept, for xt the
-    (M, q, m) transposed design and (M, m) counts; a cell with no trials is
-    ignored. Such a column separates its member quasi-completely (Albert &
-    Anderson 1984): the deviance falls without bound along it. The exposed
-    cases and controls are sums of whole numbers, so the signs do not depend
-    on the order of the sums."""
-    binary = ((xt == 0.0) | (xt == 1.0) | (trials[:, None] == 0.0)).all(axis=2)
-    cases = np.einsum("...qk,...k->...q", xt, successes)
-    controls = np.einsum("...qk,...k->...q", xt, trials - successes)
-    signs = np.where(binary, (controls == 0.0).astype(int) - (cases == 0.0), 0)
+    (+1) or all controls (-1), 0 elsewhere and on the intercept, for the
+    _Fits fits; an entry with no trials is ignored. Such a column separates
+    its member quasi-completely (Albert & Anderson 1984): the deviance falls
+    without bound along it. The exposed cases and controls are sums of
+    whole numbers, so the signs do not depend on the order of the sums."""
+    other = (fits.nz_val != 1.0) & np.repeat(fits.trials > 0.0, fits.nz_count)
+    binary = np.bincount(fits.nz_bin, other, len(fits.sizes) * fits.q) == 0.0
+    cases = fits.column_sums(fits.successes)
+    controls = fits.column_sums(fits.trials - fits.successes)
+    signs = (controls == 0.0).astype(int) - (cases == 0.0)
+    signs[~binary.reshape(signs.shape)] = 0
     signs[:, 0] = 0
     return signs
 
 
-def _irls_batch(design, trials, successes, lam):
-    """Newton/IRLS with step halving on the ridge-penalized deviance of M
-    grouped-binomial problems at once, each with its own ridge weight.
+def _irls_batch(design, member, cell, trials, successes, n_members, lam):
+    """Newton/IRLS with step halving on the ridge-penalized deviance of
+    n_members grouped-binomial problems at once, each with its own ridge
+    weight, given entry by entry.
 
-    design is (M, m, q), intercept column first, which the ridge leaves
-    unpenalized; trials and successes are (M, m), and a cell may have no
-    trials; lam is a scalar or one weight per member. Each member starts at
-    its log-odds intercept, clips its weights per trial, takes the first of
-    30 halved Newton steps that does not raise its objective (none: it is at
-    its optimum) and converges when the objective moves by less than
-    DEVIANCE_RTOL relative, within MAX_ITER iterations.
+    Entry e puts trials[e] and successes[e] on row cell[e] of the (cells, q)
+    design, intercept column first, in member member[e]; the entries come
+    sorted by member, and an entry may have no trials. lam is one ridge
+    weight or one per member, each finite and >= 0 (ValidationError
+    otherwise); the ridge leaves the intercept unpenalized. Each member
+    starts at its log-odds intercept, clips its weights per trial, takes the
+    first of 30 halved Newton steps that does not raise its objective (none:
+    it is at its optimum) and converges when the objective moves by less
+    than DEVIANCE_RTOL relative, within MAX_ITER iterations.
+
+    The kernel works on the nonzeros of each member's design (_Fits): the
+    linear predictor, gradient, Hessian, deviance and exposed counts are
+    each one np.bincount that sums a member's entries left to right, in
+    their order, and an entry with no trials adds exact zeros. So a member's
+    bits depend on its own entries alone: not on the batch, its place in it,
+    the chunk or the other members' entry counts.
 
     A member with lam = 0 is separated, and refit with FALLBACK_RIDGE, in
     one of two ways. Separation is read from the counts first: a member
@@ -275,35 +408,34 @@ def _irls_batch(design, trials, successes, lam):
     read from the counts, the ridge pass's for one the walk refit, MAX_ITER
     for one that did not converge.
     """
-    n_members, q = len(trials), design.shape[-1]
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), n_members)
+    if not np.all(np.isfinite(lam) & (lam >= 0.0)):
+        raise ValidationError("a ridge weight must be finite and non-negative")
+    fits = _Fits.from_entries(design, member, cell, trials, successes, n_members)
+    q = design.shape[1]
     pen = np.ones(q)
     pen[0] = 0.0
-    diag = np.arange(q)
-    lam = np.broadcast_to(lam, n_members)
 
-    def score(xt, beta, t, c, lam):
-        # Linear predictor, deviance and penalized objective at beta.
-        eta = np.einsum("...qk,...q->...k", xt, beta)
-        dev = _deviances(eta, t, c)
-        return eta, dev, dev + lam * np.einsum("q,mq,mq->m", pen, beta, beta)
+    def objective(dev, beta, lam):
+        return dev + lam * np.einsum("q,mq,mq->m", pen, beta, beta)
 
     def accepted(obj_c, obj):
         return obj_c <= obj * (1.0 + 1e-14) + 1e-14
 
     converged = np.zeros(n_members, dtype=bool)
     iterations = np.zeros(n_members, dtype=int)
-    # The design is kept as (M, q, m), so every sum runs over cells.
-    xt = np.ascontiguousarray(design.transpose(0, 2, 1))
-    live, t, c = np.arange(n_members), trials, successes
+    live = np.arange(n_members)
     beta = np.zeros((n_members, q))
-    beta[:, 0] = _log_odds(trials, successes)
+    beta[:, 0] = _log_odds(fits.sums(trials), fits.sums(successes))
     # A lam = 0 member with a one-class 0/1 column starts in the ridge pass,
     # each such column SEPARATION_BOUND - 3 toward its class.
-    signs = _one_class_columns(xt, trials, successes) * (lam == 0)[:, None]
+    signs = _one_class_columns(fits) * (lam == 0)[:, None]
     separated = signs.any(axis=1)
     beta += (SEPARATION_BOUND - 3.0) * signs
     lam = np.where(separated, FALLBACK_RIDGE, lam)
-    eta, dev, obj = score(xt, beta, t, c, lam)
+    eta = fits.predictor(beta)
+    dev = fits.deviances(eta)
+    obj = objective(dev, beta, lam)
     out_beta, out_dev = beta.copy(), dev.copy()
     # Iterations of every live member's current pass, each at most MAX_ITER.
     age = np.zeros(n_members, dtype=int)
@@ -311,41 +443,47 @@ def _irls_batch(design, trials, successes, lam):
     for _ in range(2 * MAX_ITER):
         age += 1
         ridge = lam[:, None] * pen
+        t, c = fits.trials, fits.successes
         p = expit(eta)
         w = t * np.maximum(p * (1.0 - p), 1e-10)
-        grad = np.einsum("...k,...qk->...q", c - t * p, xt)
-        hess = np.einsum("...ak,...bk->...ab", xt * w[:, None], xt)
-        grad -= ridge * beta
-        hess[:, diag, diag] += ridge
-        step, singular = _newton_steps(hess, grad, lam)
+        grad = fits.column_sums(c - t * p) - ridge * beta
+        step, singular = _newton_steps(fits.gram(w, ridge), grad, lam)
 
         # Step halving: the full step for every member, then halved steps
         # where the objective rose. Members whose every candidate fails are
         # at their optimum.
         cand = beta + step
-        eta_c, dev_c, obj_c = score(xt, cand, t, c, lam)
-        halving = np.flatnonzero(~singular & ~accepted(obj_c, obj))
+        eta_c = fits.predictor(cand)
+        dev_c = fits.deviances(eta_c)
+        obj_c = objective(dev_c, cand, lam)
+        halving = ~singular & ~accepted(obj_c, obj)
+        idx = np.flatnonzero(halving)
+        if idx.size:
+            sub = fits.take(halving)[0]
         for j in range(1, 30):
-            if not halving.size:
+            if not idx.size:
                 break
-            b = beta[halving] + 0.5**j * step[halving]
-            e, d, o = score(xt[halving], b, t[halving], c[halving], lam[halving])
-            ok = accepted(o, obj[halving])
-            took = halving[ok]
-            cand[took], eta_c[took], dev_c[took], obj_c[took] = b[ok], e[ok], d[ok], o[ok]
-            halving = halving[~ok]
+            b = beta[idx] + 0.5**j * step[idx]
+            d = sub.deviances(sub.predictor(b))
+            o = objective(d, b, lam[idx])
+            ok = accepted(o, obj[idx])
+            if ok.any():
+                took = idx[ok]
+                cand[took], dev_c[took], obj_c[took] = b[ok], d[ok], o[ok]
+                idx, sub = idx[~ok], sub.take(~ok)[0]
+        if idx.size < halving.sum():
+            eta_c = fits.predictor(cand)
         optimal = np.zeros(len(live), dtype=bool)
-        optimal[halving] = True
+        optimal[idx] = True
 
         moved = ~(singular | optimal)
-        refit = singular | (moved & (lam == 0) & (np.abs(cand).max(axis=1) > SEPARATION_BOUND))
+        refit = singular | (moved & (lam == 0) & (_largest(cand) > SEPARATION_BOUND))
         moved &= ~refit
         # A ridge pass stops on its Newton step, any other on its objective.
-        stop = np.where(separated[live],
-                        np.abs(step).max(axis=1) <= 1e-9 * (1.0 + np.abs(beta).max(axis=1)),
+        stop = np.where(separated[live], _largest(step) <= 1e-9 * (1.0 + _largest(beta)),
                         np.abs(obj - obj_c) / (np.abs(obj) + 0.1) < DEVIANCE_RTOL)
         beta = np.where(moved[:, None], cand, beta)
-        eta = np.where(moved[:, None], eta_c, eta)
+        eta = np.where(np.repeat(moved, fits.sizes), eta_c, eta)
         dev, obj = np.where(moved, dev_c, dev), np.where(moved, obj_c, obj)
 
         if refit.any():
@@ -353,7 +491,7 @@ def _irls_batch(design, trials, successes, lam):
             redo = np.flatnonzero(refit)
             separated[live[redo]] = True
             lam = np.where(refit, FALLBACK_RIDGE, lam)
-            obj[redo] = score(xt[redo], beta[redo], t[redo], c[redo], lam[redo])[2]
+            obj[redo] = objective(dev[redo], beta[redo], lam[redo])
             age[redo] = 0
 
         done = optimal | (moved & stop)
@@ -363,9 +501,9 @@ def _irls_batch(design, trials, successes, lam):
             iterations[live[finished]] = age[finished]
             out_beta[live[finished]], out_dev[live[finished]] = beta[finished], dev[finished]
             keep = ~finished
-            live, beta, eta, dev, obj, age = (live[keep], beta[keep], eta[keep], dev[keep],
-                                              obj[keep], age[keep])
-            xt, t, c, lam = xt[keep], t[keep], c[keep], lam[keep]
+            fits, entries = fits.take(keep)
+            live, beta, eta, dev, obj, age, lam = (live[keep], beta[keep], eta[entries],
+                                                   dev[keep], obj[keep], age[keep], lam[keep])
             if not live.size:
                 break
     return out_beta, out_dev, converged, separated, iterations
@@ -390,80 +528,37 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> FitResult:
     when a |coefficient| passes SEPARATION_BOUND, and the fit continues from
     where it stands. Such fits carry separation_flag = True but still report
     standard errors so Wald machinery stays usable. The fit is a batch of
-    one in its width class.
+    one.
     """
     patterns, trials, cases, _ = _pattern_counts(x, y)
     return _fit_counts(patterns, trials[None], cases[None], ridge)[0]
 
 
-def _fit_members(design, member, cell, trials, successes, n_members, lam):
-    """_irls_batch on n_members problems given entry by entry: entry e puts
-    trials[e] and successes[e] on row cell[e] of the (cells, q) design in
-    member member[e], the entries sorted by member, then by cell, and lam is
-    one ridge weight or one per member; ValidationError unless every weight
-    is finite and >= 0. The members of one width class (_widths) run as one
-    batch, each padded to the width with zero-trial cells. Returns beta
-    (M, q), deviance (M,), converged (M,), separated (M,) and iterations
-    (M,)."""
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), n_members)
-    if not np.all(np.isfinite(lam) & (lam >= 0.0)):
-        raise ValidationError("a ridge weight must be finite and non-negative")
-    sizes = np.bincount(member, minlength=n_members)
-    starts = np.cumsum(sizes) - sizes
-    widths = _widths(sizes)
-    fits = (np.empty((n_members, design.shape[1])), np.empty(n_members),
-            np.empty(n_members, dtype=bool), np.empty(n_members, dtype=bool),
-            np.empty(n_members, dtype=int))
-    for width in np.flatnonzero(np.bincount(widths)):
-        group = np.flatnonzero(widths == width)
-        pos = np.arange(width)
-        # Padding repeats a member's last cell with no trials, which adds
-        # exact zeros to every sum of its fit.
-        idx = starts[group, None] + np.minimum(pos, sizes[group, None] - 1)
-        pad = pos >= sizes[group, None]
-        t, s = trials[idx], successes[idx]
-        t[pad] = s[pad] = 0.0
-        for out, part in zip(fits, _irls_batch(design[cell[idx]], t, s, lam[group])):
-            out[group] = part
-    return fits
-
-
-def _widths(sizes):
-    """Every cell count rounded up to its three leading binary digits, a
-    multiple of 2^max(0, bit_length - 3): exact up to 8, and less than 25%
-    more above."""
-    step = 2 ** np.maximum(np.frexp(sizes)[1] - 3, 0)
-    return -(-sizes // step) * step
-
-
 def _fit_counts(patterns, trials, cases, ridge=0.0) -> list[FitResult]:
     """fit_logistic on each row of (M, k) trial and case counts over the k
-    patterns; each fit drops the patterns it has no trials on."""
+    patterns, as one _irls_batch run; each fit drops the patterns it has no
+    trials on."""
     n, p = trials.sum(axis=1), patterns.shape[1]
     if np.any(n <= p):
         raise ValidationError(f"need more rows than columns (n={int(n.min())}, p={p})")
     design = np.column_stack([np.ones(len(patterns)), patterns])
     member, cell = np.nonzero(trials)
-    fits = _fit_members(design, member, cell, trials[member, cell], cases[member, cell],
-                        len(trials), ridge)
-    results = []
-    for t, (beta, dev, conv, separated, it) in zip(trials, zip(*fits)):
-        std = None
-        if ridge == 0.0 and conv:
-            xmat, t = design[t > 0], t[t > 0]
-            prob = expit(xmat @ beta)
-            w = t * np.maximum(prob * (1.0 - prob), 1e-10)
-            info = (xmat * w[:, None]).T @ xmat
-            if separated:
-                # Same stabilization that produced the estimate.
-                idx = np.arange(1, p + 1)
-                info[idx, idx] += FALLBACK_RIDGE
-            try:
-                std = np.sqrt(np.diag(np.linalg.inv(info)))
-            except np.linalg.LinAlgError:
-                std = None
-        results.append(FitResult(beta, std, float(dev), bool(conv), int(it), bool(separated)))
-    return results
+    entries = (design, member, cell, trials[member, cell], cases[member, cell], len(trials))
+    beta, dev, conv, separated, its = _irls_batch(*entries, ridge)
+    std = [None] * len(trials)
+    if ridge == 0.0 and conv.any():
+        # Every converged fit's information matrix at its estimate, with the
+        # stabilization that produced a separated fit's estimate.
+        fits = _Fits.from_entries(*entries).take(conv)[0]
+        prob = expit(fits.predictor(beta[conv]))
+        slopes = np.arange(p + 1) > 0
+        info = fits.gram(fits.trials * np.maximum(prob * (1.0 - prob), 1e-10),
+                         FALLBACK_RIDGE * (separated[conv, None] & slopes))
+        inverse, singular = _solve(info, np.broadcast_to(np.eye(p + 1), info.shape))
+        for i, cov, bad in zip(np.flatnonzero(conv), inverse, singular):
+            std[i] = None if bad else np.sqrt(np.diag(cov))
+    return [FitResult(*fit) for fit in zip(beta, std, dev.tolist(), conv.tolist(), its.tolist(),
+                                          separated.tolist())]
 
 
 def wald_pvalues(fit: FitResult) -> np.ndarray:
@@ -497,8 +592,8 @@ class PatternTable:
     to score many column subsets. Rows labelled 0 are never held out.
 
     fold_fits projects the patterns onto each subset's columns and fits
-    every fold's training counts, all rows minus the held-out ones, in
-    batched runs, and cv_deviances sums its held-out deviances;
+    every fold's training counts, all rows minus the held-out ones, one
+    _irls_batch run per chunk, and cv_deviances sums its held-out deviances;
     lasso_cv_deviance fits every fold's path.
     """
 
@@ -544,9 +639,10 @@ class PatternTable:
         """Fit every fold of every row of an (M, s) array of column subsets,
         its columns in the order given, on the fold's training counts, with
         one ridge weight or one per row, in chunks of about BATCH_ELEMENTS
-        fold fit x pattern pairs. Returns (M, n_folds) arrays: the training
-        deviance, the held-out deviance, the mask of fits refit with
-        FALLBACK_RIDGE and the mask of fits that converged."""
+        fold fit x pattern pairs, each chunk one _irls_batch run. Returns
+        (M, n_folds) arrays: the training deviance, the held-out deviance,
+        the mask of fits refit with FALLBACK_RIDGE and the mask of fits that
+        converged."""
         subsets = self._columns(subsets)
         lam = np.asarray(ridge, dtype=float)
         if lam.ndim > 1 or lam.size not in (1, len(subsets)):
@@ -601,7 +697,7 @@ class PatternTable:
         # Fold fit (i, fold) is member fold * n_sub + i; it keeps exactly the
         # cells of subset i with training trials, in cell order.
         fold, cell = np.nonzero(train_n)
-        beta, train_dev, converged, separated, _ = _fit_members(
+        beta, train_dev, converged, separated, _ = _irls_batch(
             design, fold * n_sub + owner[cell], cell, train_n[fold, cell], train_c[fold, cell],
             n_sub * f, np.tile(lam, f))
 
@@ -869,7 +965,7 @@ def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None) -> list[FitRe
     """
     patterns, trials, cases, _ = _pattern_counts(x, y)
     # A single class raises here, not as the grid's zero lambda_max.
-    _log_odds(trials[None], cases[None])
+    _log_odds(trials.sum(keepdims=True), cases.sum(keepdims=True))
     grid = default_lambda_grid(x, y) if lambda_grid is None else lambda_grid
     coef, dev, conv, iters, _, _ = _lasso_path(patterns, trials[None], cases[None], grid)
     return [FitResult(b, None, float(d), bool(c), int(i))
@@ -887,7 +983,8 @@ def _lasso_path(patterns, trials, cases, lambda_grid):
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0 or np.any(grid < 0) or np.any(np.diff(grid) >= 0):
         raise ValidationError("lambda grid must be strictly decreasing and non-negative")
-    b0, n = _log_odds(trials, cases), trials.sum(axis=1)
+    n = trials.sum(axis=1)
+    b0 = _log_odds(n, cases.sum(axis=1))
 
     xs, mean, scale = _standardize(patterns, trials)
     xs = np.ascontiguousarray(xs.transpose(2, 0, 1))  # (p, M, k)

@@ -12,14 +12,23 @@ import pytest
 import riskcontest as rc
 from riskcontest import glm
 
-# At n = 60 one chunk of fold fits sets the peak: about BATCH_ELEMENTS
-# (fold fit, pattern) cells, each with a design row of up to 8 floats,
-# which _irls_batch holds twice (team_a's wider rows come in far fewer
-# cells). Cells count as padded to each fit's width class: none are added
-# at 8 cells or fewer and under 25% above, and the largest case here,
-# team_c at d = 20 with 30 folds, peaks near 9 MB. The rest is
-# O(n + n_folds * k), under 4 MB here.
+# At n = 60 one chunk of fold fits sets the peak. A chunk covers about
+# BATCH_ELEMENTS (fold fit, pattern) pairs of the table; _irls_batch keeps
+# each fold fit's cells with training trials as their nonzeros and pairs of
+# nonzeros, and per fold fit a few dense (q, q) and (q,) arrays. The largest
+# case here, team_c at d = 20 with 30 folds, runs 11,400 fold fits of
+# q = 4 on 29,600 cells and 67,700 nonzero pairs in one kernel run and
+# peaks near 12 MB, most of it in stacks of 4 x 4 Hessians (1.5 MB each).
+# The bound allows 128 bytes per (fold fit, pattern) pair of a chunk, and
+# 4 MB for the O(n + n_folds * k) rest.
 PEAK_BOUND = 2 * 8 * 8 * glm.BATCH_ELEMENTS + 4_000_000
+# team_d's fits at d = 70 run as one kernel run, which holds each fit's
+# nonzero pairs a few times over: a column pair and a product each, and a
+# bin and a term each while it sums a Gram. The rest is fixed for one
+# contest: the 100 fits' dense 71 x 71 Hessians and inverses (4 MB a
+# stack), the data and the counts.
+PAIR_BYTES = 48
+PAIR_ALLOWANCE = 12_000_000
 
 
 def cases(d):
@@ -58,3 +67,28 @@ def test_extreme_config_answers_within_memory(d, method, options):
         tracemalloc.stop()
     assert result is None or isinstance(result, rc.Submission)
     assert peak <= PEAK_BOUND
+
+
+def test_team_d_at_d70_within_memory_of_its_nonzero_pairs():
+    """team_d on a d = 70 default contest (4,000 rows) peaks within
+    PAIR_BYTES per nonzero pair of its bootstrap fits plus PAIR_ALLOWANCE."""
+    config = rc.SimulationConfig(d=70, seed=424242)
+    rng = np.random.default_rng(config.seed)
+    data = rc.simulate_dataset(rc.draw_ground_truth(config, rng), config, rng)
+    spec = rc.SelectorSpec("team_d", seed=1)
+    # A resample's fit has one cell per pattern it draws; a pattern with j
+    # nonzeros has j + 1 with the intercept, so (j + 1)(j + 2) / 2 pairs.
+    patterns, inv = glm._collapse(data.x.astype(float))
+    ones = (patterns != 0.0).sum(axis=1)
+    pattern_pairs = (ones + 1) * (ones + 2) // 2
+    draws = np.random.default_rng(spec.seed)
+    pairs = sum(int(pattern_pairs[np.unique(inv[rc.bootstrap_resample(data.n, draws)])].sum())
+                for _ in range(spec.n_resamples))
+    tracemalloc.start()
+    try:
+        result = rc.run_selector(data, spec)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert isinstance(result, rc.Submission)
+    assert peak <= PAIR_BYTES * pairs + PAIR_ALLOWANCE

@@ -132,7 +132,7 @@ def walk_only(monkeypatch):
     """Turn off the kernel's reading of separation from the counts, so every
     separated fit walks out to SEPARATION_BOUND first."""
     monkeypatch.setattr(glm, "_one_class_columns",
-                        lambda xt, trials, successes: np.zeros(xt.shape[:2], dtype=int))
+                        lambda fits: np.zeros((len(fits.sizes), fits.q), dtype=int))
 
 
 class TestSeparationFromCounts:
@@ -311,10 +311,9 @@ def test_bootstrap_matches_row_refits():
                      for j in range(data.d)]
 
 
-def test_bootstrap_runs_in_few_width_classes(monkeypatch):
-    """The bootstrap's fits run in a few batches of near width, not one per
-    distinct cell count: on this contest the 30 resamples hold 23-30 cells
-    each and run as at most 3 kernel calls."""
+def test_bootstrap_runs_as_one_kernel_call(monkeypatch):
+    """The bootstrap's fits run as one batch whatever their cell counts: on
+    this contest the 30 resamples hold 23-30 cells each."""
     config = rc.SimulationConfig(n_cases=400, n_controls=400, seed=5)
     rng = np.random.default_rng(config.seed)
     data = rc.simulate_dataset(rc.draw_ground_truth(config, rng), config, rng)
@@ -322,7 +321,7 @@ def test_bootstrap_runs_in_few_width_classes(monkeypatch):
     kernel = glm._irls_batch
     monkeypatch.setattr(glm, "_irls_batch", lambda *args: calls.append(1) or kernel(*args))
     rc.bootstrap_fits(data.x, data.y, 30, np.random.default_rng(3))
-    assert 1 <= len(calls) <= 3
+    assert len(calls) == 1
 
 
 problems = st.fixed_dictionaries({
@@ -331,6 +330,15 @@ problems = st.fixed_dictionaries({
     "cells": st.integers(1, 10),
     "q": st.integers(1, 4),
 })
+
+
+def dense_kernel(design, trials, successes, lam):
+    """_irls_batch on dense problems: member i has the cells design[i] (m, q),
+    trials[i] and successes[i] (m,), passed to the kernel as entries."""
+    members, cells = trials.shape
+    design = np.broadcast_to(design, (members, cells, design.shape[-1]))
+    return _irls_batch(design.reshape(members * cells, -1), np.repeat(np.arange(members), cells),
+                       np.arange(members * cells), trials.ravel(), successes.ravel(), members, lam)
 
 
 def grouped_problems(seed, members, cells, q):
@@ -364,7 +372,7 @@ class TestBatchedKernel:
             idx = np.asarray(idx)
             own = design if len(design) == 1 else design[idx]
             lam = lams[idx] if ridge == "mixed" else ridge
-            return _irls_batch(own, trials[idx], successes[idx], lam)
+            return dense_kernel(own, trials[idx], successes[idx], lam)
 
         full = run(np.arange(n))
         for i in range(n):
@@ -374,6 +382,51 @@ class TestBatchedKernel:
         cuts = np.r_[0, np.sort(rng.choice(np.arange(1, n), min(n - 1, 2), replace=False)), n]
         chunks = [run(np.arange(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
         assert same_bits([np.concatenate(parts) for parts in zip(*chunks)], full)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problems, st.sampled_from(PENALTIES + ["mixed"]), st.integers(1, 4))
+    def test_bits_depend_on_own_cells_with_trials(self, case, ridge, most):
+        """A member's bits depend on its own cells with trials alone: member i
+        keeps its first counts[i] cells, and its beta, deviance, flags and
+        iterations have the same bits alone, batched with members of other
+        cell counts, and with up to `most` zero-trial cells of any values
+        inserted among its cells, alone or batched. About half the members
+        get a one-class column 1, which the counts flag at lam = 0 whatever
+        values the zero-trial cells hold."""
+        design, trials, successes, rng = grouped_problems(**case)
+        n, m, q = design.shape
+        if q > 1:
+            caught = rng.random(n) < 0.5
+            design[caught, 0, 1] = 0.0
+            exposed = caught[:, None] & (design[..., 1] == 1.0)
+            successes[exposed] = trials[exposed]
+        lams = rng.choice(PENALTIES, n) if ridge == "mixed" else np.full(n, ridge)
+        counts = rng.integers(1, m + 1, n)
+
+        def cells(i, padded):
+            rows, t, s = design[i, :counts[i]], trials[i, :counts[i]], successes[i, :counts[i]]
+            if padded:
+                at = rng.integers(0, counts[i] + 1, rng.integers(1, most + 1))
+                extra = rng.choice([0.0, 1.0, 2.0, -0.5], (at.size, q))
+                rows, t, s = (np.insert(rows, at, extra, axis=0), np.insert(t, at, 0.0),
+                              np.insert(s, at, 0.0))
+            return rows, t, s
+
+        def run(members, padded):
+            parts = [cells(i, padded) for i in members]
+            sizes = [len(t) for _, t, _ in parts]
+            return _irls_batch(np.concatenate([rows for rows, _, _ in parts]),
+                               np.repeat(np.arange(len(parts)), sizes), np.arange(sum(sizes)),
+                               np.concatenate([t for _, t, _ in parts]),
+                               np.concatenate([s for _, _, s in parts]), len(parts), lams[members])
+
+        alone = [run([i], False) for i in range(n)]
+        for padded in (False, True):
+            batch = run(np.arange(n), padded)
+            for i in range(n):
+                assert same_bits([part[i:i + 1] for part in batch], alone[i])
+                if padded:
+                    assert same_bits(run([i], True), alone[i])
 
     @settings(max_examples=40, deadline=None)
     @given(problems, st.sampled_from([0.0, "mixed"]))
@@ -385,7 +438,7 @@ class TestBatchedKernel:
         gives the bits of the uncapped fit."""
         design, trials, successes, rng = grouped_problems(**case)
         lam = rng.choice(PENALTIES, len(trials)) if ridge == "mixed" else ridge
-        full = _irls_batch(design, trials, successes, lam)
+        full = dense_kernel(design, trials, successes, lam)
         separated = np.flatnonzero(full[3])
         ridge_pass = full[4][separated]
         # The first cap at which each separated member is flagged.
@@ -395,7 +448,7 @@ class TestBatchedKernel:
                 break
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(glm, "MAX_ITER", cap)
-                fits = _irls_batch(design, trials, successes, lam)
+                fits = dense_kernel(design, trials, successes, lam)
             flagged_at[(flagged_at == 0) & fits[3][separated]] = cap
             for i, first, r in zip(separated, flagged_at, ridge_pass):
                 if not first:

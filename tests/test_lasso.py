@@ -436,7 +436,7 @@ class TestActiveSetSteps:
         self.beta[1:3, 2] = 0.3
         self.beta[[0, 3], 3] = -0.3, 0.3
         self.beta[[0, 1, 3], 4] = -0.6, 0.4, 0.2
-        self.b0 = glm._log_odds(trials, self.cases)
+        self.b0 = glm._log_odds(trials.sum(axis=1), self.cases.sum(axis=1))
 
     def run(self, members):
         b0, beta = self.b0[members].copy(), self.beta[:, members].copy()
