@@ -17,16 +17,16 @@ its weight, near that pass's optimum. The walk covers the rest: any other
 member that separates continues from where it stands in the same loop, with
 FALLBACK_RIDGE as its weight and MAX_ITER fresh iterations. A ridge pass
 runs until its Newton step is negligible, so a refit ends at the ridge
-optimum whatever path led there. The kernel takes the fits as (member,
-cell) entries and works on each entry's nonzero columns and pairs of
-nonzero columns (_Fits): the linear predictor, gradient, Hessian, deviance
-and exposed counts are each one np.bincount, which sums a member's entries
-left to right in cell order, and a cell with no trials adds exact zeros. So
-a member's result has the same bits whatever the batch size, the member's
-place in it, the chunk boundaries or the other members' cell counts, and
-every batch runs as one. fit_logistic is a batch of one and bootstrap_fits
-fits all its resamples at once, each keeping exactly its patterns with
-trials.
+optimum whatever path led there. The kernel takes the fits as a _Fits, the
+design representation of both kernels: each (member, cell) entry's nonzero
+columns and pairs of nonzero columns. The linear predictor, gradient,
+Hessian, deviance and exposed counts are each one np.bincount, which sums a
+member's entries left to right in cell order, and a cell with no trials
+adds exact zeros. So a member's result has the same bits whatever the batch
+size, the member's place in it, the chunk boundaries or the other members'
+cell counts, and every batch runs as one. fit_logistic is a batch of one
+and bootstrap_fits fits all its resamples at once, each keeping exactly its
+patterns with trials.
 
 PatternTable.fold_fits is the one cross-validation routine: team_a's
 holdout steps, team_c's exhaustive search, the ridge CV curve and cv_deviance
@@ -56,15 +56,16 @@ end after one or two sweeps instead of dozens (_lasso_sweeps); a member
 whose active-set system is singular gets a zero step and keeps its point.
 A member that is done stops changing, so it runs exactly the iterations it
 would run alone, and the Python loop runs once per coordinate per sweep for
-the whole batch. A pattern with no trials in a member has zero weight and
-zero residual, so it adds exactly nothing to that member's Gram and gradient.
-The kernel sums with np.einsum and .sum(axis=...) and solves each member's
-system on its own, so a member's coefficients, deviance, converged flag,
-iterations, sweeps and solves have the same bits whatever the batch size or
-the member's place in it. The paths agree to 1e-12 relative with a one-path
-scalar reference that takes the same steps, and with plain coordinate
-descent run to a 1e-14 sweep tolerance as far as the KKT_TOL stop allows
-(tests/test_lasso.py).
+the whole batch. The paths run on a _Fits of the design [1, patterns], each
+member keeping its patterns with trials: the linear predictor is taken at
+the 0/1-scale coefficients, and the gradient and the Gram are the design's
+sums, centred and scaled with the member's means and scales (_standardized).
+The sums are np.bincounts and each member's system is solved on its own, so
+a member's coefficients, deviance, converged flag, iterations, sweeps and
+solves have the same bits whatever the batch size or the member's place in
+it. The paths agree to 1e-12 relative with a one-path scalar reference that
+takes the same steps, and with plain coordinate descent run to a 1e-14
+sweep tolerance as far as the KKT_TOL stop allows (tests/test_lasso.py).
 """
 
 from __future__ import annotations
@@ -97,12 +98,6 @@ def expit(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-
-
-def _deviances(eta, trials, successes):
-    # -2 * log-likelihood of binomial logit models over the last axis,
-    # binomial constants omitted.
-    return 2.0 * (trials * np.logaddexp(0.0, eta) - successes * eta).sum(axis=-1)
 
 
 def _collapse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,9 +161,8 @@ class FitResult:
     column of x. std_errors is present only for converged unpenalized fits;
     separation_flag marks fits that were stabilized with a tiny ridge after
     quasi-complete separation or a singular information matrix, whether read
-    from the counts at the start or met on the way. iterations counts the
-    whole fit for a fit whose separation was read from the counts, and only
-    the ridge pass for one whose separation was met on the way.
+    from the counts at the start or met on the way. iterations counts every
+    Newton iteration of the fit.
     """
 
     coefficients: np.ndarray
@@ -282,6 +276,15 @@ class _Fits:
                    count[cell], cols[nz].astype(np.min_scalar_type(q)), vals[nz],
                    pair_count[cell], slot[pairs], product[pairs])
 
+    @classmethod
+    def from_counts(cls, patterns, trials, cases):
+        """The fits of the rows of (M, k) trial and case counts on the design
+        [1, patterns], each keeping its patterns with trials, in order."""
+        design = np.column_stack([np.ones(len(patterns)), patterns])
+        member, cell = np.nonzero(trials)
+        return cls.from_entries(design, member, cell, trials[member, cell], cases[member, cell],
+                                len(trials))
+
     def take(self, keep):
         """The fits where the (M,) mask keep is True, and their entries' mask."""
         entries = np.repeat(keep, self.sizes)
@@ -358,27 +361,25 @@ def _one_class_columns(fits):
     return signs
 
 
-def _irls_batch(design, member, cell, trials, successes, n_members, lam):
-    """Newton/IRLS with step halving on the ridge-penalized deviance of
-    n_members grouped-binomial problems at once, each with its own ridge
-    weight, given entry by entry.
+def _irls_batch(fits, lam):
+    """Newton/IRLS with step halving on the ridge-penalized deviance of the
+    M grouped-binomial problems of the _Fits fits at once, each with its own
+    ridge weight.
 
-    Entry e puts trials[e] and successes[e] on row cell[e] of the (cells, q)
-    design, intercept column first, in member member[e]; the entries come
-    sorted by member, and an entry may have no trials. lam is one ridge
-    weight or one per member, each finite and >= 0 (ValidationError
-    otherwise); the ridge leaves the intercept unpenalized. Each member
-    starts at its log-odds intercept, clips its weights per trial, takes the
-    first of 30 halved Newton steps that does not raise its objective (none:
-    it is at its optimum) and converges when the objective moves by less
-    than DEVIANCE_RTOL relative, within MAX_ITER iterations.
+    Each fit's design has its intercept column first, and an entry may have
+    no trials. lam is one ridge weight or one per member, each finite and
+    >= 0 (ValidationError otherwise); the ridge leaves the intercept
+    unpenalized. Each member starts at its log-odds intercept, clips its
+    weights per trial, takes the first of 30 halved Newton steps that does
+    not raise its objective (none: it is at its optimum) and converges when
+    the objective moves by less than DEVIANCE_RTOL relative, within MAX_ITER
+    iterations.
 
-    The kernel works on the nonzeros of each member's design (_Fits): the
-    linear predictor, gradient, Hessian, deviance and exposed counts are
-    each one np.bincount that sums a member's entries left to right, in
-    their order, and an entry with no trials adds exact zeros. So a member's
-    bits depend on its own entries alone: not on the batch, its place in it,
-    the chunk or the other members' entry counts.
+    The linear predictor, gradient, Hessian, deviance and exposed counts are
+    each one np.bincount over the fits' nonzeros that sums a member's
+    entries left to right, and an entry with no trials adds exact zeros. So
+    a member's bits depend on its own entries alone: not on the batch, its
+    place in it, the chunk or the other members' entry counts.
 
     A member with lam = 0 is separated, and refit with FALLBACK_RIDGE, in
     one of two ways. Separation is read from the counts first: a member
@@ -404,15 +405,13 @@ def _irls_batch(design, member, cell, trials, successes, n_members, lam):
 
     A singular system under lam > 0 raises LinAlgError. A member leaves the
     batch when it finishes. Returns beta (M, q), deviance (M,), converged
-    (M,), separated (M,) and iterations (M,): the whole fit's for a member
-    read from the counts, the ridge pass's for one the walk refit, MAX_ITER
-    for one that did not converge.
+    (M,), separated (M,) and iterations (M,), the Newton iterations of
+    every pass.
     """
+    n_members, q = len(fits.sizes), fits.q
     lam = np.broadcast_to(np.asarray(lam, dtype=float), n_members)
     if not np.all(np.isfinite(lam) & (lam >= 0.0)):
         raise ValidationError("a ridge weight must be finite and non-negative")
-    fits = _Fits.from_entries(design, member, cell, trials, successes, n_members)
-    q = design.shape[1]
     pen = np.ones(q)
     pen[0] = 0.0
 
@@ -426,7 +425,7 @@ def _irls_batch(design, member, cell, trials, successes, n_members, lam):
     iterations = np.zeros(n_members, dtype=int)
     live = np.arange(n_members)
     beta = np.zeros((n_members, q))
-    beta[:, 0] = _log_odds(fits.sums(trials), fits.sums(successes))
+    beta[:, 0] = _log_odds(fits.sums(fits.trials), fits.sums(fits.successes))
     # A lam = 0 member with a one-class 0/1 column starts in the ridge pass,
     # each such column SEPARATION_BOUND - 3 toward its class.
     signs = _one_class_columns(fits) * (lam == 0)[:, None]
@@ -437,8 +436,9 @@ def _irls_batch(design, member, cell, trials, successes, n_members, lam):
     dev = fits.deviances(eta)
     obj = objective(dev, beta, lam)
     out_beta, out_dev = beta.copy(), dev.copy()
-    # Iterations of every live member's current pass, each at most MAX_ITER.
-    age = np.zeros(n_members, dtype=int)
+    # Every live member's Newton iterations, and the count at which its
+    # current pass has run MAX_ITER of them.
+    age, limit = np.zeros(n_members, dtype=int), np.full(n_members, MAX_ITER)
 
     for _ in range(2 * MAX_ITER):
         age += 1
@@ -492,18 +492,19 @@ def _irls_batch(design, member, cell, trials, successes, n_members, lam):
             separated[live[redo]] = True
             lam = np.where(refit, FALLBACK_RIDGE, lam)
             obj[redo] = objective(dev[redo], beta[redo], lam[redo])
-            age[redo] = 0
+            limit[redo] = age[redo] + MAX_ITER
 
         done = optimal | (moved & stop)
-        finished = done | (age == MAX_ITER)
+        finished = done | (age == limit)
         if finished.any():
             converged[live[done]] = True
             iterations[live[finished]] = age[finished]
             out_beta[live[finished]], out_dev[live[finished]] = beta[finished], dev[finished]
             keep = ~finished
             fits, entries = fits.take(keep)
-            live, beta, eta, dev, obj, age, lam = (live[keep], beta[keep], eta[entries],
-                                                   dev[keep], obj[keep], age[keep], lam[keep])
+            live, beta, eta, dev, obj, age, limit, lam = (
+                live[keep], beta[keep], eta[entries], dev[keep], obj[keep], age[keep],
+                limit[keep], lam[keep])
             if not live.size:
                 break
     return out_beta, out_dev, converged, separated, iterations
@@ -541,15 +542,13 @@ def _fit_counts(patterns, trials, cases, ridge=0.0) -> list[FitResult]:
     n, p = trials.sum(axis=1), patterns.shape[1]
     if np.any(n <= p):
         raise ValidationError(f"need more rows than columns (n={int(n.min())}, p={p})")
-    design = np.column_stack([np.ones(len(patterns)), patterns])
-    member, cell = np.nonzero(trials)
-    entries = (design, member, cell, trials[member, cell], cases[member, cell], len(trials))
-    beta, dev, conv, separated, its = _irls_batch(*entries, ridge)
+    fits = _Fits.from_counts(patterns, trials, cases)
+    beta, dev, conv, separated, its = _irls_batch(fits, ridge)
     std = [None] * len(trials)
     if ridge == 0.0 and conv.any():
         # Every converged fit's information matrix at its estimate, with the
         # stabilization that produced a separated fit's estimate.
-        fits = _Fits.from_entries(*entries).take(conv)[0]
+        fits = fits.take(conv)[0]
         prob = expit(fits.predictor(beta[conv]))
         slopes = np.arange(p + 1) > 0
         info = fits.gram(fits.trials * np.maximum(prob * (1.0 - prob), 1e-10),
@@ -698,8 +697,8 @@ class PatternTable:
         # cells of subset i with training trials, in cell order.
         fold, cell = np.nonzero(train_n)
         beta, train_dev, converged, separated, _ = _irls_batch(
-            design, fold * n_sub + owner[cell], cell, train_n[fold, cell], train_c[fold, cell],
-            n_sub * f, np.tile(lam, f))
+            _Fits.from_entries(design, fold * n_sub + owner[cell], cell, train_n[fold, cell],
+                               train_c[fold, cell], n_sub * f), np.tile(lam, f))
 
         # Held-out deviance, summed per member in cell order.
         fold, cell = np.nonzero(held_n)
@@ -730,8 +729,9 @@ class PatternTable:
         coef, _, converged, _, sweeps, solves = _lasso_path(
             self.patterns, np.vstack([all_n - held_n, all_n]), np.vstack([all_c - held_c, all_c]),
             grid)
-        eta = coef[:-1, :, :1] + np.einsum("kp,flp->flk", self.patterns, coef[:-1, :, 1:])
-        curve = _deviances(eta, held_n[:, None], held_c[:, None])
+        held = _Fits.from_counts(self.patterns, held_n, held_c)
+        curve = np.column_stack([held.deviances(held.predictor(point))
+                                 for point in coef[:-1].transpose(1, 0, 2)])
         return curve / held_rows[:, None], coef[-1], (converged, sweeps, solves)
 
 
@@ -787,15 +787,38 @@ LASSO_MAX_SWEEPS = 1000
 LASSO_SWEEP_TOL = 1e-10
 
 
-def _standardize(patterns, trials):
-    # Mean and standard deviation over the rows the trial counts stand for,
-    # per row of trials (..., k); standardized patterns are (..., k, p).
-    n = trials.sum(axis=-1)[..., None]
-    mean = np.einsum("...k,kp->...p", trials, patterns) / n
-    centered = patterns - mean[..., None, :]
-    scale = np.sqrt(np.einsum("...k,...kp->...p", trials, centered**2) / n)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return centered / scale[..., None, :], mean, scale
+def _standardize(fits):
+    """The (M, p + 1) means and scales over every member's trials of the
+    columns of its design [1, x], the intercept's 0 and 1, from the trials'
+    Gram S: column j's variance (S_jj - mean_j S_0j) / n is exactly 0 for a
+    column constant over the trials, whose scale is then 1."""
+    gram, n = fits.gram(fits.trials, 0), fits.sums(fits.trials)[:, None]
+    mean = gram[:, 0] / n
+    mean[:, 0] = 0.0
+    scale = np.sqrt((np.diagonal(gram, axis1=1, axis2=2) - mean * gram[:, 0]) / n)
+    return mean, np.where(scale == 0.0, 1.0, scale)
+
+
+def _standardized(sums, mean, scale):
+    """Sums over the design [1, x] along the last axis, taken to the design
+    [1, (x - mean) / scale] of _standardize's mean and scale: each column's
+    sum less its mean times the intercept's, over its scale."""
+    return (sums - mean * sums[..., :1]) / scale
+
+
+def _standardized_gram(gram, mean, scale):
+    """(M, p + 1, p + 1) Grams of [1, x] taken by _standardized, columns then
+    rows. Columns with equal sums, means and scales give bit-equal entries;
+    one constant over a member's trials, an exactly zero row and column."""
+    mean, scale = mean[:, None], scale[:, None]
+    return _standardized(_standardized(gram, mean, scale).transpose(0, 2, 1), mean, scale)
+
+
+def _original_scale(b0, beta, mean, scale):
+    """The (M, p + 1) coefficients on the 0/1 scale, intercept first, of the
+    standardized intercepts b0 (M,) and slopes beta (p, M)."""
+    slopes = np.ascontiguousarray(beta.T) / scale[:, 1:]
+    return np.column_stack([b0 - (slopes * mean[:, 1:]).sum(axis=1), slopes])
 
 
 def lasso_lambda_max(x: np.ndarray, y: np.ndarray) -> float:
@@ -805,9 +828,10 @@ def lasso_lambda_max(x: np.ndarray, y: np.ndarray) -> float:
     max_j |x~_j' (y - ybar)| / n over standardized columns x~.
     """
     patterns, trials, cases, _ = _pattern_counts(x, y)
-    xs, _, _ = _standardize(patterns, trials)
+    fits = _Fits.from_counts(patterns, trials[None], cases[None])
     n = trials.sum()
-    return float(np.max(np.abs(xs.T @ (cases - trials * (cases.sum() / n))))) / n
+    sums = fits.column_sums(fits.successes - fits.trials * (cases.sum() / n))
+    return float(np.max(np.abs(_standardized(sums, *_standardize(fits))[0, 1:]))) / n
 
 
 def default_lambda_grid(x: np.ndarray, y: np.ndarray, n_lambdas: int = 50,
@@ -819,43 +843,46 @@ def default_lambda_grid(x: np.ndarray, y: np.ndarray, n_lambdas: int = 50,
     return np.geomspace(lmax, lmax * min_ratio, n_lambdas)
 
 
-def _lasso_cd(xs, trials, cases, n, lam, b0, beta):
+def _lasso_cd(fits, mean, scale, lam, b0, beta):
     """Solve M lasso problems at penalty lam, warm-started at (b0, beta).
 
     Member i's objective: (1/n_i) sum[-c*eta + t*log(1+exp(eta))]
-    + lam * ||beta_i||_1 over its standardized patterns xs[:, i] (p, M, k),
-    with t trials and c cases per pattern, n_i trials in all. The outer loop
-    re-quadratizes with observation weights t*p(1-p) into the subproblem's
-    Gram and gradient and minimizes each quadratic with _lasso_sweeps; a
-    member stops when its exact subgradient conditions hold within KKT_TOL.
+    + lam * ||beta_i||_1 over the entries of fit i of the _Fits fits, with t
+    trials and c cases per entry, n_i trials in all, and its design's
+    columns standardized with its _standardize mean and scale. The outer
+    loop re-quadratizes with observation weights t*p(1-p) into the
+    subproblem's Gram and gradient, the design's sums standardized, and
+    minimizes each quadratic with _lasso_sweeps; a member stops when its
+    exact subgradient conditions hold within KKT_TOL, and leaves the fits.
     b0 (M,) and beta (p, M) are updated in place. Returns converged, outer
     iterations, coordinate sweeps and accepted active-set solves, each (M,).
     """
-    n_members = len(n)
+    n_members = len(b0)
     converged = np.zeros(n_members, dtype=bool)
     iterations = np.full(n_members, LASSO_MAX_OUTER)
     sweeps = np.zeros(n_members, dtype=int)
     solves = np.zeros(n_members, dtype=int)
     live = np.arange(n_members)
+    n = fits.sums(fits.trials)
     for outer in range(1, LASSO_MAX_OUTER + 1):
-        x, t, c, m, b, b_0 = xs[:, live], trials[live], cases[live], n[live], beta[:, live], b0[live]
-        prob = expit(b_0[:, None] + np.einsum("pik,pi->ik", x, b))
-        resid = t * prob - c
+        b, b_0 = beta[:, live], b0[live]
+        prob = expit(fits.predictor(_original_scale(b_0, b, mean, scale)))
+        resid = fits.trials * prob - fits.successes
         # Minus the gradient of the mean negative log-likelihood, (p + 1, M).
-        grad = -np.vstack([resid.sum(axis=1), np.einsum("pik,ik->pi", x, resid)]) / m
+        grad = -_standardized(fits.column_sums(resid), mean, scale).T / n
         viol = np.where(b != 0.0, np.abs(grad[1:] - lam * np.sign(b)), np.abs(grad[1:]) - lam)
         met = np.maximum(np.abs(grad[0]), viol.max(axis=0, initial=0.0)) <= KKT_TOL
         converged[live[met]], iterations[live[met]] = True, outer
         if met.all():
             break
-        go = ~met
-        live, x, t, m, b, b_0 = live[go], x[:, go], t[go], m[go], b[:, go], b_0[go]
-        prob, grad = prob[go], grad[:, go]
+        if met.any():
+            go = ~met
+            fits, entries = fits.take(go)
+            live, mean, scale, n, b, b_0 = live[go], mean[go], scale[go], n[go], b[:, go], b_0[go]
+            prob, grad = prob[entries], grad[:, go]
 
-        # A pattern with no trials has w = 0 and resid = 0: it adds nothing.
-        w = t * np.maximum(prob * (1.0 - prob), 1e-10)
-        z = np.concatenate([np.ones_like(w)[None], x])
-        gram = np.einsum("aik,bik->iab", z * w, z) / m[:, None, None]
+        w = fits.trials * np.maximum(prob * (1.0 - prob), 1e-10)
+        gram = _standardized_gram(fits.gram(w, 0), mean, scale) / n[:, None, None]
         b_0, b, swept, solved = _lasso_sweeps(gram, grad, lam, b_0, b)
         b0[live], beta[:, live] = b_0, b
         sweeps[live] += swept
@@ -867,8 +894,9 @@ def _lasso_sweeps(gram, grad, lam, b0, beta):
     """Minimize every member's weighted least-squares lasso problem
     delta'H delta / 2 - g'delta + lam * ||beta + delta_slopes||_1 over steps
     delta from (b0, beta), carried as its Gram H (M, p + 1, p + 1) and
-    gradient g (p + 1, M) alone, as _lasso_cd builds them; every move delta
-    updates g -= H delta, so the sweeps hold no pattern-length array.
+    gradient g (p + 1, M) alone, both on the standardized scale
+    (_standardized_gram, _standardized); every move delta updates
+    g -= H delta, so the sweeps hold no pattern-length array.
 
     Cyclic coordinate sweeps, at most LASSO_MAX_SWEEPS per member; a member
     leaves once no coordinate or intercept moved by LASSO_SWEEP_TOL in a
@@ -983,21 +1011,18 @@ def _lasso_path(patterns, trials, cases, lambda_grid):
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0 or np.any(grid < 0) or np.any(np.diff(grid) >= 0):
         raise ValidationError("lambda grid must be strictly decreasing and non-negative")
-    n = trials.sum(axis=1)
-    b0 = _log_odds(n, cases.sum(axis=1))
+    fits = _Fits.from_counts(patterns, trials, cases)
+    b0 = _log_odds(fits.sums(fits.trials), fits.sums(fits.successes))
+    mean, scale = _standardize(fits)
+    beta = np.zeros((patterns.shape[1], len(b0)))
 
-    xs, mean, scale = _standardize(patterns, trials)
-    xs = np.ascontiguousarray(xs.transpose(2, 0, 1))  # (p, M, k)
-    beta = np.zeros((patterns.shape[1], len(n)))
-
-    coef = np.empty((len(n), grid.size, patterns.shape[1] + 1))
-    converged = np.empty((len(n), grid.size), dtype=bool)
-    iterations, sweeps, solves = (np.empty((len(n), grid.size), dtype=int) for _ in range(3))
+    coef = np.empty((len(b0), grid.size, patterns.shape[1] + 1))
+    dev = np.empty((len(b0), grid.size))
+    converged = np.empty((len(b0), grid.size), dtype=bool)
+    iterations, sweeps, solves = (np.empty((len(b0), grid.size), dtype=int) for _ in range(3))
     for l, lam in enumerate(grid):
         converged[:, l], iterations[:, l], sweeps[:, l], solves[:, l] = _lasso_cd(
-            xs, trials, cases, n, float(lam), b0, beta)
-        coef[:, l, 1:] = beta.T / scale
-        coef[:, l, 0] = b0 - (beta.T * mean / scale).sum(axis=1)
-    eta = coef[..., :1] + np.einsum("kp,ilp->ilk", patterns, coef[..., 1:])
-    dev = _deviances(eta, trials[:, None], cases[:, None])
+            fits, mean, scale, float(lam), b0, beta)
+        coef[:, l] = _original_scale(b0, beta, mean, scale)
+        dev[:, l] = fits.deviances(fits.predictor(coef[:, l]))
     return coef, dev, converged, iterations, sweeps, solves

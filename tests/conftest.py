@@ -10,7 +10,6 @@ from riskcontest.glm import (
     FALLBACK_RIDGE,
     MAX_ITER,
     SEPARATION_BOUND,
-    _deviances,
     expit,
 )
 
@@ -127,9 +126,14 @@ def reference_simulate(truth, config, rng):
     return x_all[perm], y_all[perm], conf_all[perm]
 
 
+def _deviances(eta, trials, successes):
+    """-2 log-likelihood of grouped-binomial logit models over the last
+    axis, binomial constants omitted."""
+    return 2.0 * (trials * np.logaddexp(0.0, eta) - successes * eta).sum(axis=-1)
+
+
 def _grouped_deviance(eta, trials, successes) -> float:
-    """-2 log-likelihood of one grouped-binomial logit model, binomial
-    constants omitted."""
+    """-2 log-likelihood of one grouped-binomial logit model."""
     return float(_deviances(eta, trials, successes))
 
 
@@ -146,7 +150,8 @@ def _irls(xmat, trials, successes, lam, start=None):
     refit with FALLBACK_RIDGE, so every caller gets an estimate: the ridge
     pass goes on from the last accepted beta (`start`) and stops once its
     full Newton step is negligible.
-    Returns (beta, deviance, converged, iterations, separated).
+    Returns (beta, deviance, converged, iterations, separated); iterations
+    counts the Newton iterations of both passes.
     """
     m, q = xmat.shape
     total = float(trials.sum())
@@ -220,5 +225,5 @@ def _irls(xmat, trials, successes, lam, start=None):
     else:
         return beta, dev, False, MAX_ITER, False
     # Separated or singular: only an unpenalized fit breaks out of the loop.
-    *fit, _ = _irls(xmat, trials, successes, FALLBACK_RIDGE, beta)
-    return (*fit, True)
+    beta, dev, converged, ridge_pass, _ = _irls(xmat, trials, successes, FALLBACK_RIDGE, beta)
+    return beta, dev, converged, it + ridge_pass, True

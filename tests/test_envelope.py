@@ -2,7 +2,8 @@
 30 controls) with d = 2 and d = 20, and with d = 70 for team_a, n_folds
 equal to the smaller class, train_fraction close to 0 and to 1,
 size_max = d and one resample. Each case ends in a Submission or a
-ContestError, within a tracemalloc bound."""
+ContestError, within a tracemalloc bound. team_b and team_d also run on a
+d = 70 default contest, within a bound in their fits' nonzero pairs."""
 
 import tracemalloc
 
@@ -29,6 +30,10 @@ PEAK_BOUND = 2 * 8 * 8 * glm.BATCH_ELEMENTS + 4_000_000
 # stack), the data and the counts.
 PAIR_BYTES = 48
 PAIR_ALLOWANCE = 12_000_000
+# team_b's ridge curve runs its 110 fold fits of all 71 columns as one
+# kernel run, whose dense 71 x 71 Hessian stacks are 4.4 MB each; its lasso
+# paths hold no dense (q, q) array per pattern.
+RIDGE_ALLOWANCE = 16_000_000
 
 
 def cases(d):
@@ -69,21 +74,20 @@ def test_extreme_config_answers_within_memory(d, method, options):
     assert peak <= PEAK_BOUND
 
 
-def test_team_d_at_d70_within_memory_of_its_nonzero_pairs():
-    """team_d on a d = 70 default contest (4,000 rows) peaks within
-    PAIR_BYTES per nonzero pair of its bootstrap fits plus PAIR_ALLOWANCE."""
+def contest_d70():
     config = rc.SimulationConfig(d=70, seed=424242)
     rng = np.random.default_rng(config.seed)
-    data = rc.simulate_dataset(rc.draw_ground_truth(config, rng), config, rng)
-    spec = rc.SelectorSpec("team_d", seed=1)
-    # A resample's fit has one cell per pattern it draws; a pattern with j
-    # nonzeros has j + 1 with the intercept, so (j + 1)(j + 2) / 2 pairs.
-    patterns, inv = glm._collapse(data.x.astype(float))
+    return rc.simulate_dataset(rc.draw_ground_truth(config, rng), config, rng)
+
+
+def pattern_pairs(patterns):
+    """Every pattern's nonzero pairs as a cell of a fit: a pattern with j
+    nonzeros has j + 1 with the intercept, so (j + 1)(j + 2) / 2 pairs."""
     ones = (patterns != 0.0).sum(axis=1)
-    pattern_pairs = (ones + 1) * (ones + 2) // 2
-    draws = np.random.default_rng(spec.seed)
-    pairs = sum(int(pattern_pairs[np.unique(inv[rc.bootstrap_resample(data.n, draws)])].sum())
-                for _ in range(spec.n_resamples))
+    return (ones + 1) * (ones + 2) // 2
+
+
+def peak_of(data, spec):
     tracemalloc.start()
     try:
         result = rc.run_selector(data, spec)
@@ -91,4 +95,34 @@ def test_team_d_at_d70_within_memory_of_its_nonzero_pairs():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert isinstance(result, rc.Submission)
-    assert peak <= PAIR_BYTES * pairs + PAIR_ALLOWANCE
+    return peak
+
+
+def test_team_d_at_d70_within_memory_of_its_nonzero_pairs():
+    """team_d on a d = 70 default contest (4,000 rows) peaks within
+    PAIR_BYTES per nonzero pair of its bootstrap fits plus PAIR_ALLOWANCE."""
+    data = contest_d70()
+    spec = rc.SelectorSpec("team_d", seed=1)
+    # A resample's fit has one cell per pattern it draws.
+    patterns, inv = glm._collapse(data.x.astype(float))
+    pairs_of = pattern_pairs(patterns)
+    draws = np.random.default_rng(spec.seed)
+    pairs = sum(int(pairs_of[np.unique(inv[rc.bootstrap_resample(data.n, draws)])].sum())
+                for _ in range(spec.n_resamples))
+    assert peak_of(data, spec) <= PAIR_BYTES * pairs + PAIR_ALLOWANCE
+
+
+def test_team_b_at_d70_within_memory_of_its_nonzero_pairs():
+    """team_b on the same contest peaks within PAIR_BYTES per nonzero pair
+    of its fits plus RIDGE_ALLOWANCE. Its lasso paths fit every fold's
+    training counts and all rows; its ridge curve fits every fold's training
+    counts on all columns once per ridge weight."""
+    data = contest_d70()
+    spec = rc.SelectorSpec("team_b", seed=1)
+    plan = rc.make_folds(data.y, 10, np.random.default_rng(spec.seed))
+    table = glm.PatternTable(data.x, data.y, plan)
+    train = table.counts[0] - table.counts[2:2 + plan.n_folds]
+    pairs_of = pattern_pairs(table.patterns)
+    lasso = sum(int(pairs_of[t > 0].sum()) for t in [*train, table.counts[0]])
+    ridge = 11 * sum(int(pairs_of[t > 0].sum()) for t in train)
+    assert peak_of(data, spec) <= PAIR_BYTES * (lasso + ridge) + RIDGE_ALLOWANCE

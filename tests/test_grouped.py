@@ -332,13 +332,19 @@ problems = st.fixed_dictionaries({
 })
 
 
-def dense_kernel(design, trials, successes, lam):
-    """_irls_batch on dense problems: member i has the cells design[i] (m, q),
-    trials[i] and successes[i] (m,), passed to the kernel as entries."""
+def dense_fits(design, trials, successes):
+    """The _Fits of dense problems: member i has the cells design[i] (m, q),
+    trials[i] and successes[i] (m,), given as entries."""
     members, cells = trials.shape
     design = np.broadcast_to(design, (members, cells, design.shape[-1]))
-    return _irls_batch(design.reshape(members * cells, -1), np.repeat(np.arange(members), cells),
-                       np.arange(members * cells), trials.ravel(), successes.ravel(), members, lam)
+    return glm._Fits.from_entries(design.reshape(members * cells, -1),
+                                  np.repeat(np.arange(members), cells), np.arange(members * cells),
+                                  trials.ravel(), successes.ravel(), members)
+
+
+def dense_kernel(design, trials, successes, lam):
+    """_irls_batch on the dense problems of dense_fits."""
+    return _irls_batch(dense_fits(design, trials, successes), lam)
 
 
 def grouped_problems(seed, members, cells, q):
@@ -415,10 +421,12 @@ class TestBatchedKernel:
         def run(members, padded):
             parts = [cells(i, padded) for i in members]
             sizes = [len(t) for _, t, _ in parts]
-            return _irls_batch(np.concatenate([rows for rows, _, _ in parts]),
-                               np.repeat(np.arange(len(parts)), sizes), np.arange(sum(sizes)),
-                               np.concatenate([t for _, t, _ in parts]),
-                               np.concatenate([s for _, _, s in parts]), len(parts), lams[members])
+            fits = glm._Fits.from_entries(np.concatenate([rows for rows, _, _ in parts]),
+                                          np.repeat(np.arange(len(parts)), sizes),
+                                          np.arange(sum(sizes)),
+                                          np.concatenate([t for _, t, _ in parts]),
+                                          np.concatenate([s for _, _, s in parts]), len(parts))
+            return _irls_batch(fits, lams[members])
 
         alone = [run([i], False) for i in range(n)]
         for padded in (False, True):
@@ -434,30 +442,35 @@ class TestBatchedKernel:
         """A separated member goes on from where its first pass stood, with
         MAX_ITER iterations of its own: once a cap lets the first pass reach
         the separation, a cap that cuts the ridge pass leaves the member
-        unconverged at that cap, and any cap that lets the ridge pass finish
-        gives the bits of the uncapped fit."""
+        unconverged after its walk and that cap, and any cap that lets the
+        ridge pass finish gives the bits of the uncapped fit, whose
+        iterations count both passes."""
         design, trials, successes, rng = grouped_problems(**case)
         lam = rng.choice(PENALTIES, len(trials)) if ridge == "mixed" else ridge
         full = dense_kernel(design, trials, successes, lam)
         separated = np.flatnonzero(full[3])
-        ridge_pass = full[4][separated]
-        # The first cap at which each separated member is flagged.
+        total = full[4][separated]
+        # A member read from the counts takes no walk; a walked one is first
+        # flagged at the cap that equals its walk.
+        caught = (glm._one_class_columns(dense_fits(design, trials, successes)).any(axis=1)
+                  & (np.asarray(lam) == 0.0))[separated]
         flagged_at = np.zeros(len(separated), dtype=int)
         for cap in range(1, glm.MAX_ITER + 1):
-            if flagged_at.all() and cap > ridge_pass.max(initial=0):
+            if flagged_at.all() and cap > total.max(initial=0):
                 break
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(glm, "MAX_ITER", cap)
                 fits = dense_kernel(design, trials, successes, lam)
             flagged_at[(flagged_at == 0) & fits[3][separated]] = cap
-            for i, first, r in zip(separated, flagged_at, ridge_pass):
+            for i, first, read, its in zip(separated, flagged_at, caught, total):
                 if not first:
                     continue
+                walk = 0 if read else first
                 own = [part[i:i + 1] for part in fits]
-                if cap >= r:
+                if cap >= its - walk:
                     assert same_bits(own, [part[i:i + 1] for part in full])
                 else:
-                    assert (own[2][0], own[3][0], own[4][0]) == (False, True, cap)
+                    assert (own[2][0], own[3][0], own[4][0]) == (False, True, walk + cap)
 
     @settings(max_examples=60, deadline=None)
     @given(contests, st.sampled_from(PENALTIES), st.integers(0, 6), st.booleans())

@@ -9,6 +9,8 @@ import riskcontest as rc
 from riskcontest import glm
 from riskcontest.errors import DegenerateOutcomeError, ValidationError
 
+from conftest import _deviances
+
 
 @pytest.fixture(autouse=True)
 def small_caps(request, monkeypatch):
@@ -342,7 +344,7 @@ class TestBatchedPath:
             assert np.array_equal(paths[4][f], sweeps) and np.array_equal(paths[5][f], steps)
             if f < len(held_n):
                 eta = coef[:, :1] + coef[:, 1:] @ table.patterns.T
-                ref_curve[f] = glm._deviances(eta, held_n[f], held_c[f]) / held_n[f].sum()
+                ref_curve[f] = _deviances(eta, held_n[f], held_c[f]) / held_n[f].sum()
         curve, _, _ = table.lasso_cv_deviance(grid)
         np.testing.assert_allclose(curve, ref_curve, rtol=1e-12, atol=0)
 
@@ -401,6 +403,48 @@ class TestBatchedPath:
                             np.vstack([cases, trials]), grid)
 
 
+class TestStandardizedGram:
+    """The lasso's Gram: the weighted Gram of the design [1, x] summed over
+    its nonzero pairs (_Fits.gram) and standardized with every member's
+    means and scales (_standardized_gram)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.integers(4, 40),
+           st.floats(0.05, 0.5))
+    def test_matches_fsum_gram(self, seed, p, k, prevalence):
+        """On sparse 0/1 patterns with zero-trial cells, H agrees with the
+        correctly rounded Gram of the standardized patterns to 1e-13
+        relative; member 0 sees columns 0 and 1 equal, so they give equal
+        entries bit for bit, and members 1 and 2 see column 2 constant at 1
+        and at 0, so its row and column are exactly zero."""
+        rng = np.random.default_rng(seed)
+        patterns = (rng.random((k, p)) < prevalence).astype(float)
+        trials = rng.integers(1, 30, (5, k)).astype(float)
+        trials[rng.random((5, k)) < 0.3] = 0.0
+        col = patterns.T
+        trials[0, col[0] != col[1]] = 0.0
+        trials[1, col[2] == 0.0] = 0.0
+        trials[2, col[2] == 1.0] = 0.0
+        assume(np.all(trials.sum(axis=1) > 0))
+        fits = glm._Fits.from_counts(patterns, trials, np.zeros_like(trials))
+        w = fits.trials * rng.random(fits.trials.size)
+        gram = glm._standardized_gram(fits.gram(w, 0), *glm._standardize(fits))
+        for i, w_i in enumerate(np.split(w, np.cumsum(fits.sizes)[:-1])):
+            live = trials[i] > 0
+            x, t = patterns[live], trials[i, live]
+            n = math.fsum(t)
+            mean = np.array([math.fsum(t * c) for c in x.T]) / n
+            scale = np.sqrt([math.fsum(t * (c - m) ** 2) / n for c, m in zip(x.T, mean)])
+            z = np.vstack([np.ones(len(x)), ((x - mean) / np.where(scale == 0.0, 1.0, scale)).T])
+            ref = np.array([[math.fsum(w_i * a * b) for b in z] for a in z])
+            assert np.abs(gram[i] - ref).max() <= 1e-13 * np.abs(ref).max()
+        twins = gram[0]
+        assert twins[1, 1] == twins[2, 2] == twins[1, 2] == twins[2, 1]
+        assert np.array_equal(twins[1], twins[2]) and np.array_equal(twins[:, 1], twins[:, 2])
+        for constant in gram[1:3]:
+            assert not constant[3].any() and not constant[:, 3].any()
+
+
 class TestActiveSetSteps:
     """_lasso_cd from warm starts that make the active-set step matter: a
     slope started with the wrong sign, two active columns equal over a
@@ -427,8 +471,6 @@ class TestActiveSetSteps:
         trials = np.vstack([trials, np.where(col[2] == 1.0, rng.integers(5, 20, size=16), 0.0)])
         cases = np.vstack([cases, rng.binomial(trials[4].astype(int), prob)])
         self.trials, self.cases = trials, cases.astype(float)
-        xs, _, _ = glm._standardize(self.patterns, trials)
-        self.xs = np.ascontiguousarray(xs.transpose(2, 0, 1))
         # Column 0 lowers the odds, so member 1 starts it with the wrong
         # sign; member 3's two slopes push the same way.
         self.beta = np.zeros((4, 5))
@@ -438,11 +480,22 @@ class TestActiveSetSteps:
         self.beta[[0, 1, 3], 4] = -0.6, 0.4, 0.2
         self.b0 = glm._log_odds(trials.sum(axis=1), self.cases.sum(axis=1))
 
+    def fits(self, members):
+        return glm._Fits.from_counts(self.patterns, self.trials[members], self.cases[members])
+
     def run(self, members):
         b0, beta = self.b0[members].copy(), self.beta[:, members].copy()
-        out = glm._lasso_cd(self.xs[:, members], self.trials[members], self.cases[members],
-                            self.trials[members].sum(axis=1), self.LAM, b0, beta)
+        fits = self.fits(members)
+        out = glm._lasso_cd(fits, *glm._standardize(fits), self.LAM, b0, beta)
         return (b0, beta) + out
+
+    def member(self, i):
+        """Member i's patterns with trials, standardized with the kernel's
+        means and scales, and their trials and cases."""
+        live = self.trials[i] > 0
+        mean, scale = glm._standardize(self.fits([i]))
+        return ((self.patterns[live] - mean[:, 1:]) / scale[:, 1:], self.trials[i, live],
+                self.cases[i, live])
 
     def test_members_keep_solo_bits_and_meet_kkt(self, monkeypatch):
         singular_found = []
@@ -462,8 +515,7 @@ class TestActiveSetSteps:
         for i in range(5):
             solo = self.run(np.array([i]))
             assert [a.tobytes() for a in solo] == [a[..., i:i + 1].tobytes() for a in batch]
-            live = self.trials[i] > 0
-            xs, t, c = self.xs[:, i, live].T, self.trials[i, live], self.cases[i, live]
+            xs, t, c = self.member(i)
             b0, beta = batch[0][i], batch[1][:, i]
             resid = t * rc.expit(b0 + xs @ beta) - c
             g = xs.T @ resid / t.sum()
@@ -477,10 +529,9 @@ class TestActiveSetSteps:
         members = np.array([0, 1, 2, 4])
         batch = self.run(members)
         for pos, i in enumerate(members):
-            live = self.trials[i] > 0
             b0, beta, conv, outer, sweeps, steps = scalar_cd(
-                self.xs[:, i, live].T, self.trials[i, live], self.cases[i, live], self.LAM,
-                float(self.b0[i]), self.beta[:, i].copy(), glm.KKT_TOL)
+                *self.member(i), self.LAM, float(self.b0[i]), self.beta[:, i].copy(),
+                glm.KKT_TOL)
             coef, ref = np.append(batch[0][pos], batch[1][:, pos]), np.append(b0, beta)
             assert np.all(np.abs(coef - ref) <= 1e-12 * np.abs(ref).max())
             assert (batch[2][pos], batch[3][pos], batch[4][pos], batch[5][pos]) == \
