@@ -33,12 +33,12 @@ holdout steps, team_c's exhaustive search, the ridge CV curve and cv_deviance
 all read it. A ridge weight is a plain number, one for all subsets or one
 per subset, so the ridge CV curve's penalties run as one batch; _irls_batch
 rejects any weight that is not finite and >= 0. fold_fits projects the
-table's patterns onto each subset's columns and collapses them as _collapse
-would, so fold fit (subset, fold) keeps exactly the subset's cells with
-training trials, in _collapse order. A fold's training deviance therefore
-equals the fit_logistic fit of its training rows bit for bit, its held-out
-deviance is summed cell by cell, and cv_deviances is the held-out sum of
-fold_fits over n_held, bit for bit.
+table's patterns onto each subset's columns and collapses them with _runs,
+_collapse's own sort-and-group pass, so fold fit (subset, fold) keeps
+exactly the subset's cells with training trials, in _collapse order. A
+fold's training deviance therefore equals the fit_logistic fit of its
+training rows bit for bit, its held-out deviance is summed cell by cell,
+and cv_deviances is the held-out sum of fold_fits over n_held, bit for bit.
 
 _lasso_path fits M lasso paths over one (k, p) pattern matrix at once, one
 member per row of (M, k) trial and case counts; PatternTable.lasso_cv_deviance
@@ -100,22 +100,28 @@ def expit(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
+def _runs(keys):
+    """The stable lexicographic order of the last axis of an (s, ..., n) key
+    stack, keys[-1] the primary key, and the mask of the first entry of each
+    run of equal keys in that order; with s = 0 a row is one run. _collapse
+    and PatternTable._project both collapse with it."""
+    order = (np.lexsort(keys, axis=-1) if len(keys)
+             else np.broadcast_to(np.arange(keys.shape[-1]), keys.shape[1:]))
+    ordered = np.take_along_axis(keys, order[None], axis=-1)
+    first = np.ones(order.shape, dtype=bool)
+    np.any(ordered[..., 1:] != ordered[..., :-1], axis=0, out=first[..., 1:])
+    return order, first
+
+
 def _collapse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of x and, for every row, the index of its distinct row.
 
-    The distinct rows come sorted with the last column as the primary key.
+    The distinct rows come in _runs order, the last column the primary key.
     """
-    n, p = x.shape
-    if p == 0:
-        return x[:1], np.zeros(n, dtype=np.intp)
-    order = np.lexsort(x.T)
-    ordered = x[order]
-    first = np.empty(n, dtype=bool)
-    first[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    inv = np.empty(n, dtype=np.intp)
+    order, first = _runs(x.T)
+    inv = np.empty(len(x), dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
-    return ordered[first], inv
+    return x[order[first]], inv
 
 
 def _pattern_counts(x, y):
@@ -570,10 +576,12 @@ def wald_pvalues(fit: FitResult) -> np.ndarray:
 
 
 def make_folds(y: np.ndarray, n_folds: int, rng: np.random.Generator) -> CvPlan:
-    """Stratified fold assignment: each class shuffled, then dealt round-robin."""
+    """Stratified folds of a 0/1 outcome: each class shuffled, dealt round-robin."""
     y = np.asarray(y)
     if n_folds < 2:
         raise ValidationError("need at least 2 folds")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValidationError("fold outcomes must be 0/1")
     labels = np.empty(y.shape[0], dtype=np.int64)
     for cls in (1, 0):
         idx = np.flatnonzero(y == cls)
@@ -590,10 +598,10 @@ class PatternTable:
     all rows and in the held-out rows of every fold of a CvPlan, built once
     to score many column subsets. Rows labelled 0 are never held out.
 
-    fold_fits projects the patterns onto each subset's columns and fits
-    every fold's training counts, all rows minus the held-out ones, one
-    _irls_batch run per chunk, and cv_deviances sums its held-out deviances;
-    lasso_cv_deviance fits every fold's path.
+    fold_fits projects the patterns onto each subset's columns in _collapse
+    order (_runs) and fits every fold's training counts, all rows minus the
+    held-out ones, one _irls_batch run per chunk, and cv_deviances sums its
+    held-out deviances; lasso_cv_deviance fits every fold's path.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, plan: CvPlan):
@@ -612,9 +620,6 @@ class PatternTable:
         self.counts = np.vstack([trials, cases, held_n, held_c])
         self.n_folds, self.n_held = f, int(held_n.sum())
         self.min_train = inv.size - int(held_n.sum(axis=1).max())
-        # Each column's values as dense ranks: _project's compact sort keys.
-        self.ranks = np.array([_collapse(col[:, None])[1] for col in self.patterns.T],
-                              np.min_scalar_type(k)).reshape(-1, k)
 
     def _columns(self, subsets) -> np.ndarray:
         """subsets as an (M, s) array whose rows are s distinct columns of x,
@@ -668,17 +673,11 @@ class PatternTable:
 
     def _project(self, subsets):
         """The patterns of every row of an (M, s) array of column subsets,
-        projected onto its columns and collapsed as _collapse does: sorted
-        with the subset's last column as the primary key. Returns the design
-        of the distinct rows, subset after subset, with an intercept column,
-        each row's subset and the (2 + 2 n_folds, rows) counts."""
-        (n_sub, s), k = subsets.shape, len(self.patterns)
-        keys = self.ranks[subsets.T]  # (s, n_sub, k)
-        order = (np.lexsort(keys, axis=-1) if s
-                 else np.broadcast_to(np.arange(k), (n_sub, k)))
-        keys = np.take_along_axis(keys, order[None], axis=2)
-        first = np.ones((n_sub, k), dtype=bool)
-        np.any(keys[:, :, 1:] != keys[:, :, :-1], axis=0, out=first[:, 1:])
+        projected onto its columns and collapsed by _runs as _collapse does.
+        Returns the design of the distinct rows, subset after subset, with an
+        intercept column, each row's subset and the (2 + 2 n_folds, rows) counts."""
+        k = len(self.patterns)
+        order, first = _runs(self.patterns.T[subsets.T])  # keys (s, M, k)
         starts = np.flatnonzero(first)
         owner = starts // k
         order = order.ravel()

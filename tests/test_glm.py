@@ -207,6 +207,14 @@ class TestFolds:
         with pytest.raises(ValidationError):
             rc.make_folds(np.array([0, 1] * 10), 1, np.random.default_rng(0))
 
+    def test_outcome_not_binary_raises(self):
+        """Every row gets a fold, so an outcome other than 0/1 is refused
+        rather than left unlabelled."""
+        with pytest.raises(ValidationError, match="0/1"):
+            rc.make_folds([0, 1] * 10 + [2, 2, -1], 2, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="0/1"):
+            rc.make_folds(np.array([0.0, 1.0] * 10 + [0.5]), 2, np.random.default_rng(0))
+
 
 class TestCvDeviance:
     def test_intercept_only_balanced(self):

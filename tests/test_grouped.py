@@ -271,6 +271,64 @@ class TestFoldDeviances:
             assert same_bits(table.fold_fits([cols], ridge), [part[i:i + 1] for part in batch])
 
 
+grids = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(1, 60),
+    "p": st.integers(0, 5),
+    "prevalence": st.floats(0.05, 0.95),
+    "scale": st.sampled_from([1.0, 2.0, 0.5]),
+})
+
+
+def scaled_grid(seed, n, p, prevalence, scale):
+    """(n, p) binary x times scale, so x is 0/1, doubled or halved."""
+    rng = np.random.default_rng(seed)
+    return scale * (rng.random((n, p)) < prevalence), rng
+
+
+class TestCollapseOrder:
+    """_collapse and PatternTable._project share one sort-and-group routine:
+    _collapse is checked against np.unique, and _project against _collapse
+    of one subset at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grids)
+    @example({"seed": 0, "n": 7, "p": 0, "prevalence": 0.5, "scale": 1.0})
+    @example({"seed": 0, "n": 1, "p": 3, "prevalence": 0.5, "scale": 2.0})
+    def test_collapse_matches_unique(self, case):
+        """The distinct rows sort with the last column as the primary key,
+        as np.unique sorts the rows with their columns reversed."""
+        x, _ = scaled_grid(**case)
+        patterns, inv = glm._collapse(x)
+        unique, unique_inv = np.unique(x[:, ::-1], axis=0, return_inverse=True)
+        assert patterns.tobytes() == unique[:, ::-1].tobytes()
+        assert patterns.shape == unique.shape
+        assert np.array_equal(inv, unique_inv.ravel())
+
+    @settings(max_examples=100, deadline=None)
+    @given(grids, st.integers(1, 6))
+    @example({"seed": 0, "n": 1, "p": 2, "prevalence": 0.5, "scale": 0.5}, 3)
+    def test_project_matches_collapse_of_each_subset(self, case, n_subsets):
+        """The projected design, owners and counts of a batch of subsets,
+        s = 0 included, equal _collapse of each subset's patterns with its
+        counts summed, subset after subset."""
+        x, rng = scaled_grid(**case)
+        y = (rng.random(len(x)) < 0.5).astype(float)
+        table = rc.PatternTable(x, y, rc.CvPlan(2, rng.integers(0, 3, len(x))))
+        p = x.shape[1]
+        s = int(rng.integers(0, p + 1))
+        subsets = np.array([rng.permutation(p)[:s] for _ in range(n_subsets)],
+                           dtype=np.intp).reshape(n_subsets, s)
+        designs, owners, counts = [], [], []
+        for i, cols in enumerate(subsets):
+            sub, inv = glm._collapse(table.patterns[:, cols])
+            designs.append(np.column_stack([np.ones(len(sub)), sub]))
+            owners.append(np.full(len(sub), i, dtype=np.intp))
+            counts.append(glm._pattern_sums(inv, len(sub), table.counts))
+        expected = (np.vstack(designs), np.concatenate(owners), np.hstack(counts))
+        assert same_bits(table._project(subsets), expected)
+
+
 def test_wide_contest_keeps_every_column_distinct():
     """With 64 or more columns no integer code fits a row; the planted
     column (0-based 67, reported 1-based) must still win."""
