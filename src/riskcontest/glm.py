@@ -43,29 +43,30 @@ and cv_deviances is the held-out sum of fold_fits over n_held, bit for bit.
 _lasso_path fits M lasso paths over one (k, p) pattern matrix at once, one
 member per row of (M, k) trial and case counts; PatternTable.lasso_cv_deviance
 runs every fold's training counts and the all-rows counts as one batch, and
-fit_lasso_path is a batch of one. Each member keeps every rule of glmnet-style
-coordinate descent on its own: its own weighted standardization, the log-odds
-start, the 1e-10 weight clip, the KKT check at KKT_TOL, LASSO_MAX_OUTER outer
-iterations, up to LASSO_MAX_SWEEPS sweeps that end when nothing moved by
-LASSO_SWEEP_TOL, the skip of a column constant over its trials and the
-intercept shift. Each quadratic subproblem is carried as its Gram and
-gradient alone (glmnet's covariance updates), so the sweeps hold no
-pattern-length array. Between sweeps a member whose signs held takes one
-exact solve of its active set's stationarity equations, so most subproblems
-end after one or two sweeps instead of dozens (_lasso_sweeps); a member
-whose active-set system is singular gets a zero step and keeps its point.
-A member that is done stops changing, so it runs exactly the iterations it
-would run alone, and the Python loop runs once per coordinate per sweep for
-the whole batch. The paths run on a _Fits of the design [1, patterns], each
-member keeping its patterns with trials: the linear predictor is taken at
-the 0/1-scale coefficients, and the gradient and the Gram are the design's
-sums, centred and scaled with the member's means and scales (_standardized).
-The sums are np.bincounts and each member's system is solved on its own, so
-a member's coefficients, deviance, converged flag, iterations, sweeps and
-solves have the same bits whatever the batch size or the member's place in
-it. The paths agree to 1e-12 relative with a one-path scalar reference that
-takes the same steps, and with plain coordinate descent run to a 1e-14
-sweep tolerance as far as the KKT_TOL stop allows (tests/test_lasso.py).
+fit_lasso_path is a batch of one. Each member keeps every rule of the
+glmnet-style outer loop on its own: its own weighted standardization, the
+log-odds start, the 1e-10 weight clip, the KKT check at KKT_TOL and
+LASSO_MAX_OUTER outer iterations. Each quadratic subproblem is carried as
+its Gram and gradient alone (glmnet's covariance updates), so its solve
+holds no pattern-length array, and it is solved by active-set steps
+(_lasso_steps; Osborne, Presnell & Turlach 2000): each step solves the
+stationarity equations of the intercept and the nonzero slopes with their
+signs held, cut short where a slope would cross zero, which then leaves;
+after a whole step the zero slope that most breaks its condition enters. A column constant over a member's trials never
+enters, and of two columns equal over them only the first enters. Most
+subproblems take one or two steps, and the Python loop runs once per step
+for the whole batch. A member that is done leaves the batch, so it runs
+exactly the iterations it would run alone. The paths run on a _Fits of the
+design [1, patterns], each member keeping its patterns with trials: the
+linear predictor is taken at the 0/1-scale coefficients, and the gradient
+and the Gram are the design's sums, centred and scaled with the member's
+means and scales (_standardized). The sums are np.bincounts and each
+member's system is solved on its own, so a member's coefficients,
+deviance, converged flag, iterations and steps have the same bits whatever
+the batch size or the member's place in it. The paths agree to 1e-12
+relative with a one-path scalar reference that takes the same steps, and
+with plain coordinate descent run to a 1e-14 sweep tolerance as far as the
+KKT_TOL stop allows (tests/test_lasso.py).
 """
 
 from __future__ import annotations
@@ -125,12 +126,14 @@ def _collapse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pattern_counts(x, y):
-    """Validate (x, y); return the distinct rows of x, the number of rows and
-    of cases on each, and every row's index into the distinct rows."""
+    """Validate (x, y), y 0/1; return the distinct rows of x, the number of
+    rows and of cases on each, and every row's index into the distinct rows."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValidationError("x must be (n, p) with y of length n")
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValidationError("outcomes must be 0/1")
     patterns, inv = _collapse(x)
     trials, cases = _pattern_sums(inv, len(patterns), np.vstack([np.ones(y.size), y]))
     return patterns, trials, cases, inv
@@ -239,6 +242,13 @@ def _ranges(starts, lengths):
     return np.arange(lengths.sum()) + np.repeat(starts + lengths - np.cumsum(lengths), lengths)
 
 
+@functools.lru_cache(maxsize=128)
+def _upper_triangle(q):
+    """np.triu_indices(q, 1): the rows and columns of the entries above the
+    diagonal of a q x q matrix, built once per q."""
+    return np.triu_indices(q, 1)
+
+
 class _Fits:
     """M grouped-binomial fits held as the nonzeros of their designs.
 
@@ -312,6 +322,13 @@ class _Fits:
         bins += self.nz_col
         return bins
 
+    @functools.cached_property
+    def pair_bin(self):
+        """Every pair of nonzeros' bin fit * q * q + pair_slot."""
+        bins = np.repeat(self.fit * (self.q * self.q), self.pair_count)
+        bins += self.pair_slot
+        return bins
+
     def sums(self, values):
         """(M,) sums over every fit's entries of one value per entry."""
         return np.bincount(self.fit, values, len(self.sizes))
@@ -328,12 +345,10 @@ class _Fits:
         entry and an (M, q) diagonal: the upper triangle summed, mirrored,
         then the diagonal added."""
         n, q = len(self.sizes), self.q
-        bins = np.repeat(self.fit * (q * q), self.pair_count)
-        bins += self.pair_slot
         terms = np.repeat(weights, self.pair_count)
         terms *= self.pair_val
-        gram = np.bincount(bins, terms, n * q * q).reshape(n, q, q)
-        upper, lower = np.triu_indices(q, 1)
+        gram = np.bincount(self.pair_bin, terms, n * q * q).reshape(n, q, q)
+        upper, lower = _upper_triangle(q)
         gram[:, lower, upper] = gram[:, upper, lower]
         gram[:, np.arange(q), np.arange(q)] += diagonal
         return gram
@@ -709,13 +724,13 @@ class PatternTable:
 
     def lasso_cv_deviance(self, grid):
         """Lasso paths on all columns, fit on every fold's complement and on
-        all rows as one batch of n_folds + 1 members.
+        all rows as one batch of n_folds + 1 members, each quadratic
+        subproblem solved by active-set steps (_lasso_steps).
 
         Returns the (n_folds, len(grid)) held-out deviance per held-out row
         of every fold's path, the all-rows path's (len(grid), p + 1)
         coefficients, intercept first, and the (n_folds + 1, len(grid))
-        converged mask, coordinate sweeps and accepted active-set solves, the
-        all-rows path last.
+        converged mask and active-set steps, the all-rows path last.
         """
         all_n, all_c = self.counts[:2]
         held_n, held_c = np.split(self.counts[2:], 2)
@@ -725,13 +740,13 @@ class PatternTable:
                 raise ValidationError(f"fold {f} holds out no row")
             if rows == all_n.sum():
                 raise ValidationError(f"fold {f} leaves no training row")
-        coef, _, converged, _, sweeps, solves = _lasso_path(
+        coef, _, converged, _, steps = _lasso_path(
             self.patterns, np.vstack([all_n - held_n, all_n]), np.vstack([all_c - held_c, all_c]),
             grid)
         held = _Fits.from_counts(self.patterns, held_n, held_c)
         curve = np.column_stack([held.deviances(held.predictor(point))
                                  for point in coef[:-1].transpose(1, 0, 2)])
-        return curve / held_rows[:, None], coef[-1], (converged, sweeps, solves)
+        return curve / held_rows[:, None], coef[-1], (converged, steps)
 
 
 def cv_deviance(x: np.ndarray, y: np.ndarray, subset, plan: CvPlan,
@@ -770,20 +785,23 @@ def bootstrap_fits(x: np.ndarray, y: np.ndarray, n_resamples: int,
 
 
 # ---------------------------------------------------------------------------
-# Lasso path: cyclic coordinate descent on the quadratic approximation with
-# warm starts, glmnet-style (Friedman, Hastie & Tibshirani 2010, JSS 33(1)).
-# Each quadratic is carried as its Gram and gradient (their section 2.2).
-# Once a sweep leaves a member's signs as they were, the quadratic on its
-# active set is solved exactly, and the next sweep checks the result.
-# Columns are standardized internally and the coefficients reported back on
-# the original 0/1 scale. _lasso_path runs M paths over one pattern matrix
-# at once: each coordinate update acts on every member still sweeping.
+# Lasso path: the quadratic approximation with warm starts, glmnet-style
+# (Friedman, Hastie & Tibshirani 2010, JSS 33(1)), each quadratic carried as
+# its Gram and gradient (their section 2.2) and solved by active-set steps
+# (Osborne, Presnell & Turlach 2000). Columns are standardized internally
+# and the coefficients reported back on the original 0/1 scale. _lasso_path
+# runs M paths over one pattern matrix at once: each step solves the systems
+# of every member still stepping.
 # ---------------------------------------------------------------------------
 
 KKT_TOL = 1e-7
 LASSO_MAX_OUTER = 250
-LASSO_MAX_SWEEPS = 1000
-LASSO_SWEEP_TOL = 1e-10
+# An inactive slope enters a subproblem's active set when |g_j| exceeds lam
+# by more than rounding.
+LASSO_ENTRY_TOL = 1e-12
+# Every diagonal entry of an active-set system is raised by this fraction
+# of itself.
+ACTIVE_SET_RIDGE = 1e-12
 
 
 def _standardize(fits):
@@ -813,11 +831,11 @@ def _standardized_gram(gram, mean, scale):
     return _standardized(_standardized(gram, mean, scale).transpose(0, 2, 1), mean, scale)
 
 
-def _original_scale(b0, beta, mean, scale):
+def _original_scale(coef, mean, scale):
     """The (M, p + 1) coefficients on the 0/1 scale, intercept first, of the
-    standardized intercepts b0 (M,) and slopes beta (p, M)."""
-    slopes = np.ascontiguousarray(beta.T) / scale[:, 1:]
-    return np.column_stack([b0 - (slopes * mean[:, 1:]).sum(axis=1), slopes])
+    standardized coefficients coef (M, p + 1), intercept first."""
+    slopes = coef[:, 1:] / scale[:, 1:]
+    return np.column_stack([coef[:, 0] - (slopes * mean[:, 1:]).sum(axis=1), slopes])
 
 
 def lasso_lambda_max(x: np.ndarray, y: np.ndarray) -> float:
@@ -842,8 +860,9 @@ def default_lambda_grid(x: np.ndarray, y: np.ndarray, n_lambdas: int = 50,
     return np.geomspace(lmax, lmax * min_ratio, n_lambdas)
 
 
-def _lasso_cd(fits, mean, scale, lam, b0, beta):
-    """Solve M lasso problems at penalty lam, warm-started at (b0, beta).
+def _lasso_cd(fits, mean, scale, lam, coef):
+    """Solve M lasso problems at penalty lam, warm-started at the
+    standardized coefficients coef (M, p + 1), intercept first.
 
     Member i's objective: (1/n_i) sum[-c*eta + t*log(1+exp(eta))]
     + lam * ||beta_i||_1 over the entries of fit i of the _Fits fits, with t
@@ -851,136 +870,136 @@ def _lasso_cd(fits, mean, scale, lam, b0, beta):
     columns standardized with its _standardize mean and scale. The outer
     loop re-quadratizes with observation weights t*p(1-p) into the
     subproblem's Gram and gradient, the design's sums standardized, and
-    minimizes each quadratic with _lasso_sweeps; a member stops when its
-    exact subgradient conditions hold within KKT_TOL, and leaves the fits.
-    b0 (M,) and beta (p, M) are updated in place. Returns converged, outer
-    iterations, coordinate sweeps and accepted active-set solves, each (M,).
+    minimizes each quadratic with the active-set steps of _lasso_steps; a
+    member stops when its exact subgradient conditions hold within KKT_TOL,
+    and leaves the fits. coef is updated in place. Returns converged, outer
+    iterations and active-set steps, each (M,).
     """
-    n_members = len(b0)
+    n_members = len(coef)
     converged = np.zeros(n_members, dtype=bool)
     iterations = np.full(n_members, LASSO_MAX_OUTER)
-    sweeps = np.zeros(n_members, dtype=int)
-    solves = np.zeros(n_members, dtype=int)
+    steps = np.zeros(n_members, dtype=int)
     live = np.arange(n_members)
     n = fits.sums(fits.trials)
     for outer in range(1, LASSO_MAX_OUTER + 1):
-        b, b_0 = beta[:, live], b0[live]
-        prob = expit(fits.predictor(_original_scale(b_0, b, mean, scale)))
+        point = coef[live]
+        prob = expit(fits.predictor(_original_scale(point, mean, scale)))
         resid = fits.trials * prob - fits.successes
-        # Minus the gradient of the mean negative log-likelihood, (p + 1, M).
-        grad = -_standardized(fits.column_sums(resid), mean, scale).T / n
-        viol = np.where(b != 0.0, np.abs(grad[1:] - lam * np.sign(b)), np.abs(grad[1:]) - lam)
-        met = np.maximum(np.abs(grad[0]), viol.max(axis=0, initial=0.0)) <= KKT_TOL
+        # Minus the gradient of the mean negative log-likelihood, (M, p + 1).
+        grad = -_standardized(fits.column_sums(resid), mean, scale) / n[:, None]
+        slopes = point[:, 1:]
+        viol = np.where(slopes != 0.0, np.abs(grad[:, 1:] - lam * np.sign(slopes)),
+                        np.abs(grad[:, 1:]) - lam)
+        met = np.maximum(np.abs(grad[:, 0]), viol.max(axis=1, initial=0.0)) <= KKT_TOL
         converged[live[met]], iterations[live[met]] = True, outer
         if met.all():
             break
         if met.any():
             go = ~met
             fits, entries = fits.take(go)
-            live, mean, scale, n, b, b_0 = live[go], mean[go], scale[go], n[go], b[:, go], b_0[go]
-            prob, grad = prob[entries], grad[:, go]
+            live, mean, scale, n, point = live[go], mean[go], scale[go], n[go], point[go]
+            prob, grad = prob[entries], grad[go]
 
         w = fits.trials * np.maximum(prob * (1.0 - prob), 1e-10)
         gram = _standardized_gram(fits.gram(w, 0), mean, scale) / n[:, None, None]
-        b_0, b, swept, solved = _lasso_sweeps(gram, grad, lam, b_0, b)
-        b0[live], beta[:, live] = b_0, b
-        sweeps[live] += swept
-        solves[live] += solved
-    return converged, iterations, sweeps, solves
+        coef[live], stepped = _lasso_steps(gram, grad, lam, point)
+        steps[live] += stepped
+    return converged, iterations, steps
 
 
-def _lasso_sweeps(gram, grad, lam, b0, beta):
+def _lasso_steps(gram, grad, lam, coef):
     """Minimize every member's weighted least-squares lasso problem
-    delta'H delta / 2 - g'delta + lam * ||beta + delta_slopes||_1 over steps
-    delta from (b0, beta), carried as its Gram H (M, p + 1, p + 1) and
-    gradient g (p + 1, M) alone, both on the standardized scale
-    (_standardized_gram, _standardized); every move delta updates
-    g -= H delta, so the sweeps hold no pattern-length array.
+    delta'H delta / 2 - g'delta + lam * ||(coef + delta)_slopes||_1 over
+    steps delta from coef (M, p + 1), intercept first, carried as its Gram
+    H (M, p + 1, p + 1) and gradient g (M, p + 1) alone, both on the
+    standardized scale (_standardized_gram, _standardized); every move
+    delta updates g -= H delta, so the steps hold no pattern-length array.
 
-    Cyclic coordinate sweeps, at most LASSO_MAX_SWEEPS per member; a member
-    leaves once no coordinate or intercept moved by LASSO_SWEEP_TOL in a
-    sweep, and a coordinate constant over its trials (H_jj = 0) stays at 0.
-    Before the first sweep, on the warm start's signs, and after every
-    sweep that moved a member without changing a sign, a member with a
-    nonzero slope takes the exact step of _active_set_steps unless the step
-    changes the sign of an active coefficient or sets one to zero. A member
-    whose active-set system is singular gets no step, and since the Gram is
-    fixed in one call, none on that set later either. The next sweep checks
-    a step like any other point. Returns the updated (b0, beta) and, per
-    member, the sweeps run and the active-set solves accepted.
+    Active-set steps (Osborne, Presnell & Turlach 2000, IMA J. Numer. Anal.
+    20(3)): the active set is the intercept and the slopes with a sign, and
+    each step solves its stationarity equations with the signs held
+    (_active_set_steps). If an active slope would cross zero, the member
+    takes the step up to the first crossing and drops that slope. Otherwise
+    it takes the whole step, and its worst inactive slope with
+    |g_j| > lam + LASSO_ENTRY_TOL enters with the sign of g_j, the first of
+    equals, so the first of twin columns. A member stops after a whole step
+    that lets no slope in: its point then meets the subproblem's conditions
+    to rounding. A slope with H_jj = 0, a column constant over the member's
+    trials, is set to 0 and never enters. A member runs at most 3 (p + 1)
+    steps, and leaves the batch when it stops, so it takes the steps it
+    would take alone. Returns the new coef and every member's steps.
     """
-    n_members = len(b0)
-    out_b0, out_beta = np.empty_like(b0), np.empty_like(beta)
-    sweeps = np.full(n_members, LASSO_MAX_SWEEPS)
-    solves = np.zeros(n_members, dtype=int)
-    sweeping = np.arange(n_members)
-    diag = np.diagonal(gram, axis1=1, axis2=2).T
-    # Dividing by inf keeps a coordinate with H_jj = 0 at 0.
-    div = np.where(diag == 0.0, np.inf, diag)
-    maximum, minimum, sign = np.maximum, np.minimum, np.sign
-    settled = beta.any(axis=0)
-    for sweep in range(1, LASSO_MAX_SWEEPS + 1):
-        held = np.flatnonzero(settled)
-        if held.size:
-            step, singular = _active_set_steps(gram[held], grad[:, held].T, lam, beta[:, held])
-            new = beta[:, held] + step[:, 1:].T
-            take = ~singular & (sign(new) == sign(beta[:, held])).all(axis=0)
-            held, step = held[take], step[take]
-            b0[held] += step[:, 0]
-            beta[:, held] = new[:, take]
-            grad[:, held] -= np.einsum("iab,ib->ai", gram[held], step)
-            solves[sweeping[held]] += 1
+    n_members, q = coef.shape
+    out = np.empty_like(coef)
+    steps = np.full(n_members, 3 * q)
+    live = np.arange(n_members)
+    free = np.diagonal(gram, axis1=1, axis2=2)[:, 1:] > 0.0
+    coef = np.column_stack([coef[:, 0], np.where(free, coef[:, 1:], 0.0)])
+    signs = np.sign(coef)
+    signs[:, 0] = 0.0
+    grad = grad.copy()
+    for step in range(1, 3 * q + 1):
+        delta = _active_set_steps(gram, grad, lam, signs)
+        new = coef + delta
+        cross = (signs != 0.0) & (np.sign(new) != signs)
+        partial = cross.any(axis=1)
+        if partial.any():
+            # The fraction of the step at which each crossing slope reaches
+            # 0, none for a slope that entered at 0; the member stops at the
+            # first and drops that slope.
+            frac = np.divide(coef, coef - new, out=np.full(coef.shape, np.inf),
+                             where=cross & (coef != 0.0))
+            frac[cross & (coef == 0.0)] = 0.0
+            new[partial] = coef[partial] + frac[partial].min(axis=1)[:, None] * delta[partial]
+            drop = (signs != 0.0) & (np.sign(new) != signs)
+            drop[partial, frac[partial].argmin(axis=1)] = True
+            new[drop], signs[drop] = 0.0, 0.0
+        grad -= np.einsum("iab,ib->ia", gram, new - coef)
+        coef = new
 
-        start = beta.copy()
-        for j, (col_j, h_j, div_j) in enumerate(zip(gram.T[1:], diag[1:], div[1:])):
-            old = beta[j]
-            rho = grad[j + 1] + h_j * old
-            new = (rho - minimum(maximum(rho, -lam), lam)) / div_j
-            # An unmoved coordinate subtracts zeros from g.
-            grad -= col_j * (new - old)
-            beta[j] = new
-        shift = grad[0] / diag[0]
-        b0 += shift
-        grad -= gram.T[0] * shift
-        # Each coordinate moved once, by its final minus its starting value.
-        moved = np.abs(beta - start).max(axis=0, initial=0.0)
-        moving = maximum(moved, np.abs(shift)) >= LASSO_SWEEP_TOL
-        settled = moving & beta.any(axis=0) & (sign(beta) == sign(start)).all(axis=0)
-
-        if not moving.all():
-            done = ~moving
-            sweeps[sweeping[done]] = sweep
-            out_b0[sweeping[done]], out_beta[:, sweeping[done]] = b0[done], beta[:, done]
-            sweeping = sweeping[moving]
-            if not sweeping.size:
-                return out_b0, out_beta, sweeps, solves
-            gram, grad, diag, div = gram[moving], grad[:, moving], diag[:, moving], div[:, moving]
-            b0, beta, settled = b0[moving], beta[:, moving], settled[moving]
-    out_b0[sweeping], out_beta[:, sweeping] = b0, beta
-    return out_b0, out_beta, sweeps, solves
+        viol = np.where((signs[:, 1:] == 0.0) & free, np.abs(grad[:, 1:]) - lam, -np.inf)
+        enter = ~partial & (viol.max(axis=1, initial=-np.inf) > LASSO_ENTRY_TOL)
+        slope = viol[enter].argmax(axis=1) + 1
+        signs[enter, slope] = np.sign(grad[enter, slope])
+        done = ~(partial | enter)
+        if done.any():
+            steps[live[done]], out[live[done]] = step, coef[done]
+            keep = ~done
+            live, gram, grad, coef, signs, free = (
+                live[keep], gram[keep], grad[keep], coef[keep], signs[keep], free[keep])
+            if not live.size:
+                return out, steps
+    out[live] = coef
+    return out, steps
 
 
-def _active_set_steps(gram, grad, lam, beta):
-    """Every member's exact step to the stationary point of its lasso
-    subproblem of _lasso_sweeps on its active set A with the signs s held:
-    H_AA delta = g_A - lam * s_A, for the Gram H (M, p + 1, p + 1) and the
-    gradient g (M, p + 1), where A holds the intercept, with s = 0, and the
-    nonzero slopes of beta (p, M). Slope j is the twin of an earlier column
-    i when H_ij = H_ii = H_jj, as for columns equal over the member's
-    trials; an active twin of an active column keeps its value, which keeps
-    such a pair from making H_AA singular. Rows and columns outside A are
-    the identity's with a zero right-hand side, so their step is 0. Returns
-    the steps (M, p + 1) and the singular mask (M,) of _newton_steps with
-    lam = 0, which gives a singular member a zero step.
+def _active_set_steps(gram, grad, lam, signs):
+    """Every member's step to the stationary point of its lasso subproblem
+    of _lasso_steps on its active set A with the signs held:
+    H_AA delta = g_A - lam * s_A, for the Gram H (M, p + 1, p + 1), the
+    gradient g (M, p + 1) and the signs s (M, p + 1), where A holds the
+    intercept, whose sign is 0, and the slopes with a nonzero sign. Slope j
+    is the twin of an earlier column i when H_ij = H_ii = H_jj, as for
+    columns equal over the member's trials; an active twin of an active
+    column keeps its value, which keeps such a pair from making H_AA
+    singular. Rows and columns outside A are the identity's with a zero
+    right-hand side, so their step is 0. Every diagonal entry is raised by
+    ACTIVE_SET_RIDGE of itself, so a system whose active columns are
+    dependent over the member's trials, exactly or to rounding, still gives
+    a step that descends, along the dependence, to where _lasso_steps cuts
+    it at a crossing; unraised, such a system gives a zero step or one of
+    rounding noise. Returns the steps (M, p + 1); one that _newton_steps
+    still finds singular is 0.
     """
     q = gram.shape[-1]
-    active = np.vstack([np.ones(len(gram), dtype=bool), beta != 0.0]).T
+    active = signs != 0.0
+    active[:, 0] = True
     diag = np.diagonal(gram, axis1=1, axis2=2)
     twins = (gram == diag[:, :, None]) & (gram == diag[:, None, :]) & np.tri(q, k=-1, dtype=bool)
     active &= ~(twins & active[:, None, :]).any(axis=-1)
     hess = np.where(active[:, :, None] & active[:, None, :], gram, np.eye(q))
-    signs = np.vstack([np.zeros(len(gram)), np.sign(beta)]).T
-    return _newton_steps(hess, np.where(active, grad - lam * signs, 0.0), 0.0)
+    hess *= 1.0 + ACTIVE_SET_RIDGE * np.eye(q)
+    return _newton_steps(hess, np.where(active, grad - lam * signs, 0.0), 0.0)[0]
 
 
 def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None) -> list[FitResult]:
@@ -994,7 +1013,7 @@ def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None) -> list[FitRe
     # A single class raises here, not as the grid's zero lambda_max.
     _log_odds(trials.sum(keepdims=True), cases.sum(keepdims=True))
     grid = default_lambda_grid(x, y) if lambda_grid is None else lambda_grid
-    coef, dev, conv, iters, _, _ = _lasso_path(patterns, trials[None], cases[None], grid)
+    coef, dev, conv, iters, _ = _lasso_path(patterns, trials[None], cases[None], grid)
     return [FitResult(b, None, float(d), bool(c), int(i))
             for b, d, c, i in zip(coef[0], dev[0], conv[0], iters[0])]
 
@@ -1004,24 +1023,25 @@ def _lasso_path(patterns, trials, cases, lambda_grid):
     once: trials and cases are (M, k), and a pattern may have no trials.
 
     Returns coefficients (M, L, p + 1) on the 0/1 scale, and deviance,
-    converged, outer iterations, coordinate sweeps and accepted active-set
-    solves, each (M, L), for the L grid points.
+    converged, outer iterations and active-set steps, each (M, L), for the
+    L grid points.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0 or np.any(grid < 0) or np.any(np.diff(grid) >= 0):
         raise ValidationError("lambda grid must be strictly decreasing and non-negative")
     fits = _Fits.from_counts(patterns, trials, cases)
-    b0 = _log_odds(fits.sums(fits.trials), fits.sums(fits.successes))
+    m, q = len(trials), patterns.shape[1] + 1
+    point = np.zeros((m, q))
+    point[:, 0] = _log_odds(fits.sums(fits.trials), fits.sums(fits.successes))
     mean, scale = _standardize(fits)
-    beta = np.zeros((patterns.shape[1], len(b0)))
 
-    coef = np.empty((len(b0), grid.size, patterns.shape[1] + 1))
-    dev = np.empty((len(b0), grid.size))
-    converged = np.empty((len(b0), grid.size), dtype=bool)
-    iterations, sweeps, solves = (np.empty((len(b0), grid.size), dtype=int) for _ in range(3))
+    coef = np.empty((m, grid.size, q))
+    dev = np.empty((m, grid.size))
+    converged = np.empty((m, grid.size), dtype=bool)
+    iterations, steps = (np.empty((m, grid.size), dtype=int) for _ in range(2))
     for l, lam in enumerate(grid):
-        converged[:, l], iterations[:, l], sweeps[:, l], solves[:, l] = _lasso_cd(
-            fits, mean, scale, float(lam), b0, beta)
-        coef[:, l] = _original_scale(b0, beta, mean, scale)
+        converged[:, l], iterations[:, l], steps[:, l] = _lasso_cd(
+            fits, mean, scale, float(lam), point)
+        coef[:, l] = _original_scale(point, mean, scale)
         dev[:, l] = fits.deviances(fits.predictor(coef[:, l]))
-    return coef, dev, converged, iterations, sweeps, solves
+    return coef, dev, converged, iterations, steps

@@ -185,8 +185,8 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
     PatternTable.cv_deviances call with one ridge weight per row, so the
     fold fits of all 11 weights share their batches. The report's last line
     counts the lasso fits (paths x penalties), those that did not converge,
-    which are used as they are, and the paths' coordinate sweeps and
-    active-set solves.
+    which are used as they are, and the active-set steps that solved the
+    paths' quadratic subproblems.
     """
     rng = np.random.default_rng(spec.seed)
     n_folds = spec.n_folds if spec.n_folds is not None else 10
@@ -194,7 +194,7 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
 
     table = PatternTable(data.x, data.y, plan)
     grid = default_lambda_grid(data.x, data.y, spec.n_lambdas, spec.lambda_min_ratio)
-    curve, coef, (converged, sweeps, solves) = table.lasso_cv_deviance(grid)
+    curve, coef, (converged, steps) = table.lasso_cv_deviance(grid)
     mean = curve.mean(axis=0)
     se = curve.std(axis=0, ddof=1) / math.sqrt(n_folds)
     i_min = int(np.argmin(mean))
@@ -231,7 +231,7 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
         lines.append(f"capped to the {spec.max_select} largest coefficients")
     lines.append(f"lasso fits: {converged.size} run ({n_folds + 1} paths x {grid.size} "
                  f"penalties), {converged.size - int(converged.sum())} not converged, "
-                 f"{int(sweeps.sum())} coordinate sweeps, {int(solves.sum())} active-set solves")
+                 f"{int(steps.sum())} active-set steps")
     return Submission("team_b", _to_1based(kept), "\n".join(lines))
 
 

@@ -61,6 +61,23 @@ class TestFitLogistic:
         with pytest.raises(ValidationError):
             rc.fit_logistic(np.zeros((4, 2)), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, math.nan])
+    def test_outcome_not_binary_raises(self, bad):
+        """Every fit on (x, y) refuses an outcome other than 0/1, as
+        make_folds does; such a y used to give a converged fit."""
+        x, y = random_binary(100, 2, seed=21)
+        plan = four_folds(y)
+        y = y.copy()
+        y[[3, 50, 97]] = bad
+        for fit in (lambda: rc.fit_logistic(x, y),
+                    lambda: rc.fit_lasso_path(x, y, np.array([0.1, 0.01])),
+                    lambda: rc.lasso_lambda_max(x, y),
+                    lambda: rc.cv_deviance(x, y, [0], plan),
+                    lambda: glm.PatternTable(x, y, plan),
+                    lambda: rc.bootstrap_fits(x, y, 2, np.random.default_rng(0))):
+            with pytest.raises(ValidationError, match="outcomes must be 0/1"):
+                fit()
+
     def test_zero_ridge_is_unpenalized(self):
         """ridge=0.0 is the default fit, standard errors included."""
         x, y = random_binary(300, 4, seed=9)

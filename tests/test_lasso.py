@@ -12,17 +12,22 @@ from riskcontest.errors import DegenerateOutcomeError, ValidationError
 from conftest import _deviances
 
 
+# The plain coordinate descent the kernel is held to (scalar_cd with
+# solve=False): at most CD_MAX_SWEEPS sweeps per quadratic, each quadratic
+# done when no coordinate moved by CD_SWEEP_TOL in a sweep.
+CD_MAX_SWEEPS = 1000
+CD_SWEEP_TOL = 1e-10
+
+
 @pytest.fixture(autouse=True)
 def small_caps(request, monkeypatch):
-    """Caps the kernel's outer iterations and sweeps far below
-    production's 250 and 1000 per penalty, so a kernel that never settles
-    fails in seconds instead of minutes. Every member in these tests
-    converges within 5 outer iterations of at most 9 sweeps. The plain
-    coordinate descent of test_matches_tight_coordinate_descent needs the
-    production caps."""
+    """Caps the kernel's outer iterations far below production's 250 per
+    penalty, so a kernel that never settles fails in seconds instead of
+    minutes. Every member in these tests converges within 5 outer
+    iterations. The plain coordinate descent of
+    test_matches_tight_coordinate_descent needs the production cap."""
     if request.function.__name__ != "test_matches_tight_coordinate_descent":
         monkeypatch.setattr(glm, "LASSO_MAX_OUTER", 30)
-        monkeypatch.setattr(glm, "LASSO_MAX_SWEEPS", 60)
 
 
 def lasso_data(n=500, p=8, seed=0):
@@ -156,17 +161,64 @@ class TestPatternPath:
 # The batched kernel against one-path scalar references.
 # ---------------------------------------------------------------------------
 
-def scalar_cd(xs, trials, cases, lam, b0, beta, kkt_tol, solve=True,
-              sweep_tol=glm.LASSO_SWEEP_TOL):
-    """The one-problem twin of the batched kernel: every rule of
-    _lasso_cd and _lasso_sweeps, one member at a time. It keeps the working
-    residual over the patterns, where the kernel carries each quadratic as
-    its Gram and gradient, so it is an independent reference for the same
-    rules. With solve=False it is the plain coordinate descent the kernel
-    replaced, which takes no active-set step. Returns (b0, beta, converged,
-    outer iterations, sweeps, accepted active-set solves)."""
+def scalar_steps(z, wn, r, lam, coef):
+    """The one-member twin of _lasso_steps: the same active-set rules on
+    the subproblem of the standardized patterns' rows z (p + 1, k), with
+    weights wn = w / n and the working residual r over the patterns, from
+    coef (p + 1,). The gradient is read from r before every decision, where
+    the kernel carries it as g -= H delta. Returns the new coef and the
+    steps taken."""
+    q = len(coef)
+    # Correctly rounded sums, so equal columns give equal entries.
+    gram = np.array([[math.fsum(wn * a * b) for b in z] for a in z])
+    free = np.diag(gram) > 0.0
+    coef = np.where(free | (np.arange(q) == 0), coef, 0.0)
+    signs = np.sign(coef)
+    signs[0] = 0.0
+    for step in range(1, 3 * q + 1):
+        active = [0] + [j for j in range(1, q) if signs[j] != 0.0]
+        # An active column equal over the trials to an earlier active one
+        # keeps its value.
+        solved = [a for a in active if not any(
+            i < a and gram[i, a] == gram[i, i] == gram[a, a] for i in active)]
+        system = gram[np.ix_(solved, solved)] * (1.0 + glm.ACTIVE_SET_RIDGE * np.eye(len(solved)))
+        delta = np.zeros(q)
+        delta[solved] = np.linalg.solve(system, z[solved] @ (wn * r) - lam * signs[solved])
+        new = coef + delta
+        crossing = [j for j in range(1, q) if signs[j] != 0.0 and np.sign(new[j]) != signs[j]]
+        if crossing:
+            fractions = [0.0 if coef[j] == 0.0 else coef[j] / (coef[j] - new[j])
+                         for j in crossing]
+            part = min(fractions)
+            first = crossing[fractions.index(part)]
+            new = coef + part * delta
+            for j in range(1, q):
+                if signs[j] != 0.0 and (j == first or np.sign(new[j]) != signs[j]):
+                    new[j], signs[j] = 0.0, 0.0
+        r = r - (new - coef) @ z
+        coef = new
+        if crossing:
+            continue
+        g = z @ (wn * r)
+        viol = [abs(g[j]) - lam if signs[j] == 0.0 and free[j] else -np.inf for j in range(1, q)]
+        if max(viol, default=-np.inf) <= glm.LASSO_ENTRY_TOL:
+            return coef, step
+        enter = int(np.argmax(viol)) + 1
+        signs[enter] = np.sign(g[enter])
+    return coef, 3 * q
+
+
+def scalar_cd(xs, trials, cases, lam, b0, beta, kkt_tol, solve=True, sweep_tol=CD_SWEEP_TOL):
+    """The one-problem twin of the batched kernel: every rule of _lasso_cd,
+    one member at a time, with each quadratic minimized by scalar_steps. It
+    keeps the working residual over the patterns, where the kernel carries
+    each quadratic as its Gram and gradient, so it is an independent
+    reference for the same rules. With solve=False it is the plain cyclic
+    coordinate descent the kernel replaced, each quadratic swept until no
+    coordinate moves by sweep_tol, at most CD_MAX_SWEEPS times. Returns (b0,
+    beta, converged, outer iterations, active-set steps or sweeps)."""
     n, p = trials.sum(), xs.shape[1]
-    sweeps = steps = 0
+    count = 0
     z = np.vstack([np.ones(len(trials)), xs.T])
     for outer in range(1, glm.LASSO_MAX_OUTER + 1):
         eta = b0 + xs @ beta
@@ -175,38 +227,18 @@ def scalar_cd(xs, trials, cases, lam, b0, beta, kkt_tol, solve=True,
         g = xs.T @ resid / n
         viol = np.where(beta != 0.0, np.abs(g + lam * np.sign(beta)), np.abs(g) - lam)
         if max(abs(float(resid.sum())) / n, float(np.max(viol, initial=0.0))) <= kkt_tol:
-            return b0, beta, True, outer, sweeps, steps
+            return b0, beta, True, outer, count
 
         w = trials * np.maximum(prob * (1.0 - prob), 1e-10)
         r = -resid / w
+        if solve:
+            coef, steps = scalar_steps(z, w / n, r, lam, np.concatenate(([b0], beta)))
+            b0, beta, count = float(coef[0]), coef[1:], count + steps
+            continue
         wx2 = (w @ xs**2) / n
         wsum = float(w.sum())
-        # Correctly rounded sums, so equal columns give equal entries.
-        gram = np.array([[math.fsum(w * a * b) for b in z] for a in z]) / n if solve else None
-        settled = bool(np.any(beta != 0.0))
-        for _ in range(glm.LASSO_MAX_SWEEPS):
-            if solve and settled:
-                active = [0] + [j + 1 for j in range(p) if beta[j] != 0.0]
-                # An active column equal over the trials to an earlier
-                # active one keeps its value.
-                solved = [a for a in active if not any(
-                    i < a and gram[i, a] == gram[i, i] == gram[a, a] for i in active)]
-                rhs = z[solved] @ (w * r) / n - lam * np.sign(
-                    np.concatenate(([0.0], beta)))[solved]
-                try:
-                    step = np.linalg.solve(gram[np.ix_(solved, solved)], rhs)
-                except np.linalg.LinAlgError:
-                    pass  # a singular system gets no step
-                else:
-                    new = beta.copy()
-                    new[np.array(solved[1:], dtype=int) - 1] += step[1:]
-                    if np.array_equal(np.sign(new), np.sign(beta)):
-                        b0 += step[0]
-                        beta = new
-                        r -= step @ z[solved]
-                        steps += 1
-            sweeps += 1
-            start = beta.copy()
+        for _ in range(CD_MAX_SWEEPS):
+            count += 1
             delta = 0.0
             for j in range(p):
                 if wx2[j] == 0.0:
@@ -225,14 +257,13 @@ def scalar_cd(xs, trials, cases, lam, b0, beta, kkt_tol, solve=True,
                 delta = max(delta, abs(shift))
             if delta < sweep_tol:
                 break
-            settled = bool(np.any(beta != 0.0)) and np.array_equal(np.sign(beta), np.sign(start))
-    return b0, beta, False, glm.LASSO_MAX_OUTER, sweeps, steps
+    return b0, beta, False, glm.LASSO_MAX_OUTER, count
 
 
 def scalar_path(patterns, trials, cases, grid, kkt_tol=glm.KKT_TOL, **rules):
-    """(coefficients (L, p + 1), converged, sweeps and active-set steps
-    taken (L,)) of the scalar path on the patterns with at least one trial;
-    rules go to scalar_cd."""
+    """(coefficients (L, p + 1), converged, outer iterations and active-set
+    steps or sweeps (L,)) of the scalar path on the patterns with at least
+    one trial; rules go to scalar_cd."""
     live = trials > 0
     patterns, trials, cases = patterns[live], trials[live], cases[live]
     n = trials.sum()
@@ -242,15 +273,15 @@ def scalar_path(patterns, trials, cases, grid, kkt_tol=glm.KKT_TOL, **rules):
     xs = (patterns - mean) / scale
     ybar = float(cases.sum() / n)
     b0, beta = math.log(ybar / (1.0 - ybar)), np.zeros(patterns.shape[1])
-    coef, converged, sweeps, steps = [], [], [], []
+    coef, converged, outers, counts = [], [], [], []
     for lam in grid:
-        b0, beta, conv, _, swept, stepped = scalar_cd(xs, trials, cases, float(lam), b0, beta,
-                                                      kkt_tol, **rules)
+        b0, beta, conv, outer, count = scalar_cd(xs, trials, cases, float(lam), b0, beta,
+                                                 kkt_tol, **rules)
         coef.append(np.concatenate(([b0 - float(np.sum(beta * mean / scale))], beta / scale)))
         converged.append(conv)
-        sweeps.append(swept)
-        steps.append(stepped)
-    return np.array(coef), np.array(converged), np.array(sweeps), np.array(steps)
+        outers.append(outer)
+        counts.append(count)
+    return np.array(coef), np.array(converged), np.array(outers), np.array(counts)
 
 
 def standardized_objective(patterns, trials, cases, lam, coef):
@@ -323,9 +354,10 @@ class TestBatchedPath:
             assert (fit.deviance, fit.converged, fit.iterations) == \
                 (dev[l], converged[l], iterations[l])
 
-    # The stopping rules are thresholds: in a rare draw a sum rounded the
-    # other way can let one side run one more sweep, and the paths then differ
-    # by up to LASSO_SWEEP_TOL. Fixed draws keep the 1e-12 check repeatable.
+    # The stopping rules are thresholds (KKT_TOL, LASSO_ENTRY_TOL): in a rare
+    # draw a sum rounded the other way can let one side take one more step,
+    # and the paths then differ by up to KKT_TOL. Fixed draws keep the 1e-12
+    # check repeatable.
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(cv_problems())
     def test_matches_scalar_reference(self, problem):
@@ -335,13 +367,13 @@ class TestBatchedPath:
         paths = glm._lasso_path(table.patterns, trials, cases, grid)
         ref_curve = np.empty((len(held_n), grid.size))
         for f, (t, c) in enumerate(zip(trials, cases)):
-            coef, conv, sweeps, steps = scalar_path(table.patterns, t, c, grid)
+            coef, conv, outer, steps = scalar_path(table.patterns, t, c, grid)
             # Relative to the fit's largest coefficient, so a coefficient
             # entering the path near zero is held to the fit's scale.
             scale = np.abs(coef).max(axis=1, keepdims=True)
             assert np.all(np.abs(paths[0][f] - coef) <= 1e-12 * scale)
             assert np.array_equal(paths[2][f], conv)
-            assert np.array_equal(paths[4][f], sweeps) and np.array_equal(paths[5][f], steps)
+            assert np.array_equal(paths[3][f], outer) and np.array_equal(paths[4][f], steps)
             if f < len(held_n):
                 eta = coef[:, :1] + coef[:, 1:] @ table.patterns.T
                 ref_curve[f] = _deviances(eta, held_n[f], held_c[f]) / held_n[f].sum()
@@ -484,10 +516,12 @@ class TestActiveSetSteps:
         return glm._Fits.from_counts(self.patterns, self.trials[members], self.cases[members])
 
     def run(self, members):
-        b0, beta = self.b0[members].copy(), self.beta[:, members].copy()
+        """_lasso_cd's intercepts (M,), slopes (p, M), converged flags,
+        outer iterations and active-set steps."""
+        coef = np.column_stack([self.b0[members], self.beta[:, members].T])
         fits = self.fits(members)
-        out = glm._lasso_cd(fits, *glm._standardize(fits), self.LAM, b0, beta)
-        return (b0, beta) + out
+        out = glm._lasso_cd(fits, *glm._standardize(fits), self.LAM, coef)
+        return (coef[:, 0], np.ascontiguousarray(coef[:, 1:].T)) + out
 
     def member(self, i):
         """Member i's patterns with trials, standardized with the kernel's
@@ -498,18 +532,17 @@ class TestActiveSetSteps:
                 self.cases[i, live])
 
     def test_members_keep_solo_bits_and_meet_kkt(self, monkeypatch):
-        singular_found = []
+        conditions = []
         newton_steps = glm._newton_steps
 
         def recording_steps(hess, grad, lam):
-            steps, singular = newton_steps(hess, grad, lam)
-            singular_found.append(singular.any())
-            return steps, singular
+            conditions.extend(np.linalg.cond(hess))
+            return newton_steps(hess, grad, lam)
 
         monkeypatch.setattr(glm, "_newton_steps", recording_steps)
         batch = self.run(np.arange(5))
-        # Member 3's system was singular.
-        assert any(singular_found)
+        # Member 3's active-set system was singular but for the ridge.
+        assert max(conditions) > 1e10
         # Member 4's constant column stays at exactly 0.
         assert batch[1][2, 4] == 0.0
         for i in range(5):
@@ -529,16 +562,130 @@ class TestActiveSetSteps:
         members = np.array([0, 1, 2, 4])
         batch = self.run(members)
         for pos, i in enumerate(members):
-            b0, beta, conv, outer, sweeps, steps = scalar_cd(
+            b0, beta, conv, outer, steps = scalar_cd(
                 *self.member(i), self.LAM, float(self.b0[i]), self.beta[:, i].copy(),
                 glm.KKT_TOL)
             coef, ref = np.append(batch[0][pos], batch[1][:, pos]), np.append(b0, beta)
             assert np.all(np.abs(coef - ref) <= 1e-12 * np.abs(ref).max())
-            assert (batch[2][pos], batch[3][pos], batch[4][pos], batch[5][pos]) == \
-                (conv, outer, sweeps, steps)
-        assert batch[5][2] > 0
+            assert (batch[2][pos], batch[3][pos], batch[4][pos]) == (conv, outer, steps)
+        # Member 2's second twin column was active from the start, so it
+        # kept its value in every step while the first took the rest.
+        assert batch[1][2, 2] == self.beta[2, 2]
         # Member 4, the last one run, keeps its constant column at 0 in both.
         assert batch[1][2, 3] == beta[2] == 0.0
+
+
+@st.composite
+def subproblems(draw):
+    """A batch of lasso subproblems as _lasso_cd hands them to _lasso_steps:
+    the weighted Gram H of a design [1, x] with centred columns and a
+    gradient g in its range, one penalty, and warm starts of random signs.
+    Designs of few rows are singular. Some columns are zero, so H_jj = 0
+    (and g_j = 0), some of them with a nonzero warm start, and some members
+    see a later column equal to an earlier one (twins), as do many 0/1
+    designs of few rows. A twin starts at 0 or with the sign of its first
+    earlier twin that starts nonzero: along a path no twin enters while an
+    earlier twin is active, and an active later twin keeps its value."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, p = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    q = p + 1
+    n = draw(st.integers(2, 60))
+    binary = draw(st.booleans())
+    grams, grads, coefs = [], [], []
+    for _ in range(m):
+        x = rng.random((n, q)) < 0.4 if binary else rng.normal(size=(n, q))
+        x = x - x.mean(axis=0)
+        x[:, 0] = 1.0
+        x[:, 1:][:, rng.random(p) < 0.15] = 0.0
+        w = rng.random(n) + 0.05
+        gram = (x * w[:, None]).T @ x / n
+        gram = np.triu(gram) + np.triu(gram, 1).T
+        grad = x.T @ (w * rng.normal(size=n)) / n
+        coef = rng.normal(size=q) * (rng.random(q) < 0.6)
+        if p >= 2 and rng.random() < 0.5:
+            i, j = np.sort(rng.choice(np.arange(1, q), 2, replace=False))
+            gram[j], gram[:, j], grad[j] = gram[i], gram[:, i], grad[i]
+        for j in range(2, q):
+            earlier = [coef[i] for i in range(1, j)
+                       if gram[i, j] == gram[i, i] == gram[j, j] and coef[i] != 0.0]
+            if earlier:
+                coef[j] = abs(coef[j]) * np.sign(earlier[0])
+        grams.append(gram)
+        grads.append(grad)
+        coefs.append(coef)
+    grad = np.array(grads)
+    lam = draw(st.floats(0.05, 1.0)) * float(np.abs(grad[:, 1:]).max())
+    return np.array(grams), grad, lam, np.array(coefs)
+
+
+def subproblem_objective(gram, grad, lam, start, coef):
+    """delta'H delta / 2 - g'delta + lam * ||coef_slopes||_1, delta = coef - start."""
+    delta = coef - start
+    return 0.5 * delta @ gram @ delta - grad @ delta + lam * np.abs(coef[1:]).sum()
+
+
+def tight_cd(gram, grad, lam, coef, tol=1e-14, max_sweeps=100_000):
+    """Plain cyclic coordinate descent on one subproblem, run until no
+    coordinate moves by tol relative to the largest; a coordinate with
+    H_jj = 0 goes to 0."""
+    coef, grad = coef.copy(), grad.copy()
+    for _ in range(max_sweeps):
+        moved = 0.0
+        for j in range(1, len(coef)):
+            old, h = coef[j], gram[j, j]
+            rho = grad[j] + h * old
+            new = math.copysign(max(abs(rho) - lam, 0.0), rho) / h if h > 0.0 else 0.0
+            grad -= gram[:, j] * (new - old)
+            coef[j], moved = new, max(moved, abs(new - old))
+        shift = grad[0] / gram[0, 0]
+        coef[0] += shift
+        grad -= gram[:, 0] * shift
+        if max(moved, abs(shift)) < tol * (1.0 + np.abs(coef).max()):
+            return coef
+    raise AssertionError("coordinate descent did not settle")
+
+
+class TestSubproblemSteps:
+    """_lasso_steps, the active-set solve of each quadratic subproblem."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(subproblems())
+    def test_kkt_cd_and_batch(self, problem):
+        gram, grad, lam, start = problem
+        m, q = start.shape
+        coef, steps = glm._lasso_steps(gram, grad, lam, start)
+        for i in range(m):
+            alone = glm._lasso_steps(gram[i:i + 1], grad[i:i + 1], lam, start[i:i + 1])
+            assert alone[0].tobytes() == coef[i:i + 1].tobytes()
+            assert alone[1].tolist() == [steps[i]]
+            assert steps[i] < 3 * q
+            free = np.diag(gram[i]) > 0.0
+            assert np.all(coef[i, 1:][~free[1:]] == 0.0)
+            # The subproblem's conditions at the result, to rounding.
+            g = grad[i] - gram[i] @ (coef[i] - start[i])
+            s = np.sign(coef[i, 1:])
+            tol = 1e-10 * (1.0 + np.abs(grad[i]).max())
+            assert abs(g[0]) <= tol
+            assert np.all(np.where(s != 0.0, np.abs(g[1:] - lam * s), np.abs(g[1:]) - lam) <= tol)
+            # Tight coordinate descent reaches the same optimal value. Twins
+            # may split their total differently, so each later twin's value
+            # is added to its first twin's; then, where the other columns
+            # are independent, the coefficients agree too.
+            ref = tight_cd(gram[i], grad[i], lam, start[i])
+            obj = subproblem_objective(gram[i], grad[i], lam, start[i], coef[i])
+            obj_ref = subproblem_objective(gram[i], grad[i], lam, start[i], ref)
+            assert abs(obj - obj_ref) <= 1e-10 * (1.0 + abs(obj_ref))
+            merged, merged_ref, kept = coef[i].copy(), ref.copy(), free.copy()
+            for j in range(2, q):
+                twin = [k for k in range(1, j) if gram[i, k, j] == gram[i, k, k] == gram[i, j, j]]
+                if twin and free[j]:
+                    merged[twin[0]] += merged[j]
+                    merged_ref[twin[0]] += merged_ref[j]
+                    merged[j] = merged_ref[j] = 0.0
+                    kept[j] = False
+            if np.linalg.cond(gram[i][np.ix_(kept, kept)]) < 1e6:
+                assert np.all(np.abs(merged - merged_ref) <=
+                              1e-8 * (1.0 + np.abs(merged_ref).max()))
 
 
 class TestLassoCvPlans:

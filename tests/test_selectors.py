@@ -173,7 +173,7 @@ class TestTeamB:
         sub = rc.run_selector(data, rc.SelectorSpec("team_b", seed=4, n_lambdas=12))
         assert sub.method_report.splitlines()[-1] == \
             "lasso fits: 132 run (11 paths x 12 penalties), 0 not converged, " \
-            "405 coordinate sweeps, 353 active-set solves"
+            "395 active-set steps"
 
     def test_report_counts_nonconverged_lasso_fits(self, monkeypatch):
         """One outer iteration leaves most fits short of the KKT conditions;
@@ -183,26 +183,27 @@ class TestTeamB:
         plan = make_folds(data.y, 10, np.random.default_rng(spec.seed))
         grid = rc.default_lambda_grid(data.x, data.y, 12)
         monkeypatch.setattr(glm, "LASSO_MAX_OUTER", 1)
-        _, _, (converged, sweeps, solves) = \
+        _, _, (converged, steps) = \
             glm.PatternTable(data.x, data.y, plan).lasso_cv_deviance(grid)
         missed = int(converged.size - converged.sum())
         assert 0 < missed < converged.size
         lines = rc.run_selector(data, spec).method_report.splitlines()
         assert lines[-1] == \
             f"lasso fits: 132 run (11 paths x 12 penalties), {missed} not converged, " \
-            f"{sweeps.sum()} coordinate sweeps, {solves.sum()} active-set solves"
+            f"{steps.sum()} active-set steps"
 
-    def test_small_sparse_contest_sweeps_stay_bounded(self):
+    def test_small_sparse_contest_steps_stay_bounded(self):
         """On a 60-row, 20-variable contest most fold paths are small and
         ill-conditioned; plain coordinate descent ran 54,098 member sweeps
-        here, the active-set steps 1,396. The bound leaves room for about
-        twice that, and a return to crawling fails it."""
+        here, and the active-set steps are 1,397, one per subproblem and a
+        few more. The bound leaves room for about twice that, and a solver
+        that cycles fails it."""
         config = rc.SimulationConfig(d=20, n_cases=30, n_controls=30, seed=60)
         rng = np.random.default_rng(config.seed)
         data = rc.simulate_dataset(rc.draw_ground_truth(config, rng), config, rng)
         report = rc.run_selector(data, rc.SelectorSpec("team_b", seed=1)).method_report
-        sweeps = int(re.search(r"(\d+) coordinate sweeps", report.splitlines()[-1]).group(1))
-        assert sweeps <= 3_000
+        steps = int(re.search(r"(\d+) active-set steps", report.splitlines()[-1]).group(1))
+        assert steps <= 3_000
 
     def test_conservative_on_classroom_regime(self, classroom_truth):
         # The cautious style of play under the false-positive-heavy rule:
