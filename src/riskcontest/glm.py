@@ -52,8 +52,9 @@ holds no pattern-length array, and it is solved by active-set steps
 (_lasso_steps; Osborne, Presnell & Turlach 2000): each step solves the
 stationarity equations of the intercept and the nonzero slopes with their
 signs held, cut short where a slope would cross zero, which then leaves;
-after a whole step the zero slope that most breaks its condition enters. A column constant over a member's trials never
-enters, and of two columns equal over them only the first enters. Most
+after a whole step the zero slope that most breaks its condition enters.
+A column constant over a member's trials never enters, and of two columns
+equal over them only the first enters. Most
 subproblems take one or two steps, and the Python loop runs once per step
 for the whole batch. A member that is done leaves the batch, so it runs
 exactly the iterations it would run alone. The paths run on a _Fits of the
@@ -364,6 +365,12 @@ class _Fits:
         """(M,) deviances at the entries' linear predictors eta."""
         return 2.0 * self.sums(self.trials * np.logaddexp(0.0, eta) - self.successes * eta)
 
+    def irls_weights(self, eta):
+        """Every entry's case probability p at the linear predictors eta and
+        its IRLS weight trials * p(1 - p), with p(1 - p) clipped at 1e-10."""
+        p = expit(eta)
+        return p, self.trials * np.maximum(p * (1.0 - p), 1e-10)
+
 
 def _one_class_columns(fits):
     """(M, q) signs of the 0/1 columns whose trials with a 1 are all cases
@@ -455,7 +462,6 @@ def _irls_batch(fits, lam):
     lam = np.where(separated, FALLBACK_RIDGE, lam)
     eta = fits.predictor(beta)
     dev = fits.deviances(eta)
-    obj = objective(dev, beta, lam)
     out_beta, out_dev = beta.copy(), dev.copy()
     # Every live member's Newton iterations, and the count at which its
     # current pass has run MAX_ITER of them.
@@ -464,10 +470,9 @@ def _irls_batch(fits, lam):
     for _ in range(2 * MAX_ITER):
         age += 1
         ridge = lam[:, None] * pen
-        t, c = fits.trials, fits.successes
-        p = expit(eta)
-        w = t * np.maximum(p * (1.0 - p), 1e-10)
-        grad = fits.column_sums(c - t * p) - ridge * beta
+        obj = objective(dev, beta, lam)
+        p, w = fits.irls_weights(eta)
+        grad = fits.column_sums(fits.successes - fits.trials * p) - ridge * beta
         step, singular = _newton_steps(fits.gram(w, ridge), grad, lam)
 
         # Step halving: the full step for every member, then halved steps
@@ -505,14 +510,13 @@ def _irls_batch(fits, lam):
                         np.abs(obj - obj_c) / (np.abs(obj) + 0.1) < DEVIANCE_RTOL)
         beta = np.where(moved[:, None], cand, beta)
         eta = np.where(np.repeat(moved, fits.sizes), eta_c, eta)
-        dev, obj = np.where(moved, dev_c, dev), np.where(moved, obj_c, obj)
+        dev = np.where(moved, dev_c, dev)
 
         if refit.any():
             # The ridge pass continues from the last accepted beta.
             redo = np.flatnonzero(refit)
             separated[live[redo]] = True
             lam = np.where(refit, FALLBACK_RIDGE, lam)
-            obj[redo] = objective(dev[redo], beta[redo], lam[redo])
             limit[redo] = age[redo] + MAX_ITER
 
         done = optimal | (moved & stop)
@@ -523,9 +527,8 @@ def _irls_batch(fits, lam):
             out_beta[live[finished]], out_dev[live[finished]] = beta[finished], dev[finished]
             keep = ~finished
             fits, entries = fits.take(keep)
-            live, beta, eta, dev, obj, age, limit, lam = (
-                live[keep], beta[keep], eta[entries], dev[keep], obj[keep], age[keep],
-                limit[keep], lam[keep])
+            live, beta, eta, dev, age, limit, lam = (
+                live[keep], beta[keep], eta[entries], dev[keep], age[keep], limit[keep], lam[keep])
             if not live.size:
                 break
     return out_beta, out_dev, converged, separated, iterations
@@ -551,6 +554,13 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> FitResult:
     where it stands. Such fits carry separation_flag = True but still report
     standard errors so Wald machinery stays usable. The fit is a batch of
     one.
+
+    A quasi-separated fit on a column that is not 0/1 can instead stop on
+    the flat objective first, converged and unflagged, with a slope short
+    of SEPARATION_BOUND and a huge standard error: with the one-class
+    column of tests/test_grouped.py's TestSeparationFromCounts doubled, the
+    slope is 10.9 with a standard error of 9.4e3. The CLI's datasets are
+    0/1, so no command meets this.
     """
     patterns, trials, cases, _ = _pattern_counts(x, y)
     return _fit_counts(patterns, trials[None], cases[None], ridge)[0]
@@ -570,9 +580,8 @@ def _fit_counts(patterns, trials, cases, ridge=0.0) -> list[FitResult]:
         # Every converged fit's information matrix at its estimate, with the
         # stabilization that produced a separated fit's estimate.
         fits = fits.take(conv)[0]
-        prob = expit(fits.predictor(beta[conv]))
         slopes = np.arange(p + 1) > 0
-        info = fits.gram(fits.trials * np.maximum(prob * (1.0 - prob), 1e-10),
+        info = fits.gram(fits.irls_weights(fits.predictor(beta[conv]))[1],
                          FALLBACK_RIDGE * (separated[conv, None] & slopes))
         inverse, singular = _solve(info, np.broadcast_to(np.eye(p + 1), info.shape))
         for i, cov, bad in zip(np.flatnonzero(conv), inverse, singular):
@@ -626,15 +635,15 @@ class PatternTable:
         f, k = plan.n_folds, len(self.patterns)
         if np.any((plan.assignments < 0) | (plan.assignments > f)):
             raise ValidationError(f"fold labels must lie in 0..{f}")
-        # Cell (fold, pattern) of every row; the cells of label 0 are dropped.
-        cells = plan.assignments * k + inv
-        held_n = np.bincount(cells, minlength=(f + 1) * k)[k:].reshape(f, k)
-        held_c = np.bincount(cells, weights=y, minlength=(f + 1) * k)[k:].reshape(f, k)
+        # Trials and cases of cell (fold, pattern), label 0's cells dropped.
+        held = _pattern_sums(plan.assignments * k + inv, (f + 1) * k,
+                             np.vstack([np.ones(inv.size), y]))[:, k:].reshape(2 * f, k)
         # Rows 0 and 1: all trials and cases; then F rows of held-out trials
         # per fold and F of held-out cases.
-        self.counts = np.vstack([trials, cases, held_n, held_c])
+        self.counts = np.vstack([trials, cases, held])
+        held_n = held[:f].sum(axis=1)
         self.n_folds, self.n_held = f, int(held_n.sum())
-        self.min_train = inv.size - int(held_n.sum(axis=1).max())
+        self.min_train = inv.size - int(held_n.max())
 
     def _columns(self, subsets) -> np.ndarray:
         """subsets as an (M, s) array whose rows are s distinct columns of x,
@@ -774,13 +783,13 @@ def bootstrap_fits(x: np.ndarray, y: np.ndarray, n_resamples: int,
                    rng: np.random.Generator) -> list[FitResult]:
     """fit_logistic(x[idx], y[idx]) for each of n_resamples draws of
     idx = bootstrap_resample(len(y), rng), from one collapse of the rows."""
+    if n_resamples < 1:
+        raise ValidationError("need at least one resample")
     patterns, _, _, inv = _pattern_counts(x, y)
-    y, k = np.asarray(y, dtype=float), len(patterns)
-    resamples = (bootstrap_resample(y.size, rng) for _ in range(n_resamples))
+    rows = np.vstack([np.ones(inv.size), y])
+    resamples = (bootstrap_resample(inv.size, rng) for _ in range(n_resamples))
     # Only the (M, 2, k) counts are kept, not the M index arrays.
-    counts = np.array([(np.bincount(inv[idx], minlength=k),
-                        np.bincount(inv[idx], weights=y[idx], minlength=k))
-                       for idx in resamples]).reshape(n_resamples, 2, k)
+    counts = np.array([_pattern_sums(inv[idx], len(patterns), rows[:, idx]) for idx in resamples])
     return _fit_counts(patterns, counts[:, 0], counts[:, 1])
 
 
@@ -883,7 +892,7 @@ def _lasso_cd(fits, mean, scale, lam, coef):
     n = fits.sums(fits.trials)
     for outer in range(1, LASSO_MAX_OUTER + 1):
         point = coef[live]
-        prob = expit(fits.predictor(_original_scale(point, mean, scale)))
+        prob, w = fits.irls_weights(fits.predictor(_original_scale(point, mean, scale)))
         resid = fits.trials * prob - fits.successes
         # Minus the gradient of the mean negative log-likelihood, (M, p + 1).
         grad = -_standardized(fits.column_sums(resid), mean, scale) / n[:, None]
@@ -898,9 +907,7 @@ def _lasso_cd(fits, mean, scale, lam, coef):
             go = ~met
             fits, entries = fits.take(go)
             live, mean, scale, n, point = live[go], mean[go], scale[go], n[go], point[go]
-            prob, grad = prob[entries], grad[go]
-
-        w = fits.trials * np.maximum(prob * (1.0 - prob), 1e-10)
+            w, grad = w[entries], grad[go]
         gram = _standardized_gram(fits.gram(w, 0), mean, scale) / n[:, None, None]
         coef[live], stepped = _lasso_steps(gram, grad, lam, point)
         steps[live] += stepped

@@ -367,10 +367,7 @@ def load_weights(spec: str) -> ScoringWeights:
             f"(presets: {', '.join(sorted(WEIGHT_PRESETS))})")
     mapping = parse_config_file(path)
     names = [f.name for f in dataclass_fields(ScoringWeights)]
-    for key in mapping:
-        if key not in names:
-            raise ConfigurationError(f"unknown weights key {key!r}")
-    try:
-        return ScoringWeights(**{name: _coerce(name, mapping[name], float) for name in names})
-    except KeyError as exc:
-        raise ConfigurationError(f"weights file must define w_tp/w_fp/w_tn/w_fn ({exc})")
+    if sorted(mapping) != sorted(names):
+        raise ConfigurationError(f"a weights file sets exactly w_tp, w_fp, w_tn and w_fn, "
+                                 f"not {sorted(mapping)}")
+    return ScoringWeights(**config_values(ScoringWeights, names, mapping))

@@ -320,3 +320,14 @@ class TestBootstrap:
     def test_validation(self):
         with pytest.raises(ValidationError):
             rc.bootstrap_resample(0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_resamples", [0, -2])
+    def test_no_resample_raises_before_any_draw(self, n_resamples):
+        """Fewer than one resample once failed inside the Gram with numpy's
+        UFuncTypeError; it raises SelectorSpec's message, drawing nothing."""
+        x, y = random_binary(100, 2, seed=21)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match="need at least one resample"):
+            rc.bootstrap_fits(x, y, n_resamples, rng)
+        assert rng.bit_generator.state == state

@@ -329,6 +329,50 @@ class TestCollapseOrder:
         assert same_bits(table._project(subsets), expected)
 
 
+class TestSingleCopies:
+    """Each rule that several kernels share, against a direct reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(grids, st.integers(2, 5))
+    @example({"seed": 0, "n": 1, "p": 0, "prevalence": 0.5, "scale": 1.0}, 2)
+    def test_table_counts_match_a_row_loop(self, case, n_folds):
+        """PatternTable's counts, n_held and min_train, counted one row at a
+        time; row 0 and about a quarter of the rest are labelled 0, in no
+        fold."""
+        x, rng = scaled_grid(**case)
+        y = (rng.random(len(x)) < 0.5).astype(float)
+        labels = np.where(rng.random(len(x)) < 0.25, 0, rng.integers(1, n_folds + 1, len(x)))
+        labels[0] = 0
+        table = rc.PatternTable(x, y, rc.CvPlan(n_folds, labels))
+        expected = np.zeros((2 + 2 * n_folds, len(table.patterns)))
+        for row, label, outcome in zip(x, labels, y):
+            j = next(j for j, pattern in enumerate(table.patterns)
+                     if np.array_equal(pattern, row))
+            expected[[0, 1], j] += 1.0, outcome
+            if label:
+                expected[[1 + label, 1 + n_folds + label], j] += 1.0, outcome
+        assert table.counts.shape == expected.shape
+        assert table.counts.tobytes() == expected.tobytes()
+        held = [int(np.sum(labels == fold)) for fold in range(1, n_folds + 1)]
+        assert table.n_held == sum(held)
+        assert table.min_train == len(x) - max(held)
+
+    def test_irls_weight_floor(self):
+        """Where |eta| >= 40, p(1 - p) is below 1e-17, and every weight is
+        exactly its trials times the 1e-10 floor; elsewhere it is trials *
+        p(1 - p)."""
+        patterns = np.arange(4.0)[:, None]
+        trials = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 0.0, 7.0, 8.0]])
+        fits = glm._Fits.from_counts(patterns, trials, np.ones_like(trials))
+        eta = np.array([-1e3, -40.0, -39.5, 0.0, 3.0, 40.0, 55.0])
+        p, w = fits.irls_weights(eta)
+        assert p.tobytes() == rc.expit(eta).tobytes()
+        far = np.abs(eta) >= 40.0
+        assert w[far].tobytes() == (fits.trials[far] * 1e-10).tobytes()
+        near = np.abs(eta) <= 3.0
+        assert w[near].tobytes() == (fits.trials[near] * p[near] * (1.0 - p[near])).tobytes()
+
+
 def test_wide_contest_keeps_every_column_distinct():
     """With 64 or more columns no integer code fits a row; the planted
     column (0-based 67, reported 1-based) must still win."""

@@ -506,3 +506,9 @@ class TestWeightsLoading:
         path.write_text("w_tp = 5\n")
         with pytest.raises(ConfigurationError):
             load_weights(str(path))
+
+    def test_key_error_names_the_keys_given(self, tmp_path):
+        path = tmp_path / "w.cfg"
+        path.write_text("w_fn = -1\nw_tp = 5\n")
+        with pytest.raises(ConfigurationError, match=r"not \['w_fn', 'w_tp'\]"):
+            load_weights(str(path))
