@@ -31,8 +31,8 @@ from .io import (
     write_submission,
     write_truth_json,
 )
-from .scoring import contest_score, rank_leaderboard, youden_index
-from .selectors import run_selector
+from .scoring import WEIGHT_PRESETS, contest_score, rank_leaderboard, youden_index
+from .selectors import METHODS, run_selector
 from .sim import draw_ground_truth, simulate_dataset
 from .tournament import (
     run_tournament,
@@ -177,9 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("select", help="run one selection method on a dataset")
-    p.add_argument("--method", required=True,
-                   help="team_a|team_b|team_c|team_d|random_baseline|"
-                        "full_baseline|empty_baseline")
+    p.add_argument("--method", required=True, help="|".join(METHODS))
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="key=value file with selector options")
@@ -190,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="truth JSON")
     p.add_argument("--digest", help="verify the truth against this commitment first")
     p.add_argument("--weights", default="table1",
-                   help="table1|proposed|youden or a key=value weights file")
+                   help="|".join([*WEIGHT_PRESETS, "youden"]) + " or a key=value weights file")
     p.add_argument("--out", help="write the leaderboard CSV here")
     p.add_argument("submissions", nargs="*", help="submission files")
     p.set_defaults(func=cmd_score)
@@ -210,8 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args leaves the parser as it found it, also when it exits.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ContestError as exc:

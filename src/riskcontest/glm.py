@@ -25,8 +25,8 @@ member's entries left to right in cell order, and a cell with no trials
 adds exact zeros. So a member's result has the same bits whatever the batch
 size, the member's place in it, the chunk boundaries or the other members'
 cell counts, and every batch runs as one. fit_logistic is a batch of one
-and bootstrap_fits fits all its resamples at once, each keeping exactly its
-patterns with trials.
+and bootstrap_fits fits all its resamples of both classes at once, each
+keeping exactly its patterns with trials.
 
 PatternTable.fold_fits is the one cross-validation routine: team_a's
 holdout steps, team_c's exhaustive search, the ridge CV curve and cv_deviance
@@ -780,17 +780,23 @@ def bootstrap_resample(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def bootstrap_fits(x: np.ndarray, y: np.ndarray, n_resamples: int,
-                   rng: np.random.Generator) -> list[FitResult]:
+                   rng: np.random.Generator) -> list[FitResult | None]:
     """fit_logistic(x[idx], y[idx]) for each of n_resamples draws of
-    idx = bootstrap_resample(len(y), rng), from one collapse of the rows."""
+    idx = bootstrap_resample(len(y), rng), from one collapse of the rows.
+    A resample with a single outcome class has no fit: its entry is None.
+    Rows of a single class raise DegenerateOutcomeError."""
     if n_resamples < 1:
         raise ValidationError("need at least one resample")
-    patterns, _, _, inv = _pattern_counts(x, y)
+    patterns, trials, cases, inv = _pattern_counts(x, y)
+    _log_odds(trials.sum(keepdims=True), cases.sum(keepdims=True))
     rows = np.vstack([np.ones(inv.size), y])
     resamples = (bootstrap_resample(inv.size, rng) for _ in range(n_resamples))
     # Only the (M, 2, k) counts are kept, not the M index arrays.
     counts = np.array([_pattern_sums(inv[idx], len(patterns), rows[:, idx]) for idx in resamples])
-    return _fit_counts(patterns, counts[:, 0], counts[:, 1])
+    hits = counts[:, 1].sum(axis=1)
+    both = (hits > 0) & (hits < inv.size)
+    fits = iter(_fit_counts(patterns, counts[both, 0], counts[both, 1]) if both.any() else ())
+    return [next(fits) if ok else None for ok in both]
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +875,7 @@ def default_lambda_grid(x: np.ndarray, y: np.ndarray, n_lambdas: int = 50,
     return np.geomspace(lmax, lmax * min_ratio, n_lambdas)
 
 
-def _lasso_cd(fits, mean, scale, lam, coef):
+def _lasso_solve(fits, mean, scale, lam, coef):
     """Solve M lasso problems at penalty lam, warm-started at the
     standardized coefficients coef (M, p + 1), intercept first.
 
@@ -1047,7 +1053,7 @@ def _lasso_path(patterns, trials, cases, lambda_grid):
     converged = np.empty((m, grid.size), dtype=bool)
     iterations, steps = (np.empty((m, grid.size), dtype=int) for _ in range(2))
     for l, lam in enumerate(grid):
-        converged[:, l], iterations[:, l], steps[:, l] = _lasso_cd(
+        converged[:, l], iterations[:, l], steps[:, l] = _lasso_solve(
             fits, mean, scale, float(lam), point)
         coef[:, l] = _original_scale(point, mean, scale)
         dev[:, l] = fits.deviances(fits.predictor(coef[:, l]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import fields as dataclass_fields
@@ -117,9 +118,9 @@ def _parse_written_layout(raw: bytes) -> Dataset | None:
 
 
 def _parse_csv_rows(path, raw: bytes) -> Dataset:
-    """Read `raw` through csv.reader, one record at a time, and raise
-    DatasetFormatError at the first line that breaks the layout."""
-    reader = csv.reader(_utf8_lines(path, raw))
+    """Decode `raw`, then read it through csv.reader one record at a time,
+    and raise DatasetFormatError at the first line that breaks the layout."""
+    reader = csv.reader(io.StringIO(_read_text(path, DatasetFormatError, raw), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -146,23 +147,17 @@ def _parse_csv_rows(path, raw: bytes) -> Dataset:
     return Dataset(np.array(xs, dtype=np.int8), np.array(ys, dtype=np.int8))
 
 
-def _utf8_lines(path, raw: bytes, error=DatasetFormatError):
-    """The lines of `raw` with their endings, decoded as UTF-8 one at a
-    time, as open(path, newline="") hands them to csv.reader; a line that
-    is not UTF-8 raises `error` naming it."""
-    for lineno, line in enumerate(raw.splitlines(keepends=True), start=1):
-        try:
-            yield line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise error(
-                f"{path}: line {lineno}: not UTF-8 text "
-                f"(byte {line[exc.start]:#04x}: {exc.reason})") from None
-
-
-def _read_text(path, error=ValidationError) -> str:
-    """The UTF-8 text of the file at path; a line that is not UTF-8 raises
-    `error` naming it."""
-    return "".join(_utf8_lines(path, Path(path).read_bytes(), error))
+def _read_text(path, error=ValidationError, raw=None) -> str:
+    """The UTF-8 text of the file at path, or of its bytes `raw` if the
+    caller has read them; a byte that is not UTF-8 raises `error` naming it
+    and its physical line (LF, CR or CRLF endings)."""
+    raw = Path(path).read_bytes() if raw is None else raw
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(
+            f"{path}: line {len(raw[:exc.start + 1].splitlines())}: not UTF-8 text "
+            f"(byte {raw[exc.start]:#04x}: {exc.reason})") from None
 
 
 # -- sealed truth ------------------------------------------------------------

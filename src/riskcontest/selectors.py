@@ -285,12 +285,13 @@ def select_team_d(data: Dataset, spec: SelectorSpec) -> Submission:
     """Bootstrap p-value screen: refit the full model on resamples, keep the
     variables whose median Wald p-value falls below the threshold (at most
     max_keep, smallest medians first). The report counts the resamples refit
-    with the separation ridge. A resample whose fit has no standard errors
-    is left out of the medians and counted in the report's last line; with
-    none left, UnsupportedFitError."""
+    with the separation ridge. A resample with one outcome class, or whose
+    fit has no standard errors, is left out of the medians and counted in
+    its own line at the report's end; with none left, UnsupportedFitError."""
     fits = bootstrap_fits(data.x, data.y, spec.n_resamples,
                           np.random.default_rng(spec.seed))
-    usable = [fit for fit in fits if fit.std_errors is not None]
+    fitted = [fit for fit in fits if fit is not None]
+    usable = [fit for fit in fitted if fit.std_errors is not None]
     if not usable:
         raise UnsupportedFitError("no bootstrap fit has standard errors")
     pvals = np.array([wald_pvalues(fit) for fit in usable])
@@ -307,14 +308,17 @@ def select_team_d(data: Dataset, spec: SelectorSpec) -> Submission:
     lines.append("median p per variable: "
                  + " ".join(f"x{j + 1}={medians[j]:.4f}" for j in range(data.d)))
     lines.append(f"threshold {spec.median_p_threshold}, cap {spec.max_keep}")
-    lines.append(f"{sum(fit.separation_flag for fit in fits)} of {len(fits)} resamples "
+    lines.append(f"{sum(fit.separation_flag for fit in fitted)} of {len(fits)} resamples "
                  f"refit with the separation ridge")
     lines.append("p-value table (variable; one column per resample):")
     for j in range(data.d):
         lines.append(f"x{j + 1}," + ",".join(f"{v:.6g}" for v in pvals[:, j]))
-    if len(usable) < len(fits):
-        lines.append(f"{len(fits) - len(usable)} of {len(fits)} resamples dropped: "
+    if len(usable) < len(fitted):
+        lines.append(f"{len(fitted) - len(usable)} of {len(fits)} resamples dropped: "
                      f"fit without standard errors")
+    if len(fitted) < len(fits):
+        lines.append(f"{len(fits) - len(fitted)} of {len(fits)} resamples dropped: "
+                     f"one outcome class only")
     return Submission("team_d", _to_1based(kept), "\n".join(lines))
 
 

@@ -49,7 +49,7 @@ class SimulationConfig:
     def __post_init__(self):
         if not 0.0 < self.prev_min < self.prev_max < 1.0:
             raise ConfigurationError("need 0 < prev_min < prev_max < 1")
-        # k < d: Youden's index needs a variable that is not relevant.
+        # k < d, so d >= 2: Youden's index needs a variable that is not relevant.
         if not 1 <= self.k_min <= self.k_max < self.d:
             raise ConfigurationError("need 1 <= k_min <= k_max < d")
         if not 0.0 < self.effect_lo <= self.effect_hi:
@@ -60,8 +60,6 @@ class SimulationConfig:
             raise ConfigurationError("n_confounders must be non-negative")
         if self.n_confounders and not 0.0 < self.confounder_prev < 1.0:
             raise ConfigurationError("confounder_prev must be in (0, 1)")
-        if self.d < 2:
-            raise ConfigurationError("need at least 2 variables")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
         if self.draw_budget is not None and self.draw_budget <= 0:

@@ -8,7 +8,7 @@ replicate can be reproduced in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -145,20 +145,15 @@ def run_tournament(config: TournamentConfig,
     return rows, summarize(rows, config.methods)
 
 
-ROW_HEADER = ["replicate", "team", "k", "selected", "tp", "fp", "tn", "fn",
-              "score", "youden", "error"]
-SUMMARY_HEADER = ["team", "replicates_ok", "mean_score", "mean_tp", "mean_fp", "wins"]
-
-
 def write_rows_csv(path, rows: list[ReplicateRow]) -> None:
-    write_csv(path, ROW_HEADER, (
+    write_csv(path, [f.name for f in fields(ReplicateRow)], (
         [r.replicate, r.team, r.k, " ".join(map(str, r.selected)),
          r.tp, r.fp, r.tn, r.fn, f"{r.score:g}", f"{r.youden:.6f}", r.error]
         for r in rows))
 
 
 def write_summary_csv(path, summaries: list[MethodSummary]) -> None:
-    write_csv(path, SUMMARY_HEADER, (
+    write_csv(path, [f.name for f in fields(MethodSummary)], (
         [s.team, s.replicates_ok, f"{s.mean_score:.4f}",
          f"{s.mean_tp:.4f}", f"{s.mean_fp:.4f}", s.wins]
         for s in summaries))
@@ -171,8 +166,6 @@ def tournament_config_from_mapping(mapping: dict[str, str]) -> TournamentConfig:
     of methods, any SimulationConfig field, and selector options, bare for
     every method or as '<method>.<option>' for one."""
     names = [m.strip() for m in mapping.get("methods", "").split(",") if m.strip()]
-    if not names:
-        raise ConfigurationError("config must list at least one method")
     for name in names:
         if name not in METHODS:
             raise ConfigurationError(f"unknown method {name!r}")

@@ -79,6 +79,14 @@ def null_dataset(n=400, d=6, prevalence=0.3, seed=0) -> rc.Dataset:
     return rc.Dataset(x, y)
 
 
+def five_case_contest(seed=2) -> rc.Dataset:
+    """A default-d contest of 5 cases and 1,000 controls: about one
+    bootstrap resample in 150 draws no case."""
+    config = rc.SimulationConfig(n_cases=5, n_controls=1000, seed=seed)
+    rng = np.random.default_rng(config.seed)
+    return rc.simulate_dataset(rc.draw_ground_truth(config, rng), config, rng)
+
+
 def reference_simulate(truth, config, rng):
     """simulate_dataset's draw with the confounder inflation computed over
     every cell of each batch, as 10.0 ** (conf @ links): the reference that

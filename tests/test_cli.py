@@ -5,6 +5,7 @@ import json
 import pytest
 
 import riskcontest as rc
+from riskcontest import cli
 from riskcontest.cli import main
 from riskcontest.io import read_dataset_csv, read_submission, write_submission, write_truth_json
 
@@ -484,3 +485,18 @@ def test_negative_seed_exit_2(tmp_path, contest_dir, capsys, command):
     assert run(*argv, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed must be non-negative" in err
+
+
+def test_parser_built_once_serves_commands_after_an_exit(tmp_path, monkeypatch, capsys):
+    """main parses with the parser built at import. An argparse exit (a
+    missing option, --help) leaves it ready, and no option of one command
+    carries over to the next."""
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert run("simulate", "--seed", 3, "--export-confounders", "--out", tmp_path / "a") == 0
+    for argv in (["select", "--data", "d.csv"], ["simulate", "--help"]):
+        with pytest.raises(SystemExit):
+            run(*argv)
+    assert run("simulate", "--seed", 3, "--out", tmp_path / "b") == 0
+    assert not (tmp_path / "b" / "confounders.csv").exists()
+    assert ((tmp_path / "a" / "dataset.csv").read_bytes()
+            == (tmp_path / "b" / "dataset.csv").read_bytes())

@@ -19,7 +19,7 @@ from riskcontest import glm
 from riskcontest.errors import DegenerateOutcomeError
 from riskcontest.glm import FALLBACK_RIDGE, _irls_batch, _newton_steps
 
-from conftest import _grouped_deviance, _irls
+from conftest import _grouped_deviance, _irls, five_case_contest
 
 RTOL = 1e-12
 # A fit that separates goes on from where it stands to the optimum of a
@@ -411,6 +411,49 @@ def test_bootstrap_matches_row_refits():
     table = rc.run_selector(data, spec).method_report.splitlines()[-data.d:]
     assert table == [f"x{j + 1}," + ",".join(f"{v:.6g}" for v in expected[:, j])
                      for j in range(data.d)]
+
+
+def test_bootstrap_leaves_out_one_class_resamples():
+    """On a 5-case contest, resamples 59, 67 and 82 (seed 0) draw no case:
+    their entries are None, and every other fit equals, bit for bit, the
+    fit_logistic fit of its resampled rows, drawn as before."""
+    data = five_case_contest()
+    x, y = data.x.astype(float), data.y.astype(float)
+    fits = rc.bootstrap_fits(data.x, data.y, 100, np.random.default_rng(0))
+    row_rng = np.random.default_rng(0)
+    for fit in fits:
+        idx = rc.bootstrap_resample(data.n, row_rng)
+        if fit is None:
+            assert y[idx].sum() == 0
+            continue
+        expected = rc.fit_logistic(x[idx], y[idx])
+        assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+        assert fit.std_errors.tobytes() == expected.std_errors.tobytes()
+        assert (fit.deviance, fit.converged, fit.iterations, fit.separation_flag) == (
+            expected.deviance, expected.converged, expected.iterations,
+            expected.separation_flag)
+    assert [i for i, fit in enumerate(fits) if fit is None] == [59, 67, 82]
+
+
+def test_bootstrap_with_no_resample_of_both_classes():
+    """One case in 40 rows: the 3 resamples of seed 2 all miss it, so
+    nothing is fit and team_d has no resample left."""
+    x = np.tile([[0, 1], [1, 0], [1, 1], [0, 0]], (10, 1))
+    y = np.zeros(40)
+    y[0] = 1
+    assert rc.bootstrap_fits(x, y, 3, np.random.default_rng(2)) == [None] * 3
+    with pytest.raises(rc.UnsupportedFitError):
+        rc.run_selector(rc.Dataset(x, y), rc.SelectorSpec("team_d", seed=2, n_resamples=3))
+
+
+def test_bootstrap_of_one_class_rows_raises_before_any_draw():
+    data = five_case_contest()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for y in (np.zeros(data.n), np.ones(data.n)):
+        with pytest.raises(DegenerateOutcomeError):
+            rc.bootstrap_fits(data.x, y, 10, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_bootstrap_runs_as_one_kernel_call(monkeypatch):

@@ -379,6 +379,33 @@ def test_text_file_not_utf8_names_line(tmp_path, read, error):
         read(path)
 
 
+ENDINGS = {"LF": b"\n", "CR": b"\r", "CRLF": b"\r\n"}
+
+
+@pytest.mark.parametrize("ending", ENDINGS.values(), ids=ENDINGS.keys())
+@pytest.mark.parametrize("read, lines, error", [
+    (read_dataset_csv, [b"id,x1,y", b"1,0,1", b"2,1,0", b"3,\xe9,0", b"4,0,0"], DatasetFormatError),
+    (parse_config_file, [b"# contest", b"seed = 1", b"", b"\xe9n_cases = 10"], ConfigurationError),
+    (read_truth_json, [b"{", b'"k": 1,', b"", b'"salt": "\xe9"', b"}"], ValidationError),
+], ids=["dataset", "config", "truth"])
+def test_bad_byte_names_its_physical_line(tmp_path, read, lines, error, ending):
+    """The UTF-8 error counts physical lines, whatever their endings, also
+    when the bad byte starts its line."""
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(ending.join(lines) + ending)
+    with pytest.raises(error, match=r"latin1.txt: line 4: not UTF-8 text \(byte 0xe9"):
+        read(path)
+
+
+def test_dataset_bad_byte_is_found_before_a_field_fault(tmp_path):
+    """A dataset is decoded whole before any field is checked, so a bad
+    byte is the error even after a row with too few fields."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"id,x1,y\n1,0\n2,1,0\n3,\xe9,0\n")
+    with pytest.raises(DatasetFormatError, match=r"line 4: not UTF-8 text \(byte 0xe9"):
+        read_dataset_csv(path)
+
+
 class TestConfigFiles:
     def test_parse_and_coerce(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -209,7 +209,7 @@ def scalar_steps(z, wn, r, lam, coef):
 
 
 def scalar_cd(xs, trials, cases, lam, b0, beta, kkt_tol, solve=True, sweep_tol=CD_SWEEP_TOL):
-    """The one-problem twin of the batched kernel: every rule of _lasso_cd,
+    """The one-problem twin of the batched kernel: every rule of _lasso_solve,
     one member at a time, with each quadratic minimized by scalar_steps. It
     keeps the working residual over the patterns, where the kernel carries
     each quadratic as its Gram and gradient, so it is an independent
@@ -285,7 +285,7 @@ def scalar_path(patterns, trials, cases, grid, kkt_tol=glm.KKT_TOL, **rules):
 
 
 def standardized_objective(patterns, trials, cases, lam, coef):
-    """The lasso objective _lasso_cd minimizes at coefficients coef (0/1
+    """The lasso objective _lasso_solve minimizes at coefficients coef (0/1
     scale, intercept first), and coef on the standardized scale."""
     n = trials.sum()
     mean = trials @ patterns / n
@@ -478,7 +478,7 @@ class TestStandardizedGram:
 
 
 class TestActiveSetSteps:
-    """_lasso_cd from warm starts that make the active-set step matter: a
+    """_lasso_solve from warm starts that make the active-set step matter: a
     slope started with the wrong sign, two active columns equal over a
     member's trials, two active columns that mirror each other, which
     makes the member's system exactly singular, and a column constant over
@@ -516,11 +516,11 @@ class TestActiveSetSteps:
         return glm._Fits.from_counts(self.patterns, self.trials[members], self.cases[members])
 
     def run(self, members):
-        """_lasso_cd's intercepts (M,), slopes (p, M), converged flags,
+        """_lasso_solve's intercepts (M,), slopes (p, M), converged flags,
         outer iterations and active-set steps."""
         coef = np.column_stack([self.b0[members], self.beta[:, members].T])
         fits = self.fits(members)
-        out = glm._lasso_cd(fits, *glm._standardize(fits), self.LAM, coef)
+        out = glm._lasso_solve(fits, *glm._standardize(fits), self.LAM, coef)
         return (coef[:, 0], np.ascontiguousarray(coef[:, 1:].T)) + out
 
     def member(self, i):
@@ -577,7 +577,7 @@ class TestActiveSetSteps:
 
 @st.composite
 def subproblems(draw):
-    """A batch of lasso subproblems as _lasso_cd hands them to _lasso_steps:
+    """A batch of lasso subproblems as _lasso_solve hands them to _lasso_steps:
     the weighted Gram H of a design [1, x] with centred columns and a
     gradient g in its range, one penalty, and warm starts of random signs.
     Designs of few rows are singular. Some columns are zero, so H_jj = 0

@@ -15,7 +15,7 @@ from riskcontest.errors import (
 )
 from riskcontest.glm import _collapse, _pattern_sums, cv_deviance, make_folds
 
-from conftest import _irls, null_dataset, planted_dataset
+from conftest import _irls, five_case_contest, null_dataset, planted_dataset
 
 
 def permute_columns(data: rc.Dataset, perm: np.ndarray) -> rc.Dataset:
@@ -390,6 +390,30 @@ class TestTeamD:
             f"x{j + 1}={m:.4f}" for j, m in enumerate(medians))
         assert lines[0] == full[0] and lines[2:5] == full[2:5]
         assert all(line.count(",") == 8 for line in lines[5:-1])
+
+    def test_one_class_resamples_are_dropped(self):
+        """A resample that draws no case has no fit: team_d answers without
+        it and counts it on its own last line."""
+        data = five_case_contest()
+        spec = rc.SelectorSpec("team_d")
+        fits = rc.bootstrap_fits(data.x, data.y, 100, np.random.default_rng(spec.seed))
+        lines = rc.run_selector(data, spec).method_report.splitlines()
+        assert lines[-1] == "3 of 100 resamples dropped: one outcome class only"
+        refits = sum(fit.separation_flag for fit in fits if fit is not None)
+        assert lines[3] == f"{refits} of 100 resamples refit with the separation ridge"
+        assert all(line.count(",") == 97 for line in lines[5:-1])
+
+    def test_each_kind_of_dropped_resample_has_its_line(self, monkeypatch):
+        data = planted_dataset(n=300, d=5, seed=17)
+        fits = rc.bootstrap_fits(data.x, data.y, 9, np.random.default_rng(0))
+        broken = list(fits)
+        broken[2], broken[6] = None, dataclasses.replace(fits[6], std_errors=None)
+        monkeypatch.setattr(selectors, "bootstrap_fits", lambda *args: broken)
+        lines = rc.run_selector(data, rc.SelectorSpec("team_d", n_resamples=9)
+                                ).method_report.splitlines()
+        assert lines[-2:] == ["1 of 9 resamples dropped: fit without standard errors",
+                              "1 of 9 resamples dropped: one outcome class only"]
+        assert all(line.count(",") == 7 for line in lines[5:-2])
 
     def test_report_counts_separation_refits(self):
         data = planted_dataset(n=300, d=5, prevalence=0.05, seed=18)

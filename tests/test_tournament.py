@@ -129,7 +129,8 @@ class TestCsvWriters:
             write_summary_csv(summary_path, summaries)
             paths.append((rows_path.read_bytes(), summary_path.read_bytes()))
         assert paths[0] == paths[1]
-        assert paths[0][0].startswith(b"replicate,team,")
+        assert paths[0][0].startswith(b"replicate,team,k,selected,tp,fp,tn,fn,score,youden,error\n")
+        assert paths[0][1].startswith(b"team,replicates_ok,mean_score,mean_tp,mean_fp,wins\n")
 
 
 def test_penalized_and_bootstrap_reruns_byte_identical(tmp_path):
@@ -178,8 +179,9 @@ class TestConfigParsing:
             tournament_config_from_mapping({"methods": "team_a", "team_a.seed": "2"})
 
     def test_requires_methods(self):
-        with pytest.raises(ConfigurationError):
-            tournament_config_from_mapping({"replicates": "2"})
+        for mapping in ({"replicates": "2"}, {"methods": ""}, {"methods": " , "}):
+            with pytest.raises(ConfigurationError, match="^need at least one method$"):
+                tournament_config_from_mapping(mapping)
 
     def test_unknown_method(self):
         with pytest.raises(ConfigurationError):
