@@ -749,13 +749,12 @@ class PatternTable:
                 raise ValidationError(f"fold {f} holds out no row")
             if rows == all_n.sum():
                 raise ValidationError(f"fold {f} leaves no training row")
-        coef, _, converged, _, steps = _lasso_path(
+        # Each fold's path is scored on its held-out counts, the all-rows
+        # path on none.
+        coef, dev, converged, _, steps = _lasso_path(
             self.patterns, np.vstack([all_n - held_n, all_n]), np.vstack([all_c - held_c, all_c]),
-            grid)
-        held = _Fits.from_counts(self.patterns, held_n, held_c)
-        curve = np.column_stack([held.deviances(held.predictor(point))
-                                 for point in coef[:-1].transpose(1, 0, 2)])
-        return curve / held_rows[:, None], coef[-1], (converged, steps)
+            grid, np.vstack([held_n, 0.0 * all_n]), np.vstack([held_c, 0.0 * all_c]))
+        return dev[:-1] / held_rows[:, None], coef[-1], (converged, steps)
 
 
 def cv_deviance(x: np.ndarray, y: np.ndarray, subset, plan: CvPlan,
@@ -929,30 +928,50 @@ def _lasso_steps(gram, grad, lam, coef):
     delta updates g -= H delta, so the steps hold no pattern-length array.
 
     Active-set steps (Osborne, Presnell & Turlach 2000, IMA J. Numer. Anal.
-    20(3)): the active set is the intercept and the slopes with a sign, and
-    each step solves its stationarity equations with the signs held
-    (_active_set_steps). If an active slope would cross zero, the member
-    takes the step up to the first crossing and drops that slope. Otherwise
-    it takes the whole step, and its worst inactive slope with
-    |g_j| > lam + LASSO_ENTRY_TOL enters with the sign of g_j, the first of
-    equals, so the first of twin columns. A member stops after a whole step
-    that lets no slope in: its point then meets the subproblem's conditions
-    to rounding. A slope with H_jj = 0, a column constant over the member's
-    trials, is set to 0 and never enters. A member runs at most 3 (p + 1)
-    steps, and leaves the batch when it stops, so it takes the steps it
-    would take alone. Returns the new coef and every member's steps.
+    20(3)): the active set A is the intercept and the slopes with a sign,
+    and each step solves its stationarity equations with the signs s held,
+    H_AA delta = g_A - lam * s_A. Rows and columns outside A are the
+    identity's with a zero right-hand side, so their step is 0. Slope j is
+    the twin of an earlier column i when H_ij = H_ii = H_jj, as for columns
+    equal over the member's trials; an active twin of an active column
+    keeps its value, which keeps such a pair from making H_AA singular.
+    Every diagonal entry of H_AA is raised by ACTIVE_SET_RIDGE of itself, so
+    a system whose active columns are dependent over the member's trials,
+    exactly or to rounding, still gives a step that descends, along the
+    dependence, to where it is cut at a crossing; unraised, such a system
+    gives a zero step or one of rounding noise. A step that _newton_steps
+    still finds singular is 0. The twins and the raised Gram are built once
+    per call, since H does not change within it.
+
+    If an active slope would cross zero, the member takes the step up to
+    the first crossing and drops that slope. Otherwise it takes the whole
+    step, and its worst inactive slope with |g_j| > lam + LASSO_ENTRY_TOL
+    enters with the sign of g_j, the first of equals, so the first of twin
+    columns. A member stops after a whole step that lets no slope in: its
+    point then meets the subproblem's conditions to rounding. A slope with
+    H_jj = 0, a column constant over the member's trials, is set to 0 and
+    never enters. A member runs at most 3 (p + 1) steps, and leaves the
+    batch when it stops, so it takes the steps it would take alone. Returns
+    the new coef and every member's steps.
     """
     n_members, q = coef.shape
     out = np.empty_like(coef)
     steps = np.full(n_members, 3 * q)
     live = np.arange(n_members)
-    free = np.diagonal(gram, axis1=1, axis2=2)[:, 1:] > 0.0
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    free = diag[:, 1:] > 0.0
+    twins = (gram == diag[:, :, None]) & (gram == diag[:, None, :]) & np.tri(q, k=-1, dtype=bool)
+    raised = gram * (1.0 + ACTIVE_SET_RIDGE * np.eye(q))
     coef = np.column_stack([coef[:, 0], np.where(free, coef[:, 1:], 0.0)])
     signs = np.sign(coef)
     signs[:, 0] = 0.0
     grad = grad.copy()
     for step in range(1, 3 * q + 1):
-        delta = _active_set_steps(gram, grad, lam, signs)
+        active = signs != 0.0
+        active[:, 0] = True
+        active &= ~(twins & active[:, None, :]).any(axis=-1)
+        delta = _newton_steps(np.where(active[:, :, None] & active[:, None, :], raised, np.eye(q)),
+                              np.where(active, grad - lam * signs, 0.0), 0.0)[0]
         new = coef + delta
         cross = (signs != 0.0) & (np.sign(new) != signs)
         partial = cross.any(axis=1)
@@ -978,41 +997,13 @@ def _lasso_steps(gram, grad, lam, coef):
         if done.any():
             steps[live[done]], out[live[done]] = step, coef[done]
             keep = ~done
-            live, gram, grad, coef, signs, free = (
-                live[keep], gram[keep], grad[keep], coef[keep], signs[keep], free[keep])
+            live, gram, raised, twins, grad, coef, signs, free = (
+                live[keep], gram[keep], raised[keep], twins[keep], grad[keep], coef[keep],
+                signs[keep], free[keep])
             if not live.size:
                 return out, steps
     out[live] = coef
     return out, steps
-
-
-def _active_set_steps(gram, grad, lam, signs):
-    """Every member's step to the stationary point of its lasso subproblem
-    of _lasso_steps on its active set A with the signs held:
-    H_AA delta = g_A - lam * s_A, for the Gram H (M, p + 1, p + 1), the
-    gradient g (M, p + 1) and the signs s (M, p + 1), where A holds the
-    intercept, whose sign is 0, and the slopes with a nonzero sign. Slope j
-    is the twin of an earlier column i when H_ij = H_ii = H_jj, as for
-    columns equal over the member's trials; an active twin of an active
-    column keeps its value, which keeps such a pair from making H_AA
-    singular. Rows and columns outside A are the identity's with a zero
-    right-hand side, so their step is 0. Every diagonal entry is raised by
-    ACTIVE_SET_RIDGE of itself, so a system whose active columns are
-    dependent over the member's trials, exactly or to rounding, still gives
-    a step that descends, along the dependence, to where _lasso_steps cuts
-    it at a crossing; unraised, such a system gives a zero step or one of
-    rounding noise. Returns the steps (M, p + 1); one that _newton_steps
-    still finds singular is 0.
-    """
-    q = gram.shape[-1]
-    active = signs != 0.0
-    active[:, 0] = True
-    diag = np.diagonal(gram, axis1=1, axis2=2)
-    twins = (gram == diag[:, :, None]) & (gram == diag[:, None, :]) & np.tri(q, k=-1, dtype=bool)
-    active &= ~(twins & active[:, None, :]).any(axis=-1)
-    hess = np.where(active[:, :, None] & active[:, None, :], gram, np.eye(q))
-    hess *= 1.0 + ACTIVE_SET_RIDGE * np.eye(q)
-    return _newton_steps(hess, np.where(active, grad - lam * signs, 0.0), 0.0)[0]
 
 
 def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None) -> list[FitResult]:
@@ -1026,14 +1017,17 @@ def fit_lasso_path(x: np.ndarray, y: np.ndarray, lambda_grid=None) -> list[FitRe
     # A single class raises here, not as the grid's zero lambda_max.
     _log_odds(trials.sum(keepdims=True), cases.sum(keepdims=True))
     grid = default_lambda_grid(x, y) if lambda_grid is None else lambda_grid
-    coef, dev, conv, iters, _ = _lasso_path(patterns, trials[None], cases[None], grid)
+    coef, dev, conv, iters, _ = _lasso_path(patterns, trials[None], cases[None], grid,
+                                            trials[None], cases[None])
     return [FitResult(b, None, float(d), bool(c), int(i))
             for b, d, c, i in zip(coef[0], dev[0], conv[0], iters[0])]
 
 
-def _lasso_path(patterns, trials, cases, lambda_grid):
+def _lasso_path(patterns, trials, cases, lambda_grid, score_trials, score_cases):
     """fit_lasso_path on M sets of counts over the k patterns (p columns) at
     once: trials and cases are (M, k), and a pattern may have no trials.
+    Each member's deviance is taken on its row of the (M, k) score_trials
+    and score_cases, which may differ from the counts it is fit on.
 
     Returns coefficients (M, L, p + 1) on the 0/1 scale, and deviance,
     converged, outer iterations and active-set steps, each (M, L), for the
@@ -1043,6 +1037,7 @@ def _lasso_path(patterns, trials, cases, lambda_grid):
     if grid.size == 0 or np.any(grid < 0) or np.any(np.diff(grid) >= 0):
         raise ValidationError("lambda grid must be strictly decreasing and non-negative")
     fits = _Fits.from_counts(patterns, trials, cases)
+    scored = _Fits.from_counts(patterns, score_trials, score_cases)
     m, q = len(trials), patterns.shape[1] + 1
     point = np.zeros((m, q))
     point[:, 0] = _log_odds(fits.sums(fits.trials), fits.sums(fits.successes))
@@ -1056,5 +1051,5 @@ def _lasso_path(patterns, trials, cases, lambda_grid):
         converged[:, l], iterations[:, l], steps[:, l] = _lasso_solve(
             fits, mean, scale, float(lam), point)
         coef[:, l] = _original_scale(point, mean, scale)
-        dev[:, l] = fits.deviances(fits.predictor(coef[:, l]))
+        dev[:, l] = scored.deviances(scored.predictor(coef[:, l]))
     return coef, dev, converged, iterations, steps

@@ -268,9 +268,11 @@ def read_submission(path) -> Submission:
 # -- flat key=value configs --------------------------------------------------
 
 def parse_config_file(path) -> dict[str, str]:
-    """key = value lines; '#' starts a comment; later keys win."""
+    """key = value lines; '#' starts a comment; later keys win. Lines end
+    at LF, CR or CRLF only, so an error names the physical line."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(_read_text(path, ConfigurationError).splitlines(), start=1):
+    text = _read_text(path, ConfigurationError)
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

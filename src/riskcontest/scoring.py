@@ -37,7 +37,7 @@ DEFAULT_WEIGHTS = ScoringWeights()
 # "proposed" breaks the ties the symmetric rule produces; it is an invented
 # preset, not a recovered one.
 WEIGHT_PRESETS = {
-    "table1": ScoringWeights(10.0, -10.0, 3.0, -3.0),
+    "table1": DEFAULT_WEIGHTS,
     "proposed": ScoringWeights(10.0, -10.0, 3.0, -4.0),
 }
 
@@ -71,15 +71,11 @@ class ScoreReport:
         return _pct(self.tn, self.fp + self.tn)
 
 
-def _relevant_set(truth) -> frozenset:
-    # Accepts a GroundTruth or any iterable of 1-based indices.
-    return frozenset(getattr(truth, "relevant", truth))
-
-
 def confusion_counts(submission, truth, d: int) -> tuple[int, int, int, int]:
-    """(tp, fp, tn, fn) of a submission against the truth over d variables."""
+    """(tp, fp, tn, fn) of a submission against the truth over d variables;
+    the truth is a GroundTruth or any iterable of 1-based indices."""
     selected = frozenset(submission.selected)
-    relevant = _relevant_set(truth)
+    relevant = frozenset(getattr(truth, "relevant", truth))
     for j in selected | relevant:
         if not 1 <= j <= d:
             raise ValidationError(f"variable index {j} outside 1..{d}")

@@ -223,10 +223,8 @@ def select_team_b(data: Dataset, spec: SelectorSpec) -> Submission:
     lines.append("ridge CV (lambda: deviance): "
                  + " ".join(f"{l:.3g}:{d:.4f}" for l, d in zip(ridge_weights, ridge_cv)))
     lines.append("exposed counts, cases vs controls:")
-    cases = data.y == 1
-    for j in range(data.d):
-        lines.append(f"x{j + 1}: {int(data.x[cases, j].sum())} vs "
-                     f"{int(data.x[~cases, j].sum())}")
+    exposed = zip(data.x[data.y == 1].sum(axis=0), data.x[data.y == 0].sum(axis=0))
+    lines.extend(f"x{j}: {int(a)} vs {int(b)}" for j, (a, b) in enumerate(exposed, 1))
     if nonzero.size > spec.max_select:
         lines.append(f"capped to the {spec.max_select} largest coefficients")
     lines.append(f"lasso fits: {converged.size} run ({n_folds + 1} paths x {grid.size} "
@@ -293,7 +291,8 @@ def select_team_d(data: Dataset, spec: SelectorSpec) -> Submission:
     fitted = [fit for fit in fits if fit is not None]
     usable = [fit for fit in fitted if fit.std_errors is not None]
     if not usable:
-        raise UnsupportedFitError("no bootstrap fit has standard errors")
+        raise UnsupportedFitError("no bootstrap fit has standard errors" if fitted else
+                                  "no bootstrap resample has both outcome classes")
     pvals = np.array([wald_pvalues(fit) for fit in usable])
 
     medians = np.median(pvals, axis=0)

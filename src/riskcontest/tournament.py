@@ -118,14 +118,9 @@ def summarize(rows: list[ReplicateRow],
 
     summaries = []
     for spec in methods:
-        good = [r for r in rows if r.team == spec.method and not r.error]
-        n_ok = len(good)
-        summaries.append(MethodSummary(
-            spec.method, n_ok,
-            sum(r.score for r in good) / n_ok if n_ok else float("nan"),
-            sum(r.tp for r in good) / n_ok if n_ok else float("nan"),
-            sum(r.fp for r in good) / n_ok if n_ok else float("nan"),
-            wins[spec.method]))
+        good = [(r.score, r.tp, r.fp) for r in rows if r.team == spec.method and not r.error]
+        means = [sum(v) / len(good) for v in zip(*good)] if good else [float("nan")] * 3
+        summaries.append(MethodSummary(spec.method, len(good), *means, wins[spec.method]))
     return summaries
 
 
@@ -139,9 +134,7 @@ def run_tournament(config: TournamentConfig,
         reps = [only_replicate]
     else:
         reps = range(1, config.replicates + 1)
-    rows: list[ReplicateRow] = []
-    for r in reps:
-        rows.extend(run_replicate(config, r))
+    rows = [row for r in reps for row in run_replicate(config, r)]
     return rows, summarize(rows, config.methods)
 
 

@@ -336,6 +336,14 @@ class TestTournamentCli:
         assert run("tournament", "--config", cfg, "--out", tmp_path / "t") == 2
         assert not (tmp_path / "t" / "results.csv").exists()
 
+    def test_failed_method_runs_are_counted(self, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("replicates = 2\nmethods = team_c, empty_baseline\nteam_c.budget = 1\n"
+                       "n_cases = 100\nn_controls = 100\n")
+        assert run("tournament", "--config", cfg, "--out", tmp_path / "t") == 0
+        assert (f"2 method runs failed; see the error column in {tmp_path / 't' / 'results.csv'}"
+                in capsys.readouterr().out.splitlines())
+
     def test_single_replicate_flag(self, tmp_path):
         cfg = self.make_config(tmp_path)
         full, single = tmp_path / "full", tmp_path / "single"

@@ -49,6 +49,14 @@ def cases(d):
     yield "team_d", dict(n_resamples=1)
 
 
+def small_contest(d):
+    """The 60-row contest of every case here: 30 cases and 30 controls."""
+    config = rc.SimulationConfig(d=d, n_cases=30, n_controls=30, k_min=1,
+                                 k_max=min(2, d - 1), seed=60)
+    rng = np.random.default_rng(config.seed)
+    return rc.simulate_dataset(rc.draw_ground_truth(config, rng), config, rng)
+
+
 CASES = [(d, method, options) for d in (2, 20) for method, options in cases(d)]
 CASES += [(70, method, options) for method, options in cases(70) if method == "team_a"]
 
@@ -57,10 +65,7 @@ CASES += [(70, method, options) for method, options in cases(70) if method == "t
                          ids=[f"d{d}-{m}" + "".join(f"-{k}={v}" for k, v in o.items())
                               for d, m, o in CASES])
 def test_extreme_config_answers_within_memory(d, method, options):
-    config = rc.SimulationConfig(d=d, n_cases=30, n_controls=30, k_min=1,
-                                 k_max=min(2, d - 1), seed=60)
-    rng = np.random.default_rng(config.seed)
-    data = rc.simulate_dataset(rc.draw_ground_truth(config, rng), config, rng)
+    data = small_contest(d)
     spec = rc.SelectorSpec(method, seed=1, **options)
     tracemalloc.start()
     try:

@@ -234,6 +234,11 @@ class TestFolds:
 
 
 class TestCvDeviance:
+    def test_plan_length_must_match_rows(self):
+        x, y = random_binary(40, 2, seed=12)
+        with pytest.raises(ValidationError, match="the folds of length n"):
+            rc.PatternTable(x, y, rc.CvPlan(2, np.ones(39, dtype=np.int64)))
+
     def test_intercept_only_balanced(self):
         y = np.array([1.0] * 200 + [0.0] * 200)
         plan = rc.make_folds(y, 4, np.random.default_rng(2))

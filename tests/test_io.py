@@ -434,6 +434,22 @@ class TestConfigFiles:
         with pytest.raises(ConfigurationError):
             sim_config_from_mapping({"d": "ten"})
 
+    def test_bad_bool_value(self):
+        with pytest.raises(ConfigurationError, match="bad value for jitter_prevalences: 'maybe'"):
+            sim_config_from_mapping({"jitter_prevalences": "maybe"})
+
+    @pytest.mark.parametrize("ending", ENDINGS.values(), ids=ENDINGS.keys())
+    def test_error_names_its_physical_line(self, tmp_path, ending):
+        """Lines end at LF, CR or CRLF only; no other character at which
+        str.splitlines splits ends one."""
+        path = tmp_path / "c.cfg"
+        lines = ["seed = 1\x0c", "d = 10\x1c\x1d\x1e", "n_cases = 100\x85\u2028\u2029", "bogus"]
+        path.write_bytes(ending.join(line.encode() for line in lines) + ending)
+        with pytest.raises(ConfigurationError, match="c.cfg: line 4: expected key = value"):
+            parse_config_file(path)
+        path.write_bytes(ending.join(line.encode() for line in lines[:3]) + ending)
+        assert parse_config_file(path) == {"seed": "1", "d": "10", "n_cases": "100"}
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "Infinity", "nan", "NaN"])
     def test_non_finite_float_rejected(self, value):
         """effect_hi = inf once overflowed in simulate, and

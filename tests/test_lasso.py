@@ -336,11 +336,13 @@ class TestBatchedPath:
         x, y, plan, rng = problem
         table, trials, cases, _, _ = fold_counts(x, y, plan)
         grid = rc.default_lambda_grid(x, y, 10)
-        full = glm._lasso_path(table.patterns, trials, cases, grid)
+        full = glm._lasso_path(table.patterns, trials, cases, grid, trials, cases)
         perm = rng.permutation(len(trials))
-        shuffled = glm._lasso_path(table.patterns, trials[perm], cases[perm], grid)
+        shuffled = glm._lasso_path(table.patterns, trials[perm], cases[perm], grid,
+                                    trials[perm], cases[perm])
         for i, place in enumerate(np.argsort(perm)):
-            alone = glm._lasso_path(table.patterns, trials[i:i + 1], cases[i:i + 1], grid)
+            alone = glm._lasso_path(table.patterns, trials[i:i + 1], cases[i:i + 1], grid,
+                                    trials[i:i + 1], cases[i:i + 1])
             assert member_bytes(alone, 0) == member_bytes(full, i)
             assert member_bytes(shuffled, place) == member_bytes(full, i)
         # fit_lasso_path is the one-member batch of the all-rows counts,
@@ -364,7 +366,7 @@ class TestBatchedPath:
         x, y, plan, _ = problem
         table, trials, cases, held_n, held_c = fold_counts(x, y, plan)
         grid = rc.default_lambda_grid(x, y, 10)
-        paths = glm._lasso_path(table.patterns, trials, cases, grid)
+        paths = glm._lasso_path(table.patterns, trials, cases, grid, trials, cases)
         ref_curve = np.empty((len(held_n), grid.size))
         for f, (t, c) in enumerate(zip(trials, cases)):
             coef, conv, outer, steps = scalar_path(table.patterns, t, c, grid)
@@ -395,7 +397,7 @@ class TestBatchedPath:
         x, y, plan, _ = problem
         table, trials, cases, _, _ = fold_counts(x, y, plan)
         grid = rc.default_lambda_grid(x, y, 10)
-        paths = glm._lasso_path(table.patterns, trials, cases, grid)
+        paths = glm._lasso_path(table.patterns, trials, cases, grid, trials, cases)
         for f, (t, c) in enumerate(zip(trials, cases)):
             coef, conv, _, _ = scalar_path(table.patterns, t, c, grid, solve=False,
                                            sweep_tol=1e-14)
@@ -421,8 +423,9 @@ class TestBatchedPath:
         drop[::3] = True
         t, c = np.where(drop, 0.0, trials), np.where(drop, 0.0, cases)
         with np.errstate(all="raise"):
-            with_zeros = glm._lasso_path(patterns, t[None], c[None], grid)
-        without = glm._lasso_path(patterns[~drop], t[None, ~drop], c[None, ~drop], grid)
+            with_zeros = glm._lasso_path(patterns, t[None], c[None], grid, t[None], c[None])
+        without = glm._lasso_path(patterns[~drop], t[None, ~drop], c[None, ~drop], grid,
+                                  t[None, ~drop], c[None, ~drop])
         np.testing.assert_allclose(with_zeros[0], without[0], rtol=1e-12, atol=1e-14)
         assert np.array_equal(with_zeros[2], without[2])
 
@@ -431,8 +434,8 @@ class TestBatchedPath:
         patterns, trials, cases, _ = glm._pattern_counts(x, y)
         grid = rc.default_lambda_grid(x, y, 5)
         with pytest.raises(DegenerateOutcomeError):
-            glm._lasso_path(patterns, np.vstack([trials, trials]),
-                            np.vstack([cases, trials]), grid)
+            counts = np.vstack([trials, trials]), np.vstack([cases, trials])
+            glm._lasso_path(patterns, *counts, grid, *counts)
 
 
 class TestStandardizedGram:

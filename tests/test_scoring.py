@@ -61,6 +61,10 @@ class TestContestScore:
         assert pct == {"team_a": (57, 85), "team_b": (29, 92),
                        "team_c": (57, 85), "team_d": (43, 85)}
 
+    def test_truth_without_relevant_variables(self):
+        with pytest.raises(ValidationError, match="truth has no relevant variables"):
+            rc.contest_score(submission(1), (), d=5)
+
     def test_perfect_score(self, classroom_truth):
         report = rc.contest_score(submission(*classroom_truth.relevant), classroom_truth)
         assert report.score == 10 * 7 + 3 * 13 == 109

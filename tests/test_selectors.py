@@ -431,8 +431,20 @@ class TestTeamD:
         fits = rc.bootstrap_fits(data.x, data.y, 3, np.random.default_rng(0))
         monkeypatch.setattr(selectors, "bootstrap_fits", lambda *args: [
             dataclasses.replace(fit, std_errors=None) for fit in fits])
-        with pytest.raises(UnsupportedFitError):
+        with pytest.raises(UnsupportedFitError, match="no bootstrap fit has standard errors"):
             rc.run_selector(data, rc.SelectorSpec("team_d", n_resamples=3))
+
+    def test_no_resample_of_both_classes_raises_naming_that(self):
+        """One case in 40 rows: the 3 resamples of seed 2 all miss it."""
+        x = np.zeros((40, 2))
+        x[::2, 0] = 1
+        x[1::3, 1] = 1
+        y = np.zeros(40)
+        y[5] = 1
+        assert rc.bootstrap_fits(x, y, 3, np.random.default_rng(2)) == [None] * 3
+        with pytest.raises(UnsupportedFitError,
+                           match="^no bootstrap resample has both outcome classes$"):
+            rc.run_selector(rc.Dataset(x, y), rc.SelectorSpec("team_d", seed=2, n_resamples=3))
 
     def test_classroom_regime_flags_the_common_variables(self, classroom_truth):
         # Regenerated data from the classroom answer key: the two relevant
@@ -444,6 +456,10 @@ class TestTeamD:
 
 
 class TestBaselines:
+    def test_team_method_is_not_a_baseline(self):
+        with pytest.raises(ValidationError, match="'team_a' is not a baseline"):
+            selectors.select_baseline(null_dataset(seed=17), rc.SelectorSpec("team_a"))
+
     def test_empty(self):
         data = null_dataset(seed=17)
         assert rc.run_selector(data, rc.SelectorSpec("empty_baseline")).selected == ()

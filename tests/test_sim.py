@@ -98,6 +98,10 @@ class TestDrawGroundTruth:
             rc.GroundTruth((1, 2), {1: 0.5}, (), (0.1, 0.05))
         with pytest.raises(ValidationError):
             rc.GroundTruth((3,), {3: 0.5}, (), (0.1, 0.05))
+        with pytest.raises(ValidationError, match="relevant indices must be unique"):
+            rc.GroundTruth((1, 1), {1: 0.5}, (), (0.1, 0.05))
+        with pytest.raises(ValidationError, match=r"confounder link 3 outside 1\.\.2"):
+            rc.GroundTruth((1,), {1: 0.5}, (rc.Confounder(0.5, (3,), 0.01),), (0.1, 0.05))
 
 
 def _null_truth(d=20) -> rc.GroundTruth:
@@ -106,6 +110,12 @@ def _null_truth(d=20) -> rc.GroundTruth:
 
 
 class TestSimulateDataset:
+    @pytest.mark.parametrize("x, y", [(np.zeros((4, 2)), np.zeros(3)),
+                                      (np.zeros(4), np.zeros(4))])
+    def test_dataset_shape_checked(self, x, y):
+        with pytest.raises(ValidationError, match=r"x must be \(n, d\) with y of length n"):
+            rc.Dataset(x, y)
+
     def test_default_dimensions(self, default_contest):
         _, data = default_contest
         assert data.x.shape == (4000, 20)
@@ -253,6 +263,7 @@ def test_simulate_matches_all_cells_reference(config):
 @pytest.mark.parametrize("field,value", [
     ("prev_min", 0.0), ("prev_max", 1.0), ("k_min", 0), ("k_max", 20), ("k_max", 25),
     ("effect_lo", 0.0), ("n_cases", 0), ("d", 1), ("draw_budget", 0), ("draw_budget", -5),
+    ("n_confounders", -1), ("confounder_prev", 0.0), ("confounder_prev", 1.0),
 ])
 def test_config_validation(field, value):
     with pytest.raises(ConfigurationError):
