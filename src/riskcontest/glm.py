@@ -10,14 +10,15 @@ with the separation ridge (tests/test_grouped.py).
 Every IRLS fit runs on one batched kernel, _irls_batch: Newton/IRLS with
 step halving on M grouped-binomial problems at once, each with its own ridge
 weight, which the kernel carries as data and never branches on. Separation
-is read from the counts first: an unpenalized member with a 0/1 column
-whose trials with a 1 are all cases or all controls is quasi-completely
-separated, and it starts at once in the ridge pass, with FALLBACK_RIDGE as
-its weight, near that pass's optimum. The walk covers the rest: any other
-member that separates continues from where it stands in the same loop, with
-FALLBACK_RIDGE as its weight and MAX_ITER fresh iterations. A ridge pass
-runs until its Newton step is negligible, so a refit ends at the ridge
-optimum whatever path led there. The kernel takes the fits as a _Fits, the
+is read from the counts first: an unpenalized member with a column that
+has no negative value and whose trials where it is nonzero are all cases
+or all controls is quasi-completely separated, and it starts at once in
+the ridge pass, with FALLBACK_RIDGE as its weight, near that pass's
+optimum. The walk covers the rest: any other member that separates
+continues from where it stands in the same loop, with FALLBACK_RIDGE as
+its weight and MAX_ITER fresh iterations. A ridge pass runs until its
+Newton step is negligible, so a refit ends at the ridge optimum whatever
+path led there. The kernel takes the fits as a _Fits, the
 design representation of both kernels: each (member, cell) entry's nonzero
 columns and pairs of nonzero columns. The linear predictor, gradient,
 Hessian, deviance and exposed counts are each one np.bincount, which sums a
@@ -373,20 +374,24 @@ class _Fits:
 
 
 def _one_class_columns(fits):
-    """(M, q) signs of the 0/1 columns whose trials with a 1 are all cases
-    (+1) or all controls (-1), 0 elsewhere and on the intercept, for the
-    _Fits fits; an entry with no trials is ignored. Such a column separates
-    its member quasi-completely (Albert & Anderson 1984): the deviance falls
-    without bound along it. The exposed cases and controls are sums of
-    whole numbers, so the signs do not depend on the order of the sums."""
-    other = (fits.nz_val != 1.0) & np.repeat(fits.trials > 0.0, fits.nz_count)
-    binary = np.bincount(fits.nz_bin, other, len(fits.sizes) * fits.q) == 0.0
-    cases = fits.column_sums(fits.successes)
-    controls = fits.column_sums(fits.trials - fits.successes)
-    signs = (controls == 0.0).astype(int) - (cases == 0.0)
-    signs[~binary.reshape(signs.shape)] = 0
-    signs[:, 0] = 0
-    return signs
+    """(M, q) directions of the columns that separate the _Fits fits
+    quasi-completely by their counts, 0 elsewhere and on the intercept; an
+    entry with no trials is ignored. A column with no negative value whose
+    exposed trials (those where it is nonzero) are all cases gets +1/v, all
+    controls -1/v, where v is the mean of its nonzero values over those
+    trials: 1 for a 0/1 column. Along such a column the deviance falls
+    without bound (Albert & Anderson 1984). The exposed cases and controls
+    are sums of whole numbers, so the signs do not depend on the order of
+    the sums."""
+    n, trials = len(fits.sizes) * fits.q, np.repeat(fits.trials, fits.nz_count)
+    exposed = np.bincount(fits.nz_bin, trials, n)
+    cases = np.bincount(fits.nz_bin, np.repeat(fits.successes, fits.nz_count), n)
+    signs = (cases == exposed).astype(float) - (cases == 0.0)
+    signs[np.bincount(fits.nz_bin[(fits.nz_val < 0.0) & (trials > 0.0)], minlength=n) > 0] = 0.0
+    signs[::fits.q] = 0.0  # the intercepts
+    caught = np.flatnonzero(signs)
+    signs[caught] *= exposed[caught] / np.bincount(fits.nz_bin, trials * fits.nz_val, n)[caught]
+    return signs.reshape(-1, fits.q)
 
 
 def _irls_batch(fits, lam):
@@ -411,9 +416,11 @@ def _irls_batch(fits, lam):
 
     A member with lam = 0 is separated, and refit with FALLBACK_RIDGE, in
     one of two ways. Separation is read from the counts first: a member
-    with a one-class 0/1 column (_one_class_columns) starts at once in the
-    ridge pass, from its log-odds intercept with each such column at
-    SEPARATION_BOUND - 3 toward its class. The walk covers the rest: a
+    with a one-class column of no negative value (_one_class_columns)
+    starts at once in the ridge pass, from its log-odds intercept with each
+    such column at (SEPARATION_BOUND - 3) / v toward its class, v the mean
+    of its nonzero values, so that its term averages SEPARATION_BOUND - 3
+    over its exposed trials. The walk covers the rest: a
     member that moves any |coefficient| past SEPARATION_BOUND or meets a
     singular Newton system continues in the same loop from its last
     accepted beta, with MAX_ITER fresh iterations. A ridge pass converges
@@ -454,8 +461,8 @@ def _irls_batch(fits, lam):
     live = np.arange(n_members)
     beta = np.zeros((n_members, q))
     beta[:, 0] = _log_odds(fits.sums(fits.trials), fits.sums(fits.successes))
-    # A lam = 0 member with a one-class 0/1 column starts in the ridge pass,
-    # each such column SEPARATION_BOUND - 3 toward its class.
+    # A lam = 0 member with a one-class column starts in the ridge pass,
+    # each such column (SEPARATION_BOUND - 3) / v toward its class.
     signs = _one_class_columns(fits) * (lam == 0)[:, None]
     separated = signs.any(axis=1)
     beta += (SEPARATION_BOUND - 3.0) * signs
@@ -547,20 +554,13 @@ def fit_logistic(x: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> FitResult:
         that converged reports standard errors.
 
     Quasi-complete separation and singular Newton systems are handled by a
-    fit to the optimum of a tiny ridge (FALLBACK_RIDGE). A 0/1 column whose
-    rows with a 1 are all cases or all controls is read from the counts, and
-    the fit starts in the ridge pass at once; any other separation is met
-    when a |coefficient| passes SEPARATION_BOUND, and the fit continues from
-    where it stands. Such fits carry separation_flag = True but still report
-    standard errors so Wald machinery stays usable. The fit is a batch of
-    one.
-
-    A quasi-separated fit on a column that is not 0/1 can instead stop on
-    the flat objective first, converged and unflagged, with a slope short
-    of SEPARATION_BOUND and a huge standard error: with the one-class
-    column of tests/test_grouped.py's TestSeparationFromCounts doubled, the
-    slope is 10.9 with a standard error of 9.4e3. The CLI's datasets are
-    0/1, so no command meets this.
+    fit to the optimum of a tiny ridge (FALLBACK_RIDGE). A column with no
+    negative value whose nonzero rows are all cases or all controls is read
+    from the counts, and the fit starts in the ridge pass at once; any other
+    separation is met when a |coefficient| passes SEPARATION_BOUND, and the
+    fit continues from where it stands. Such fits carry separation_flag =
+    True but still report standard errors so Wald machinery stays usable.
+    The fit is a batch of one.
     """
     patterns, trials, cases, _ = _pattern_counts(x, y)
     return _fit_counts(patterns, trials[None], cases[None], ridge)[0]

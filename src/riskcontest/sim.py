@@ -202,13 +202,22 @@ def simulate_dataset(truth: GroundTruth, config: SimulationConfig,
     """Draw one case-control dataset from a ground truth.
 
     Population records are generated in batches: latent confounders first,
-    then risk factors at their (possibly confounder-inflated) prevalences,
-    then a Bernoulli outcome from the logistic model. Records fill the case
-    and control pools until both reach their targets; the pools are
-    concatenated and shuffled, and confounder columns are dropped.
-    The inflated prevalences are computed only for rows with an active
-    confounder: in any other row the inflation is exactly 1.0, so the
-    capped prevalence min(p * 1.0, max(p, 0.5)) is p itself, bit for bit.
+    then one uniform per risk factor, then a Bernoulli outcome from the
+    logistic model. A risk factor is 1 where its uniform falls below its
+    prevalence, inflated on rows with an active confounder (see Confounder);
+    in any other row the inflation is exactly 1.0, so the capped prevalence
+    min(p * 1.0, max(p, 0.5)) is p itself, bit for bit, and only rows with
+    an active confounder compute it. Records fill the case and control
+    pools until both reach their targets; the pools are concatenated and
+    shuffled, and confounder columns are dropped.
+
+    A batch does only the work its outputs need. For every row it reads the
+    relevant columns (nonzero effect) alone and sums the log odds term by
+    term in a fixed order: the intercept, each relevant column's effect
+    where it is 1 in column order, then each active confounder's effect.
+    Only the rows kept for a pool get all d columns. The uniforms go into
+    one (batch, d) buffer reused by every batch of the call, which draws
+    the same numbers in the same order as a fresh array would.
 
     With return_confounders=True also returns the latent confounder matrix
     aligned to the emitted rows (instructor diagnostics; never part of the
@@ -223,6 +232,7 @@ def simulate_dataset(truth: GroundTruth, config: SimulationConfig,
     beta = np.zeros(d)
     for j, e in truth.effects.items():
         beta[j - 1] = e
+    rel = np.flatnonzero(beta)
     conf_prev = np.array([c.prevalence for c in truth.confounders], dtype=float)
     conf_eff = np.array([c.log_or for c in truth.confounders], dtype=float)
     links = np.zeros((len(truth.confounders), d))
@@ -230,11 +240,21 @@ def simulate_dataset(truth: GroundTruth, config: SimulationConfig,
         for j in c.linked:
             links[i, j - 1] = 1.0
 
-    need = [config.n_cases, config.n_controls]
+    def risk_factors(u, conf, cols):
+        """The risk factors on columns cols of the records with uniforms u
+        (on all d columns) and confounders conf."""
+        x = u[:, cols] < prev[cols]
+        hit = np.flatnonzero(conf @ np.ones(conf_prev.size))
+        x[hit] = u[hit][:, cols] < np.minimum(prev[cols] * 10.0 ** (conf[hit] @ links[:, cols]),
+                                               np.maximum(prev[cols], 0.5))
+        return x
+
+    need, got = [config.n_cases, config.n_controls], [0, 0]
     pools = [[], []]  # (x, confounder) blocks of the cases, then of the controls
+    uniforms = np.empty((min(_BATCH, config.max_draws), d))
     draws = 0
 
-    while (got := [sum(len(xs) for xs, _ in pool) for pool in pools]) != need:
+    while got != need:
         if draws >= config.max_draws:
             raise SimulationBudgetError(
                 f"exhausted {draws} population draws with {got[0]}/{need[0]} cases "
@@ -243,19 +263,20 @@ def simulate_dataset(truth: GroundTruth, config: SimulationConfig,
         b = min(_BATCH, config.max_draws - draws)
         draws += b
 
-        conf = (rng.random((b, conf_prev.size)) < conf_prev).astype(float)
-        u = rng.random((b, d))
-        x = u < prev
-        hit = np.flatnonzero(conf @ np.ones(conf.shape[1]))
-        x[hit] = u[hit] < np.minimum(prev * 10.0 ** (conf[hit] @ links),
-                                     np.maximum(prev, 0.5))
-        x = x.astype(np.int8)
-        eta = config.baseline_intercept + x @ beta + conf @ conf_eff
+        conf = rng.random((b, conf_prev.size)) < conf_prev
+        u = rng.random(out=uniforms[:b])
+        eta = np.full(b, config.baseline_intercept)
+        for coef, on in zip(beta[rel], risk_factors(u, conf, rel).T):
+            np.add(eta, coef, out=eta, where=on)
+        for coef, on in zip(conf_eff, conf.T):
+            np.add(eta, coef, out=eta, where=on)
         y = rng.random(b) < expit(eta)
 
-        for pool, rows, have, want in zip(pools, (y, ~y), got, need):
-            take = np.flatnonzero(rows)[:want - have]
-            pool.append((x[take], conf[take]))
+        for i, rows in enumerate((y, ~y)):
+            take = np.flatnonzero(rows)[:need[i] - got[i]]
+            pools[i].append((risk_factors(u[take], conf[take], slice(None)).astype(np.int8),
+                             conf[take]))
+            got[i] += take.size
 
     x_all = np.vstack([xs for pool in pools for xs, _ in pool])
     conf_all = np.vstack([cs for pool in pools for _, cs in pool]).astype(np.int8)

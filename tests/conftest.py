@@ -150,10 +150,11 @@ def _irls(xmat, trials, successes, lam, start=None):
     problem at a time with matmul sums: the reference for glm._irls_batch.
 
     xmat includes the intercept column, which the ridge leaves unpenalized.
-    An unpenalized fit (lam = 0) with a 0/1 column whose trials with a 1 are
-    all cases or all controls starts at once in the FALLBACK_RIDGE pass,
-    from the log-odds start with each such column SEPARATION_BOUND - 3
-    toward its class. Any other unpenalized fit that moves any
+    An unpenalized fit (lam = 0) with a column of no negative value whose
+    trials where it is nonzero are all cases or all controls starts at once
+    in the FALLBACK_RIDGE pass, from the log-odds start with each such
+    column (SEPARATION_BOUND - 3) / v toward its class, v the mean of its
+    nonzero values over those trials. Any other unpenalized fit that moves any
     |coefficient| past SEPARATION_BOUND or meets a singular Newton system is
     refit with FALLBACK_RIDGE, so every caller gets an estimate: the ridge
     pass goes on from the last accepted beta (`start`) and stops once its
@@ -178,11 +179,13 @@ def _irls(xmat, trials, successes, lam, start=None):
             seen = trials > 0
             signs = np.zeros(q)
             for j in range(1, q):
-                if np.isin(xmat[seen, j], (0.0, 1.0)).all():
-                    exposed = seen & (xmat[:, j] == 1.0)
+                if (xmat[seen, j] >= 0.0).all():
+                    exposed = seen & (xmat[:, j] != 0.0)
                     cases = float(successes[exposed].sum())
                     controls = float((trials - successes)[exposed].sum())
-                    signs[j] = (controls == 0.0) - (cases == 0.0)
+                    if (controls == 0.0) != (cases == 0.0):
+                        mean = float(trials[exposed] @ xmat[exposed, j]) / (cases + controls)
+                        signs[j] = ((controls == 0.0) - (cases == 0.0)) / mean
             if signs.any():
                 beta = beta + (SEPARATION_BOUND - 3.0) * signs
                 *fit, _ = _irls(xmat, trials, successes, FALLBACK_RIDGE, beta)

@@ -3,7 +3,8 @@
 equal to the smaller class, train_fraction close to 0 and to 1,
 size_max = d and one resample. Each case ends in a Submission or a
 ContestError, within a tracemalloc bound. team_b and team_d also run on a
-d = 70 default contest, within a bound in their fits' nonzero pairs."""
+d = 70 default contest, within a bound in their fits' nonzero pairs, and
+simulate_dataset within a bound in its batch and pool sizes."""
 
 import tracemalloc
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import riskcontest as rc
-from riskcontest import glm
+from riskcontest import glm, sim
 
 # At n = 60 one chunk of fold fits sets the peak. A chunk covers about
 # BATCH_ELEMENTS (fold fit, pattern) pairs of the table; _irls_batch keeps
@@ -34,6 +35,11 @@ PAIR_ALLOWANCE = 12_000_000
 # kernel run, whose dense 71 x 71 Hessian stacks are 4.4 MB each; its lasso
 # paths hold no dense (q, q) array per pattern.
 RIDGE_ALLOWANCE = 16_000_000
+# simulate_dataset holds one (batch, d) float buffer of uniforms and, for
+# the kept rows, their uniforms on all d columns, up to n_total rows in
+# all. The allowance covers the batch's (batch,) vectors: the outcome
+# uniforms, the log odds and expit's temporaries, 16 of them at most.
+SIM_ALLOWANCE = 16 * 8 * sim._BATCH
 
 
 def cases(d):
@@ -131,3 +137,19 @@ def test_team_b_at_d70_within_memory_of_its_nonzero_pairs():
     lasso = sum(int(pairs_of[t > 0].sum()) for t in [*train, table.counts[0]])
     ridge = 11 * sum(int(pairs_of[t > 0].sum()) for t in train)
     assert peak_of(data, spec) <= PAIR_BYTES * (lasso + ridge) + RIDGE_ALLOWANCE
+
+
+@pytest.mark.parametrize("d", [20, 70, 150])
+def test_simulate_within_memory_of_its_batch_and_pools(d):
+    """A default-size contest's draw peaks within 8 bytes per cell of one
+    batch and of the pools, plus SIM_ALLOWANCE."""
+    config = rc.SimulationConfig(d=d, seed=1)
+    rng = np.random.default_rng(config.seed)
+    truth = rc.draw_ground_truth(config, rng)
+    tracemalloc.start()
+    try:
+        rc.simulate_dataset(truth, config, rng, return_confounders=True)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak <= 8 * d * (sim._BATCH + config.n_total) + SIM_ALLOWANCE

@@ -268,3 +268,47 @@ def test_simulate_matches_all_cells_reference(config):
 def test_config_validation(field, value):
     with pytest.raises(ConfigurationError):
         rc.SimulationConfig(**{field: value})
+
+
+@st.composite
+def built_truths(draw):
+    """A truth that draw_ground_truth never makes, with a config of its d:
+    any relevant set from empty to d - 1 columns (an effect may be 0), 0-4
+    confounders linked to any columns, relevant ones included, and
+    prevalences up to 0.9 for risk factors and confounders alike."""
+    d = draw(st.integers(2, 24))
+    relevant = sorted(draw(st.lists(st.integers(1, d), unique=True, max_size=d - 1)))
+    columns = st.lists(st.integers(1, d), unique=True, max_size=d).map(sorted).map(tuple)
+    confounders = draw(st.lists(st.builds(rc.Confounder, st.floats(-3.0, 3.0), columns,
+                                          st.floats(0.001, 0.9)), max_size=4))
+    truth = rc.GroundTruth(
+        tuple(relevant), {j: draw(st.floats(-3.0, 3.0)) for j in relevant}, tuple(confounders),
+        tuple(draw(st.lists(st.floats(0.001, 0.9), min_size=d, max_size=d))))
+    return truth, rc.SimulationConfig(
+        d=d, n_cases=draw(st.integers(1, 80)), n_controls=draw(st.integers(1, 80)),
+        k_min=1, k_max=1, baseline_intercept=draw(st.floats(-4.0, 1.0)),
+        draw_budget=draw(st.none() | st.integers(1, 40_000)), seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(built_truths())
+def test_simulate_matches_all_cells_reference_on_built_truths(case):
+    """The same byte-for-byte match, generator state and budget error text
+    included, where a confounder may inflate a relevant column and so move
+    the log odds."""
+    def current(truth, config, rng):
+        data, conf = rc.simulate_dataset(truth, config, rng, return_confounders=True)
+        return data.x, data.y, conf
+
+    truth, config = case
+    outs = []
+    for simulate in (current, reference_simulate):
+        rng = np.random.default_rng(config.seed)
+        try:
+            arrays = simulate(truth, config, rng)
+        except SimulationBudgetError as exc:
+            outs.append(str(exc))
+        else:
+            outs.append(([a.dtype.str for a in arrays], [a.tobytes() for a in arrays],
+                         rng.bit_generator.state))
+    assert outs[0] == outs[1]

@@ -1,13 +1,29 @@
 #!/usr/bin/env python3
-"""Compare team_a-team_d's answers here with those of another source tree.
+"""Compare simulated datasets and team_a-team_d's answers here with those
+of another source tree.
 
     python tools/compare_parent.py PARENT_DIR
 
-Runs the four team selectors on the standing gate cases twice, once on this
-checkout's src/ and once on PARENT_DIR's src/, each in its own subprocess
-(in parallel), and prints how many selections and method reports are
-byte-identical, naming every case that differs. It exits 0 whatever
-differs, and 1 only if a run could not finish. The gate cases:
+Draws the dataset cases and runs the four team selectors on the standing
+gate cases twice, once on this checkout's src/ and once on PARENT_DIR's
+src/, each in its own subprocess (in parallel), and prints how many
+datasets, selections and method reports are byte-identical, naming every
+case that differs. It exits 0 whatever differs, and 1 only if a run could
+not finish.
+
+A dataset is compared by the SHA-256 of its x, y and confounder matrix
+(dtype, shape and bytes) and of the next 16 bytes of the generator that
+drew it, or by the text of its SimulationBudgetError. Each dataset case
+draws its truth and dataset from np.random.default_rng(seed), as the CLI
+does:
+
+- seeds 1-300 of the default simulation;
+- 40 seeds each of d = 8 with 200 cases and 200 controls, d = 70, d = 150,
+  no confounders, 3 confounders at prevalence 0.2, jittered prevalences at
+  d = 30 with k_max 12, and 30 cases with 30 controls;
+- a draw budget that ends inside the second batch, and one that runs out.
+
+The selector gate cases:
 
 - tournament replicates 1-40 of master seed 2018 on the default simulation,
   each method with the seed a tournament listing team_a, team_b, team_c and
@@ -16,12 +32,13 @@ differs, and 1 only if a run could not finish. The gate cases:
   and 2, team_c at size 2;
 - the cases of tests/test_envelope.py, taken from this checkout.
 
-The selectors are read through riskcontest's public names only, so the
-script runs on any tree that has them.
+Everything is read through riskcontest's public names only, so the script
+runs on any tree that has them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -37,6 +54,51 @@ MASTER_SEED = 2018
 REPLICATES = range(1, 41)
 D70_CONTESTS = (424242, 1, 2)
 SELECT_SEEDS = (1, 2)
+
+
+def _simulations():
+    """(name, SimulationConfig) for every dataset case, in a fixed order."""
+    import riskcontest as rc
+
+    for seed in range(1, 301):
+        yield f"default seed {seed}", rc.SimulationConfig(seed=seed)
+    variants = {
+        "d8 200/200": dict(d=8, n_cases=200, n_controls=200),
+        "d70": dict(d=70),
+        "d150": dict(d=150),
+        "no confounders": dict(n_confounders=0),
+        "3 confounders at 0.2": dict(n_confounders=3, confounder_prev=0.2),
+        "jittered d30 k_max 12": dict(d=30, k_max=12, jitter_prevalences=True),
+        "30/30": dict(n_cases=30, n_controls=30),
+    }
+    for label, fields in variants.items():
+        for seed in range(1, 41):
+            yield f"{label} seed {seed}", rc.SimulationConfig(seed=seed, **fields)
+    yield "budget ending in batch 2", rc.SimulationConfig(
+        n_cases=1000, n_controls=1000, draw_budget=30_000, seed=1)
+    yield "budget run out", rc.SimulationConfig(draw_budget=20_000, seed=1)
+
+
+def _datasets() -> dict[str, str]:
+    """Every dataset case's digest, or the text of its budget error."""
+    import riskcontest as rc
+
+    out = {}
+    for name, config in _simulations():
+        rng = np.random.default_rng(config.seed)
+        truth = rc.draw_ground_truth(config, rng)
+        try:
+            data, conf = rc.simulate_dataset(truth, config, rng, return_confounders=True)
+        except rc.SimulationBudgetError as exc:
+            out[name] = f"SimulationBudgetError: {exc}"
+            continue
+        digest = hashlib.sha256()
+        for a in (data.x, data.y, conf):
+            digest.update(f"{a.dtype.str} {a.shape}".encode())
+            digest.update(a.tobytes())
+        digest.update(rng.bytes(16))
+        out[name] = digest.hexdigest()
+    return out
 
 
 def _cases():
@@ -69,10 +131,11 @@ def _cases():
         yield name, envelope.small_contest(d), rc.SelectorSpec(team, seed=1, **options)
 
 
-def _answers() -> dict[str, list]:
-    """Every gate case's [selection, method report], or [None, error] for a
-    case that ends in a ContestError. riskcontest is imported here, from
-    the tree on PYTHONPATH, not where this file lies."""
+def _answers() -> dict[str, dict]:
+    """Every dataset case's digest, and every gate case's [selection, method
+    report], or [None, error] for a case that ends in a ContestError.
+    riskcontest is imported here, from the tree on PYTHONPATH, not where
+    this file lies."""
     import riskcontest as rc
 
     out = {}
@@ -82,7 +145,7 @@ def _answers() -> dict[str, list]:
             out[name] = [list(submission.selected), submission.method_report]
         except rc.ContestError as exc:
             out[name] = [None, f"{type(exc).__name__}: {exc}"]
-    return out
+    return {"datasets": _datasets(), "selectors": out}
 
 
 def _start(tree: Path) -> subprocess.Popen:
@@ -105,9 +168,13 @@ def main(argv: list[str]) -> int:
             print(f"the run on {label} failed (exit {run.returncode})", file=sys.stderr)
             return 1
     here, parent = (json.loads(text) for text in outputs)
+    parts = {"datasets": (here["datasets"], parent["datasets"])}
     for i, part in enumerate(("selections", "method reports")):
-        differing = [name for name in here if here[name][i] != parent[name][i]]
-        print(f"{part} byte-identical: {len(here) - len(differing)} of {len(here)}")
+        parts[part] = tuple({name: answer[i] for name, answer in tree["selectors"].items()}
+                            for tree in (here, parent))
+    for part, (ours, theirs) in parts.items():
+        differing = [name for name in ours if ours[name] != theirs.get(name)]
+        print(f"{part} byte-identical: {len(ours) - len(differing)} of {len(ours)}")
         for name in differing:
             print(f"  differs: {name}")
     return 0
